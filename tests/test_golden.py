@@ -1,0 +1,156 @@
+"""Golden outputs: the sha256 of the CSV bytes and of the event lines of a
+fixed set of runs, pinned from the generic tree-ticking step that the
+table-driven step replaced. Any change to the simulated behaviour, the draw
+order or the CSV format changes a digest here.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from ephemera import experiment, metrics
+from ephemera.arena import Arena, RobotType
+from ephemera.bt import COLORS
+from ephemera.experiment import get_scenario
+from ephemera.knowledge import CapacityPolicy
+
+
+def csv_digest(out_dir) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def events_digest(results) -> str:
+    h = hashlib.sha256()
+    for result in results:
+        h.update(f"trial {result.trial}\n".encode())
+        h.update("".join(record.line() + "\n" for record in result.events).encode())
+    return h.hexdigest()
+
+
+def scenario_digests(config, out_dir, monkeypatch) -> tuple[str, str]:
+    """Run the scenario as the CLI does and digest its files and events."""
+    results = []
+    run_trial = experiment.run_trial
+
+    def recording(cfg, trial_index):
+        result = run_trial(cfg, trial_index)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(experiment, "run_trial", recording)
+    experiment.run_scenario(config, out_dir, jobs=1)
+    return csv_digest(out_dir), events_digest(results)
+
+
+def layout_digests(config, targets, agents, seed, out_dir) -> tuple[str, str]:
+    """Step an explicitly laid-out arena to the end and digest its snapshot
+    CSV and events."""
+    arena = Arena.from_layout(config, targets, agents, seed=seed)
+    arena.snapshots.append(metrics.snapshot(arena, 0))
+    while arena.t < config.max_iterations and arena.alive_count > 0:
+        arena.step()
+    out_dir.mkdir()
+    metrics.write_csv(arena.snapshots, out_dir / "layout.csv")
+    h = hashlib.sha256()
+    h.update("".join(line + "\n" for line in arena.event_lines()).encode())
+    return csv_digest(out_dir), h.hexdigest()
+
+
+def edge_layout():
+    """Targets scattered over a 40x40 board; agents of every type on all four
+    edges and in the corners, so Explore draws from the clipped move sets."""
+    targets = []
+    for i in range(40):
+        color = COLORS[i % 4]
+        targets.append((color, (7 * i + 3) % 40, (11 * i + 5) % 40))
+    assert len({(x, y) for _, x, y in targets}) == len(targets)
+    types = (RobotType.IGNORANT, RobotType.IGNORANT, RobotType.MASTER, RobotType.RED,
+             RobotType.GREEN, RobotType.YELLOW, RobotType.BLUE)
+    cells = [(0, 0), (39, 0), (0, 39), (39, 39)]
+    cells += [(x, 0) for x in (5, 17, 30)] + [(x, 39) for x in (9, 22, 35)]
+    cells += [(0, y) for y in (6, 19, 31)] + [(39, y) for y in (12, 25, 36)]
+    agents = [(types[i % len(types)], x, y) for i, (x, y) in enumerate(cells)]
+    return targets, agents
+
+
+EVICT = CapacityPolicy.EVICT_OLDEST
+REJECT = CapacityPolicy.REJECT_WHEN_FULL
+
+MINI_CASES = {
+    "mini": {},
+    "mini-size1-reject": dict(memory_size=1, capacity_policy=REJECT),
+    "mini-size1-evict": dict(memory_size=1, capacity_policy=EVICT),
+    "mini-no-learning": dict(learning_enabled=False),
+}
+
+GOLDEN = {  # case -> (CSV sha256, event-lines sha256)
+    "mini": (
+        "68601613446f71c0f10b3fa103079897a50d93affdf88a54df557237bbd18449",
+        "dd9e8dd95a515d86c4c570f232a7a78ea464ee284719465345ebe8ded4ca7330",
+    ),
+    "mini-size1-reject": (
+        "89d5dcb1c76e52e257bbfdf7ea6d06f845b5ecad316ea7a3a206899fe22066b3",
+        "3c926cc489cab18d08a08d1f51be41b18c6cc0e2d3c0970a837282954a73e86a",
+    ),
+    "mini-size1-evict": (
+        "6e2a6684d4128bcd901ed82dc57bf865293fb818ea70665d8125d6f3327d117a",
+        "44c80b63f5af8f8bedb849c03985bd2aad3a135f5dd69098a2ab3fa0f3d9fbe0",
+    ),
+    "mini-no-learning": (
+        "7db45673135c3566a110658fbc0c068e87e566ee87b9dcaa1f55ed10834dfbe6",
+        "40f2895452f610ba854c5901c9916e5f93e2dce55d0770a841d291a95921dbd0",
+    ),
+    "edges": (
+        "840967ba91e153eb705bdeb90dcd3a46f3e2b125d28505bcba2157a875924028",
+        "3694e0053fcd9f0200736e5a90fe40b5df264cbd4be7fa7871245d02805d4d7a",
+    ),
+    "corridor": (
+        "e34e803229fd7a86c29cdf0a7e48401c39fc550502e1d1c83cd090f10faa89c7",
+        "879fc9a5f50ff3c71c4fc1b0b128ee825be1c4a747a54aef61b3faae447fc68b",
+    ),
+    "T1K": (
+        "2111e9f287525efd1a54c190451637220d79d71ed69db6314271109166486f35",
+        "191eed8a3c5001957c239cfd85b653a550826c0e34645f4a268bcccf12f9fd31",
+    ),
+    "M1": (
+        "aa3c9aa08bfeaadb22642721bb4e1033cfbffcf7a42fa0eb1d564a17639e2dc3",
+        "261c277fd044f82e0d432f83c62da27c7e8ab615dba6197f35f416164460bb30",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MINI_CASES))
+def test_golden_mini(case, make_config, tmp_path, monkeypatch):
+    config = make_config(**MINI_CASES[case])
+    assert scenario_digests(config, tmp_path, monkeypatch) == GOLDEN[case]
+
+
+def test_golden_edges(make_config, tmp_path):
+    targets, agents = edge_layout()
+    config = make_config(name="edges", grid=(40, 40), memory_duration=25, memory_size=2,
+                         capacity_policy=EVICT, max_iterations=400, sense_radius=2,
+                         comm_radius=8, query_cooldown=3, snapshot_interval=20)
+    got = layout_digests(config, targets, agents, 2024, tmp_path / "edges")
+    assert got == GOLDEN["edges"]
+
+
+def test_golden_corridor(make_config, tmp_path):
+    # A one-cell-wide board: every Explore move is clipped on the x axis.
+    R, I, M = RobotType.RED, RobotType.IGNORANT, RobotType.MASTER
+    targets = [(COLORS[i % 4], 0, y) for i, y in enumerate((3, 10, 15, 20, 24, 27))]
+    agents = [(I, 0, 0), (M, 0, 29), (R, 0, 14), (I, 0, 5)]
+    config = make_config(name="corridor", grid=(1, 30), memory_duration=10,
+                         max_iterations=300, sense_radius=2, comm_radius=5,
+                         query_cooldown=2, snapshot_interval=10)
+    got = layout_digests(config, targets, agents, 77, tmp_path / "corridor")
+    assert got == GOLDEN["corridor"]
+
+
+@pytest.mark.parametrize("name", ["T1K", "M1"])
+def test_golden_builtin_cut(name, tmp_path, monkeypatch):
+    config = dataclasses.replace(get_scenario(name), max_iterations=1500)
+    assert scenario_digests(config, tmp_path, monkeypatch) == GOLDEN[name]
