@@ -7,14 +7,40 @@ ascending ID order inside every phase:
 1. resolve queries emitted last iteration (deliveries mutate queriers),
 2. expire learned skills and prune the matching subtrees,
 3. sense,
-4. tick every agent's tree to one intent; Query intents may emit a query,
+4. look up every agent's intent; Query intents may emit a query,
 5. execute intents (collect / move / stand),
 6. record a metrics snapshot on the snapshot grid.
+
+Per-agent state lives in arrays indexed by agent ID: x, y, a 4-bit mask of
+the known colors (bit c for color c) and the iteration of the next skill
+expiry. The mask and expiry mirror each agent's :class:`KnowledgeStore` and
+are refreshed only when a delivery, eviction or expiry changes a store, so
+the expiry phase visits only agents with a skill due.
+
+Sensing is one numpy pass over agents x live targets. It yields, per agent
+and color, the distance to and ID of the nearest live target (ties to the
+lowest target ID) and the mask of colors within the sense radius.
+
+Every agent tree is the canonical tree of its known colors and the tick is
+memoryless, so an intent is a pure function of (known mask, seen mask).
+``INTENT_TABLE`` holds it for all 16 x 16 pairs; it is built once per
+process by ticking the 16 canonical trees, so the behavior-tree semantics
+stay the source of truth. Trees are still kept (grafted and pruned) as the
+agents' skill representation.
+
+Only Collect and Query agents are handled one by one, in ID order: a
+Collect agent takes the target under it or steps toward its nearest one,
+and a capture only marks the target dead, so a higher-ID agent that sensed
+the same target steps toward the nearest one still alive. The live-target
+arrays are compacted once, at the end of the step.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
 then agents by ID; a cell index v maps to x = v % width, y = v // width),
-then one draw per exploring agent per iteration, in agent-ID order.
+then one draw per exploring agent per iteration, in agent-ID order. The
+draws of a step are taken as one batch (:meth:`SplitMix64.below_many`): an
+interior agent picks one of the 8 Moore moves (``% 8``), an agent on the
+edge one of the in-bounds moves, kept in ``_MOORE`` order.
 """
 
 from __future__ import annotations
@@ -27,7 +53,7 @@ import numpy as np
 
 from . import events as ev
 from . import metrics, protocol
-from .bt import COLORS, Blackboard, BTNode, Collect, Color, Explore, Query, assemble_agent_tree, prune, tick
+from .bt import COLORS, Blackboard, BTNode, Collect, Color, Query, assemble_agent_tree, prune, tick
 from .knowledge import KnowledgeStore
 from .protocol import QueryMessage
 from .rng import SplitMix64
@@ -35,12 +61,43 @@ from .rng import SplitMix64
 if TYPE_CHECKING:
     from .experiment import ScenarioConfig
 
-_FAR = 1 << 20  # sentinel distance, larger than any grid diameter
+_FAR = 1 << 20  # distance reported for a color with no live target
+_NEVER = np.iinfo(np.int64).max  # next expiry of a store with no learned skill
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+# Intent codes: 0..3 collect that color, then query and explore.
+_QUERY = 4
+_EXPLORE = 5
+
+
+def _moves_by_class():
+    """In-bounds Moore moves for each of the 16 edge classes, in _MOORE order.
+
+    Class bits: 1 = may step to x-1, 2 = to x+1, 4 = to y-1, 8 = to y+1.
+    """
+    def allowed(step, bits):
+        return step == 0 or bits & (1 if step < 0 else 2)
+
+    dx = np.zeros((16, 8), np.int32)
+    dy = np.zeros((16, 8), np.int32)
+    count = np.zeros(16, np.uint64)
+    for cls in range(16):
+        moves = [(ox, oy) for ox, oy in _MOORE if allowed(ox, cls) and allowed(oy, cls >> 2)]
+        count[cls] = len(moves)
+        for k, (ox, oy) in enumerate(moves):
+            dx[cls, k], dy[cls, k] = ox, oy
+    return dx, dy, count
+
+
+_MOVE_DX, _MOVE_DY, _MOVE_COUNT = _moves_by_class()
 
 
 class SetupError(ValueError):
     """The scenario cannot be laid out on the requested grid."""
+
+
+class ConservationError(RuntimeError):
+    """Captured plus alive targets no longer add up to the initial count."""
 
 
 class RobotType(Enum):
@@ -85,18 +142,29 @@ class Target:
 
 
 class AgentState:
-    __slots__ = ("id", "robot_type", "x", "y", "store", "tree", "cooldown_until", "pending_query")
+    """One agent; its position is read from the arena's position arrays."""
 
-    def __init__(self, agent_id: int, robot_type: RobotType, x: int, y: int,
-                 store: KnowledgeStore, tree: BTNode):
+    __slots__ = ("id", "robot_type", "store", "tree", "cooldown_until", "pending_query",
+                 "_xs", "_ys")
+
+    def __init__(self, agent_id: int, robot_type: RobotType, store: KnowledgeStore,
+                 tree: BTNode, xs: np.ndarray, ys: np.ndarray):
         self.id = agent_id
         self.robot_type = robot_type
-        self.x = x
-        self.y = y
         self.store = store
         self.tree = tree
         self.cooldown_until = 0
         self.pending_query: Optional[QueryMessage] = None
+        self._xs = xs
+        self._ys = ys
+
+    @property
+    def x(self) -> int:
+        return int(self._xs[self.id])
+
+    @property
+    def y(self) -> int:
+        return int(self._ys[self.id])
 
     @property
     def pos(self) -> tuple[int, int]:
@@ -104,43 +172,69 @@ class AgentState:
 
 
 class Perception:
-    """One agent's view for one iteration: alive targets within the sense
-    radius, grouped by color, plus whether some visible color is unhandled."""
+    """One agent's view for one iteration: the nearest alive target of each
+    color within the sense radius, plus whether some visible color is
+    unknown to the agent."""
 
-    __slots__ = ("pos", "sees_unknown", "_nearest_d", "_nearest_tid", "_sees", "_view")
+    __slots__ = ("pos", "sees_unknown", "_nearest_d", "_nearest_tid", "_seen", "_arena")
 
-    def __init__(self, pos, nearest_d, nearest_tid, sees, sees_unknown, view):
+    def __init__(self, pos, nearest_d, nearest_tid, seen: int, known: int, arena=None):
         self.pos = pos
         self._nearest_d = nearest_d
         self._nearest_tid = nearest_tid
-        self._sees = sees
-        self.sees_unknown = sees_unknown
-        self._view = view
+        self._seen = seen
+        self.sees_unknown = bool(seen & ~known)
+        self._arena = arena
 
     def sees(self, color: Color) -> bool:
-        return self._sees[color]
+        return bool(self._seen >> color & 1)
 
     def visible_colors(self) -> tuple[Color, ...]:
-        return tuple(c for c in COLORS if self._sees[c])
+        return tuple(c for c in COLORS if self.sees(c))
 
     def nearest_distance(self, color: Color) -> Optional[int]:
-        return self._nearest_d[color] if self._sees[color] else None
+        return self._nearest_d[color] if self.sees(color) else None
 
     def nearest_target(self, color: Color) -> Optional[int]:
         """ID of the nearest visible target of that color (ties: lowest ID)."""
-        return self._nearest_tid[color] if self._sees[color] else None
+        return self._nearest_tid[color] if self.sees(color) else None
 
     def visible(self, color: Color) -> list[tuple[int, int, int]]:
         """All visible targets of that color as (target_id, x, y), ID order."""
-        if not self._sees[color]:
+        if not self.sees(color):
             return []
-        d, row, live_ids, live_x, live_y, seg, radius = self._view
-        s, e = seg[color]
-        out = []
-        for j in np.nonzero(d[row, s:e] <= radius)[0]:
-            k = s + int(j)
-            out.append((int(live_ids[k]), int(live_x[k]), int(live_y[k])))
-        return out
+        arena = self._arena
+        s, e = arena._seg[color]
+        ids = arena._live_ids[s:e]
+        d = np.maximum(np.abs(arena._live_x[s:e] - self.pos[0]),
+                       np.abs(arena._live_y[s:e] - self.pos[1]))
+        keep = (d <= arena.config.sense_radius) & arena._alive[ids]
+        return [(int(i), arena._cat_x[i], arena._cat_y[i]) for i in ids[keep]]
+
+
+def _intent_code(intent) -> int:
+    if type(intent) is Collect:
+        return int(intent.color)
+    return _QUERY if type(intent) is Query else _EXPLORE
+
+
+def _build_intent_table() -> np.ndarray:
+    """Tick the canonical tree of every known mask against every seen mask."""
+    views = [Perception(None, None, None, seen, 0) for seen in range(16)]
+    rows = []
+    for known in range(16):
+        colors = tuple(c for c in COLORS if known >> c & 1)
+        tree = assemble_agent_tree(colors)
+        row = []
+        for view in views:
+            bb = Blackboard(view, colors)
+            tick(tree, bb)
+            row.append(_intent_code(bb.intent))
+        rows.append(row)
+    return np.array(rows, np.int8)
+
+
+INTENT_TABLE = _build_intent_table()
 
 
 class Arena:
@@ -177,15 +271,11 @@ class Arena:
                 cat_x.append(cell[0])
                 cat_y.append(cell[1])
 
-        agents: list[AgentState] = []
+        agents = []
         for robot_type, count in zip(ROBOT_ORDER, config.robot_counts):
             for _ in range(count):
                 v = self.rng.below(cells)
-                store = KnowledgeStore(robot_type.innate_colors, capacity=config.memory_size)
-                agents.append(AgentState(
-                    len(agents), robot_type, v % width, v // width,
-                    store, assemble_agent_tree(store.known_colors()),
-                ))
+                agents.append((robot_type, v % width, v // width))
         self._finish_init(cat_color, cat_x, cat_y, agents)
 
     @classmethod
@@ -215,51 +305,81 @@ class Arena:
             if (x, y) in cells:
                 raise SetupError(f"two targets share cell {(x, y)}")
             cells.add((x, y))
-        agent_states = []
-        for robot_type, x, y in agents:
+        agents = list(agents)
+        for _, x, y in agents:
             if not (0 <= x < width and 0 <= y < height):
                 raise SetupError(f"agent at {(x, y)} is out of bounds")
-            store = KnowledgeStore(robot_type.innate_colors, capacity=config.memory_size)
-            agent_states.append(AgentState(
-                len(agent_states), robot_type, x, y,
-                store, assemble_agent_tree(store.known_colors()),
-            ))
         arena._finish_init(
             [c for c, _, _ in spec], [x for _, x, _ in spec], [y for _, _, y in spec],
-            agent_states,
+            agents,
         )
         return arena
 
     def _finish_init(self, cat_color, cat_x, cat_y, agents) -> None:
+        n_targets = len(cat_color)
+        # A sense key is distance * n_targets + target ID; int32 unless that
+        # could overflow.
+        wide = max(self.width, self.height) * (n_targets + 1) >= 1 << 31
+        self._dtype = dtype = np.int64 if wide else np.int32
         self._cat_color = cat_color
         self._cat_x = cat_x
         self._cat_y = cat_y
-        self._alive = [True] * len(cat_color)
-        self._live_ids = np.arange(len(cat_color), dtype=np.int32)
-        self._live_x = np.array(cat_x, dtype=np.int32)
-        self._live_y = np.array(cat_y, dtype=np.int32)
-        self._live_color = np.array([int(c) for c in cat_color], dtype=np.int32)
+        self._n_targets = n_targets
+        self._alive = np.ones(n_targets, bool)
+        self._live_ids = np.arange(n_targets, dtype=dtype)
+        self._live_x = np.array(cat_x, dtype=dtype)
+        self._live_y = np.array(cat_y, dtype=dtype)
+        self._live_color = np.array([int(c) for c in cat_color], dtype=np.int8)
+        self._stale = False  # live arrays still hold targets captured this step
         self._reseg()
-        self._cell = {(x, y): i for i, (x, y) in enumerate(zip(cat_x, cat_y))}
-        self._x_edge = self.width - 1
-        self._y_edge = self.height - 1
-        self.agents = agents
+        # Scratch for the agents x live-targets sense matrices, reused every
+        # step: fresh matrices of that size cost more than the arithmetic.
+        # np.empty maps pages only as the first sense writes them.
+        size = len(agents) * n_targets
+        self._sense_buf = (np.empty(size, dtype), np.empty(size, dtype))
+
+        self._x = np.array([x for _, x, _ in agents], dtype=dtype)
+        self._y = np.array([y for _, _, y in agents], dtype=dtype)
+        self.agents: list[AgentState] = []
+        for robot_type, _, _ in agents:
+            store = KnowledgeStore(robot_type.innate_colors, capacity=self.config.memory_size)
+            self.agents.append(AgentState(len(self.agents), robot_type, store,
+                                          assemble_agent_tree(store.known_colors()),
+                                          self._x, self._y))
+        # Innate skills only so far: nothing expires yet.
+        self._known = np.array([a.store.known_mask() for a in self.agents], np.int64)
+        self._expiry = np.full(len(agents), _NEVER, np.int64)
+        # Edge class of each column and row (see _moves_by_class).
+        xs = np.arange(self.width)
+        ys = np.arange(self.height)
+        self._x_class = (xs > 0) | ((xs < self.width - 1) << 1)
+        self._y_class = ((ys > 0) | ((ys < self.height - 1) << 1)) << 2
+
         self.t = 0
         self.trial = 0
         self.pending: list[QueryMessage] = []
         self.events: list[ev.EventRecord] = []
         self.snapshots: list[metrics.MetricsSnapshot] = []
         self.capture_counts = [0, 0, 0, 0]
-        self.initial_total = len(cat_color)
-        self.alive_count = len(cat_color)
+        self.initial_total = n_targets
+        self.alive_count = n_targets
         self.queries_sent = 0
         self.deliveries = 0
         self.forgets = 0
         self.rejects_full = 0
 
     def _reseg(self) -> None:
-        bounds = np.searchsorted(self._live_color, (0, 1, 2, 3, 4))
-        self._seg = [(int(bounds[i]), int(bounds[i + 1])) for i in range(4)]
+        bounds = np.searchsorted(self._live_color, (0, 1, 2, 3, 4)).tolist()
+        self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
+        self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
+        self._starts = [bounds[c] for c in self._present]
+
+    def _sync(self, agent: AgentState) -> None:
+        """Copy the agent's known mask and next expiry from its store."""
+        store = agent.store
+        self._known[agent.id] = store.known_mask()
+        expiry = store.next_expiry()
+        self._expiry[agent.id] = _NEVER if expiry is None else expiry
 
     # --- queries about state ------------------------------------------------
 
@@ -272,7 +392,7 @@ class Arena:
             target_id,
             self._cat_color[target_id],
             (self._cat_x[target_id], self._cat_y[target_id]),
-            self._alive[target_id],
+            bool(self._alive[target_id]),
         )
 
     def targets(self) -> list[Target]:
@@ -284,56 +404,50 @@ class Arena:
     # --- sensing -------------------------------------------------------------
 
     def sense(self, agent: AgentState) -> Perception:
-        return self._sense_rows([(agent.x, agent.y)], [agent.store.known_colors()])[0]
+        i = slice(agent.id, agent.id + 1)
+        nearest_d, nearest_tid, seen = self._sense_rows(self._x[i], self._y[i])
+        return Perception(agent.pos, nearest_d[0].tolist(), nearest_tid[0].tolist(),
+                          int(seen[0]), agent.store.known_mask(), self)
 
-    def _sense_all(self) -> list[Perception]:
-        return self._sense_rows(
-            [(a.x, a.y) for a in self.agents],
-            [a.store.known_colors() for a in self.agents],
-        )
+    def _sense_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._sense_rows(self._x, self._y)
 
-    def _sense_rows(self, positions, knowns) -> list[Perception]:
-        n = len(positions)
+    def _sense_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest live target of each color for agents at (xs, ys).
+
+        Returns agents x 4 arrays of its distance (_FAR for a color with no
+        live target) and its ID (ties: lowest ID; -1 for none), and the mask
+        of the colors with a target within the sense radius.
+        """
+        n = len(xs)
         radius = self.config.sense_radius
-        if self._live_ids.size == 0:
-            empty = [False, False, False, False]
-            return [
-                Perception(positions[i], [_FAR] * 4, [0] * 4, empty, False, None)
-                for i in range(n)
-            ]
-        ax = np.fromiter((p[0] for p in positions), np.int32, count=n)
-        ay = np.fromiter((p[1] for p in positions), np.int32, count=n)
-        d = np.abs(ax[:, None] - self._live_x[None, :])
-        dy = np.abs(ay[:, None] - self._live_y[None, :])
-        np.maximum(d, dy, out=d)
-        nearest_d = np.full((n, 4), _FAR, np.int32)
-        nearest_pos = np.zeros((n, 4), np.intp)
-        for ci in range(4):
-            s, e = self._seg[ci]
-            if s == e:
-                continue
-            block = d[:, s:e]
-            nearest_d[:, ci] = block.min(axis=1)
-            nearest_pos[:, ci] = block.argmin(axis=1) + s
-        nd_list = nearest_d.tolist()
-        tid_list = self._live_ids[nearest_pos].tolist()
-        sees_list = (nearest_d <= radius).tolist()
-        seg = self._seg
-        live_ids, live_x, live_y = self._live_ids, self._live_x, self._live_y
-        perceptions = []
-        for i in range(n):
-            sees = sees_list[i]
-            known = knowns[i]
-            sees_unknown = False
-            for color in COLORS:
-                if sees[color] and color not in known:
-                    sees_unknown = True
-                    break
-            view = (d, i, live_ids, live_x, live_y, seg, radius)
-            perceptions.append(
-                Perception(positions[i], nd_list[i], tid_list[i], sees, sees_unknown, view)
-            )
-        return perceptions
+        if not self._starts:
+            return (np.full((n, 4), _FAR, self._dtype), np.full((n, 4), -1, self._dtype),
+                    np.zeros(n, np.uint8))
+        size = n * len(self._live_ids)
+        key = self._sense_buf[0][:size].reshape(n, -1)
+        dy = self._sense_buf[1][:size].reshape(n, -1)
+        np.subtract(xs[:, None], self._live_x, out=key)
+        np.abs(key, out=key)
+        np.subtract(ys[:, None], self._live_y, out=dy)
+        np.abs(dy, out=dy)
+        np.maximum(key, dy, out=key)
+        key *= self._n_targets
+        key += self._live_ids
+        # Over a color's segment the least key is the nearest target, ties
+        # to the lowest ID.
+        d, tid = np.divmod(np.minimum.reduceat(key, self._starts, axis=1), self._n_targets)
+        present = self._present
+        if len(present) == 4:
+            nearest_d, nearest_tid, seen = d, tid, d <= radius
+        else:
+            nearest_d = np.full((n, 4), _FAR, self._dtype)
+            nearest_tid = np.full((n, 4), -1, self._dtype)
+            seen = np.zeros((n, 4), bool)
+            nearest_d[:, present] = d
+            nearest_tid[:, present] = tid
+            seen[:, present] = d <= radius
+        return nearest_d, nearest_tid, np.packbits(seen, axis=1, bitorder="little")[:, 0]
 
     # --- stepping -------------------------------------------------------------
 
@@ -342,6 +456,7 @@ class Arena:
         if self.t >= cfg.max_iterations or self.alive_count == 0:
             raise RuntimeError("trial is finished")
         self.t = now = self.t + 1
+        agents = self.agents
 
         # Phase 1: resolve queries emitted at now-1 (before forgetting, so an
         # entry expiring this iteration can still answer).
@@ -349,10 +464,13 @@ class Arena:
             messages, self.pending = self.pending, []
             if cfg.learning_enabled:
                 mark = len(self.events)
-                protocol.resolve_and_deliver(
-                    messages, self.agents, now, cfg.comm_radius,
+                deliveries = protocol.resolve_and_deliver(
+                    messages, agents, now, cfg.comm_radius,
                     cfg.memory_duration, cfg.capacity_policy, self.events,
+                    self._x, self._y, self._known,
                 )
+                for delivery in deliveries:
+                    self._sync(agents[delivery.querier])
                 for record in self.events[mark:]:
                     if record.kind == ev.DELIVERY:
                         self.deliveries += 1
@@ -362,104 +480,108 @@ class Arena:
                         self.forgets += 1
             else:
                 for message in messages:
-                    self.agents[message.querier].pending_query = None
+                    agents[message.querier].pending_query = None
 
-        # Phase 2: expiry sweep.
-        for agent in self.agents:
+        # Phase 2: expiry sweep over the agents with a skill due.
+        for i in (self._expiry <= now).nonzero()[0].tolist():
+            agent = agents[i]
             removed = agent.store.forget_expired(now)
-            if removed:
-                tree = agent.tree
-                for color in removed:
-                    tree = prune(tree, color)
-                    self.events.append(ev.EventRecord(now, ev.FORGET, agent.id, color))
-                agent.tree = tree
-                self.forgets += len(removed)
+            tree = agent.tree
+            for color in removed:
+                tree = prune(tree, color)
+                self.events.append(ev.EventRecord(now, ev.FORGET, i, color))
+            agent.tree = tree
+            self.forgets += len(removed)
+            self._sync(agent)
 
         # Phase 3: sense.
-        perceptions = self._sense_all()
+        nearest_d, nearest_tid, seen = self._sense_all()
 
-        # Phase 4: tick trees; Query intents go through the emit gate.
-        intents = []
+        # Phase 4: intents. Explorers move at once, on one batch of draws.
+        intents = INTENT_TABLE[self._known, seen]
+        explorers = (intents == _EXPLORE).nonzero()[0]
+        if explorers.size:
+            cls = self._x_class[self._x[explorers]] + self._y_class[self._y[explorers]]
+            draws = self.rng.below_many(_MOVE_COUNT[cls])
+            self._x[explorers] += _MOVE_DX[cls, draws]
+            self._y[explorers] += _MOVE_DY[cls, draws]
+
+        # Phase 5: Query and Collect agents, one by one in ID order.
         new_queries = []
-        for agent in self.agents:
-            bb = Blackboard(perceptions[agent.id], agent.store.known_colors())
-            tick(agent.tree, bb)
-            intent = bb.intent
-            intents.append(intent)
-            if type(intent) is Query:
-                message = protocol.emit_query(agent, perceptions[agent.id], now, cfg.query_cooldown)
+        busy = (intents != _EXPLORE).nonzero()[0]
+        for i, code, d_row, tid_row, seen_mask in zip(
+            busy.tolist(), intents[busy].tolist(), nearest_d[busy].tolist(),
+            nearest_tid[busy].tolist(), seen[busy].tolist(),
+        ):
+            agent = agents[i]
+            if code != _QUERY:
+                self._execute_intent(agent, COLORS[code], d_row[code], tid_row[code])
+            elif now >= agent.cooldown_until:
+                sight = Perception(None, d_row, tid_row, seen_mask, int(self._known[i]))
+                message = protocol.emit_query(agent, sight, now, cfg.query_cooldown)
                 if message is not None:
                     new_queries.append(message)
                     self.queries_sent += 1
+            # A Query agent awaiting an answer stands still.
         self.pending = new_queries
-
-        # Phase 5: execute intents.
-        for agent in self.agents:
-            self._execute_intent(agent, intents[agent.id], perceptions[agent.id])
+        if self._stale:
+            self._compact()
 
         # Phase 6: snapshot on the grid.
         if now % cfg.snapshot_interval == 0:
             self.snapshots.append(metrics.snapshot(self, self.trial))
 
-        assert self.capture_total + self.alive_count == self.initial_total
+        if self.capture_total + self.alive_count != self.initial_total:
+            raise ConservationError(
+                f"t={now}: {self.capture_total} captured + {self.alive_count} alive "
+                f"!= {self.initial_total} placed"
+            )
 
-    def _execute_intent(self, agent: AgentState, intent, perception: Perception) -> None:
-        kind = type(intent)
-        if kind is Collect:
-            color = intent.color
-            tid = self._cell.get((agent.x, agent.y))
-            if tid is not None and self._cat_color[tid] is color:
-                self._capture(tid, agent)
+    def _execute_intent(self, agent: AgentState, color: Color, distance: int,
+                        target_id: int) -> None:
+        """Collect ``color``: take the sensed nearest target if it lies under
+        the agent, else step toward it. If a lower-ID agent took it earlier
+        this step, step toward the nearest target of that color still alive
+        within the sense radius, if any."""
+        if self._alive[target_id]:
+            if distance == 0:
+                self._capture(target_id, agent)
                 return
-            # Fall through to a one-step move toward the nearest target of
-            # that color still alive at this instant (lower-ID agents may
-            # have collected the sensed one this same iteration).
-            dest = None
-            tid = perception.nearest_target(color)
-            if tid is not None and self._alive[tid]:
-                dest = (self._cat_x[tid], self._cat_y[tid])
-            else:
-                dest = self._nearest_live(agent.x, agent.y, color)
-            if dest is not None:
-                dx = dest[0] - agent.x
-                dy = dest[1] - agent.y
-                agent.x += (dx > 0) - (dx < 0)
-                agent.y += (dy > 0) - (dy < 0)
-        elif kind is Explore:
-            x, y = agent.x, agent.y
-            if 0 < x < self._x_edge and 0 < y < self._y_edge:
-                ox, oy = _MOORE[self.rng.below(8)]
-                agent.x = x + ox
-                agent.y = y + oy
-            else:
-                options = []
-                for ox, oy in _MOORE:
-                    nx, ny = x + ox, y + oy
-                    if 0 <= nx < self.width and 0 <= ny < self.height:
-                        options.append((nx, ny))
-                agent.x, agent.y = options[self.rng.below(len(options))]
-        # Query (awaiting an answer): stand still.
+            dest = (self._cat_x[target_id], self._cat_y[target_id])
+        else:
+            dest = self._nearest_live(agent.x, agent.y, color)
+            if dest is None:
+                return
+        dx = dest[0] - agent.x
+        dy = dest[1] - agent.y
+        self._x[agent.id] += (dx > 0) - (dx < 0)
+        self._y[agent.id] += (dy > 0) - (dy < 0)
 
     def _nearest_live(self, x: int, y: int, color: Color) -> Optional[tuple[int, int]]:
         s, e = self._seg[color]
-        if s == e:
+        alive = np.flatnonzero(self._alive[self._live_ids[s:e]]) + s
+        if alive.size == 0:
             return None
-        d = np.maximum(np.abs(self._live_x[s:e] - x), np.abs(self._live_y[s:e] - y))
+        d = np.maximum(np.abs(self._live_x[alive] - x), np.abs(self._live_y[alive] - y))
         i = int(d.argmin())  # first minimum = lowest target ID
         if int(d[i]) > self.config.sense_radius:
             return None
-        return (int(self._live_x[s + i]), int(self._live_y[s + i]))
+        return (int(self._live_x[alive[i]]), int(self._live_y[alive[i]]))
 
     def _capture(self, target_id: int, agent: AgentState) -> None:
         color = self._cat_color[target_id]
-        del self._cell[(self._cat_x[target_id], self._cat_y[target_id])]
         self._alive[target_id] = False
+        self._stale = True
         self.alive_count -= 1
         self.capture_counts[color] += 1
         self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent.id, color))
-        pos = int(np.searchsorted(self._live_ids, target_id))
-        self._live_ids = np.delete(self._live_ids, pos)
-        self._live_x = np.delete(self._live_x, pos)
-        self._live_y = np.delete(self._live_y, pos)
-        self._live_color = np.delete(self._live_color, pos)
+
+    def _compact(self) -> None:
+        """Drop the targets captured this step from the live arrays."""
+        keep = self._alive[self._live_ids]
+        self._live_ids = self._live_ids[keep]
+        self._live_x = self._live_x[keep]
+        self._live_y = self._live_y[keep]
+        self._live_color = self._live_color[keep]
         self._reseg()
+        self._stale = False

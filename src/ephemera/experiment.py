@@ -11,6 +11,7 @@ query_cooldown=25, snapshot_interval=100, trials=10, base_seed=42.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -63,6 +64,10 @@ def _require(ok: bool, message: str, field: str) -> None:
 
 def _validate(cfg: ScenarioConfig) -> None:
     _require(bool(cfg.name), "name must be non-empty", "name")
+    # The name prefixes every output file, so it must not reach outside --out.
+    _require(Path(cfg.name).name == cfg.name and cfg.name not in (".", "..")
+             and "\\" not in cfg.name and "\0" not in cfg.name,
+             f"name must be a plain file stem, not {cfg.name!r}", "name")
     _require(len(cfg.grid) == 2 and cfg.grid[0] >= 1 and cfg.grid[1] >= 1,
              "grid needs two positive dimensions", "grid")
     _require(cfg.targets_per_color >= 0, "targets_per_color must be >= 0", "targets_per_color")
@@ -251,7 +256,9 @@ def run_scenario(config: ScenarioConfig, out_dir, jobs: int = 1) -> list[Aggrega
 
 
 def run_trials(config: ScenarioConfig, jobs: int = 1) -> list[TrialResult]:
-    if jobs <= 1:
+    """Run every trial, in ``min(jobs, trials, cpu count)`` processes."""
+    workers = min(jobs, config.trials, os.cpu_count() or 1)
+    if workers <= 1:
         return [run_trial(config, i) for i in range(config.trials)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_trial, repeat(config), range(config.trials)))

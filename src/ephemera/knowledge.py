@@ -41,11 +41,15 @@ class KnowledgeEntry:
         return self.learned_at is None
 
 
+# Known-color tuple (canonical order) -> 4-bit mask, bit c for color c.
+_MASKS = {tuple(c for c in COLORS if mask >> c & 1): mask for mask in range(16)}
+
+
 class KnowledgeStore:
     """At most one entry per color. ``capacity`` bounds learned entries only
     (None = unlimited); innate entries never expire and are never evicted."""
 
-    __slots__ = ("entries", "capacity", "_known", "_next_expiry")
+    __slots__ = ("entries", "capacity", "_known", "_mask", "_next_expiry")
 
     def __init__(self, innate: Iterable[Color] = (), capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
@@ -55,10 +59,12 @@ class KnowledgeStore:
             c: KnowledgeEntry(c) for c in sorted(set(innate))
         }
         self._known: tuple[Color, ...] = tuple(self.entries)
+        self._mask = _MASKS[self._known]
         self._next_expiry: Optional[int] = None
 
     def _refresh_caches(self) -> None:
         self._known = tuple(sorted(self.entries))
+        self._mask = _MASKS[self._known]
         expiries = [e.expires_at for e in self.entries.values() if e.expires_at is not None]
         self._next_expiry = min(expiries) if expiries else None
 
@@ -67,6 +73,14 @@ class KnowledgeStore:
 
     def known_colors(self) -> tuple[Color, ...]:
         return self._known
+
+    def known_mask(self) -> int:
+        """The known colors as a 4-bit mask, bit ``c`` for color ``c``."""
+        return self._mask
+
+    def next_expiry(self) -> Optional[int]:
+        """Earliest ``expires_at`` of the learned entries; None if none expire."""
+        return self._next_expiry
 
     def learned_count(self) -> int:
         return sum(1 for e in self.entries.values() if not e.innate)

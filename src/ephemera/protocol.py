@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence as SequenceT
 
+import numpy as np
+
 from . import events as ev
 from .bt import COLORS, Color, ParseError, graft, make_knowledge_subtree, parse, prune, serialize
 from .knowledge import CapacityPolicy, LearnOutcome
@@ -29,6 +31,10 @@ class Delivery:
     responder: int
     payload: str  # serialized skill subtree, canonical grammar
     delivered_at: int
+
+
+# Bound on comm_radius in the numpy search, above any grid distance.
+_MAX_REACH = 1 << 62
 
 
 class ProtocolError(RuntimeError):
@@ -97,6 +103,17 @@ def merge_payload(
     event_log.append(ev.EventRecord(now, ev.DELIVERY, querier.id, expected_color, responder_id))
 
 
+def _nearest_knower(xs, ys, known, message, lapse: int) -> tuple[int, int]:
+    """(distance, ID) of the nearest agent other than the querier that knows
+    the message's color; the distance is ``lapse`` or more if none is in reach."""
+    q = message.querier
+    d = np.maximum(np.abs(xs - xs[q]), np.abs(ys - ys[q]))
+    d = np.where(known & (1 << message.color), d, lapse)
+    d[q] = lapse
+    best = int(d.argmin())  # first minimum = lowest ID
+    return int(d[best]), best
+
+
 def resolve_and_deliver(
     pending: SequenceT[QueryMessage],
     agents,
@@ -105,6 +122,9 @@ def resolve_and_deliver(
     memory_duration: int,
     policy: CapacityPolicy,
     event_log: list[ev.EventRecord],
+    xs=None,
+    ys=None,
+    known=None,
 ) -> list[Delivery]:
     """Resolve last iteration's queries in ascending querier ID.
 
@@ -113,26 +133,57 @@ def resolve_and_deliver(
     (ties to the lowest ID); the querier merges the answer immediately, so a
     skill learned here can answer a later query in the same pass. Queries
     with no responder lapse.
+
+    ``xs``, ``ys`` and ``known`` are the agents' positions and known-color
+    masks as numpy arrays indexed by ID; they are read off ``agents`` when
+    omitted. ``known`` is updated in place as queriers learn or evict.
     """
     deliveries: list[Delivery] = []
-    for message in sorted(pending, key=lambda m: m.querier):
-        querier = agents[message.querier]
-        querier.pending_query = None
-        qx, qy = querier.x, querier.y
-        color = message.color
-        best_d: Optional[int] = None
-        best_id: Optional[int] = None
-        for other in agents:
-            if other.id == message.querier or not other.store.knows(color):
-                continue
-            dx = other.x - qx
-            dy = other.y - qy
-            d = max(dx if dx >= 0 else -dx, dy if dy >= 0 else -dy)
-            if d <= comm_radius and (best_d is None or d < best_d):
-                best_d, best_id = d, other.id
-        if best_id is None:
+    messages = sorted(pending, key=lambda m: m.querier)
+    for message in messages:
+        agents[message.querier].pending_query = None
+    if known is None:
+        known = np.array([a.store.known_mask() for a in agents], np.int64)
+        xs = [a.x for a in agents]
+        ys = [a.y for a in agents]
+    knowers = np.flatnonzero(known)  # only they can answer, until one learns
+    if not messages or knowers.size == 0:
+        return deliveries
+    xs = np.asarray(xs, np.int64)
+    ys = np.asarray(ys, np.int64)
+    queriers = np.array([m.querier for m in messages], np.intp)
+    bits = np.array([1 << m.color for m in messages], np.int64)
+    # Distances from `lapse` up are out of reach.
+    lapse = min(comm_radius, _MAX_REACH) + 1
+    # Every query's answer from the knowledge at the start of the pass, as
+    # (distance, responder); kept current below as queriers learn or evict.
+    dist = np.maximum(np.abs(xs[knowers] - xs[queriers, None]),
+                      np.abs(ys[knowers] - ys[queriers, None]))
+    can_answer = ((known[knowers] & bits[:, None]) != 0) & (knowers != queriers[:, None])
+    reach = np.where(can_answer, dist, lapse)
+    first = reach.argmin(axis=1)  # first minimum = lowest ID
+    answers = list(zip(reach[np.arange(len(messages)), first].tolist(),
+                       knowers[first].tolist()))
+    for r, message in enumerate(messages):
+        best_d, best_id = answers[r]
+        if best_d >= lapse:
             continue
+        q, color = message.querier, message.color
+        querier = agents[q]
         payload = serialize(make_knowledge_subtree(color))
         merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
-        deliveries.append(Delivery(message.querier, best_id, payload, now))
+        deliveries.append(Delivery(q, best_id, payload, now))
+        old, mask = int(known[q]), querier.store.known_mask()
+        if mask == old:
+            continue
+        known[q] = mask
+        for s in range(r + 1, len(messages)):
+            other = messages[s]
+            bit = 1 << other.color
+            if mask & bit and other.querier != q:  # q can now answer it
+                d = max(abs(int(xs[q]) - int(xs[other.querier])),
+                        abs(int(ys[q]) - int(ys[other.querier])))
+                answers[s] = min(answers[s], (d, q))
+            elif old & bit and answers[s][1] == q:  # q was its responder
+                answers[s] = _nearest_knower(xs, ys, known, other, lapse)
     return deliveries

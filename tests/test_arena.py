@@ -1,9 +1,16 @@
+import subprocess
+import sys
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ephemera import events as ev
-from ephemera.arena import Arena, RobotType, SetupError
+from ephemera.arena import _EXPLORE, _QUERY, INTENT_TABLE, Arena, ConservationError, RobotType, SetupError
 from ephemera.bt import COLORS, Color, known_colors
-from ephemera.experiment import get_scenario
+from ephemera.experiment import ScenarioConfig, get_scenario
+from ephemera.knowledge import CapacityPolicy
 
 I, M = RobotType.IGNORANT, RobotType.MASTER
 
@@ -116,18 +123,41 @@ def test_sense_groups_by_color_and_orders_by_id(make_config):
     assert sight.nearest_target(Color.RED) == 0
 
 
+def brute_force_sense(arena, agent):
+    """Per color, the live targets as (distance, ID, x, y), nearest first and
+    lowest ID on ties."""
+    found = {color: [] for color in COLORS}
+    for target in arena.targets():
+        if target.alive:
+            d = max(abs(target.pos[0] - agent.x), abs(target.pos[1] - agent.y))
+            found[target.color].append((d, target.id, *target.pos))
+    return {color: sorted(entries) for color, entries in found.items()}
+
+
 def test_batch_and_single_sense_agree(make_config):
     arena = Arena(make_config(), seed=77)
-    batch = arena._sense_all()
-    for agent in arena.agents:
-        single = arena.sense(agent)
-        row = batch[agent.id]
-        for color in COLORS:
-            assert single.sees(color) == row.sees(color)
-            assert single.nearest_distance(color) == row.nearest_distance(color)
-            assert single.nearest_target(color) == row.nearest_target(color)
-            assert single.visible(color) == row.visible(color)
-        assert single.sees_unknown == row.sees_unknown
+    radius = arena.config.sense_radius
+    for _ in range(40):  # a few captures happen, so dead targets are left out
+        nearest_d, nearest_tid, seen = arena._sense_all()
+        assert nearest_d.dtype == nearest_tid.dtype == np.int32
+        assert nearest_d.shape == nearest_tid.shape == (len(arena.agents), 4)
+        for agent in arena.agents:
+            single = arena.sense(agent)
+            reference = brute_force_sense(arena, agent)
+            for color in COLORS:
+                live = reference[color]
+                visible = sorted((tid, x, y) for d, tid, x, y in live if d <= radius)
+                sees = bool(seen[agent.id] >> color & 1)
+                assert sees == single.sees(color) == bool(visible)
+                assert single.visible(color) == visible
+                if live:
+                    assert (nearest_d[agent.id, color], nearest_tid[agent.id, color]) == live[0][:2]
+                if sees:
+                    assert single.nearest_distance(color) == nearest_d[agent.id, color]
+                    assert single.nearest_target(color) == nearest_tid[agent.id, color]
+            assert single.sees_unknown == bool(int(seen[agent.id]) & ~agent.store.known_mask())
+        arena.step()
+    assert arena.capture_total > 0
 
 
 # --- stepping ------------------------------------------------------------------
@@ -265,6 +295,30 @@ def test_step_requires_unfinished_trial(make_config):
         arena.step()
 
 
+def test_conservation_violation_raises_named_error(make_config):
+    arena = Arena(make_config(), seed=3)
+    arena.alive_count += 1
+    with pytest.raises(ConservationError):
+        arena.step()
+
+
+def test_conservation_check_survives_optimize_flag():
+    # Under `python -O` a bare assert would be stripped; the check must stay.
+    code = (
+        "from ephemera.arena import Arena, ConservationError\n"
+        "from ephemera.experiment import ScenarioConfig\n"
+        "arena = Arena(ScenarioConfig(name='x', grid=(20, 20), targets_per_color=2), 1)\n"
+        "arena.alive_count += 1\n"
+        "try:\n"
+        "    arena.step()\n"
+        "except ConservationError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
 def test_movement_legality_and_conservation(make_config):
     arena = Arena(make_config(max_iterations=200), seed=21)
     initial = arena.initial_total
@@ -332,3 +386,60 @@ def test_event_lines_round_trip(make_config):
     assert arena.events, "expected some events in the mini run"
     for record in arena.events:
         assert ev.parse_event_line(record.line()) == record
+
+
+# --- intent table and array mirrors ------------------------------------------
+
+def spec_intent(known: int, seen: int) -> int:
+    """Collect the lowest known color that is seen; else Query if an unknown
+    color is seen; else Explore."""
+    for color in COLORS:
+        if known >> color & 1 and seen >> color & 1:
+            return int(color)
+    return _QUERY if seen & ~known else _EXPLORE
+
+
+def test_intent_table_matches_spec():
+    assert INTENT_TABLE.shape == (16, 16)
+    for known in range(16):
+        for seen in range(16):
+            assert INTENT_TABLE[known, seen] == spec_intent(known, seen), (known, seen)
+
+
+@st.composite
+def small_configs(draw):
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 12))
+    return ScenarioConfig(
+        name="prop",
+        grid=(width, height),
+        targets_per_color=draw(st.integers(0, min(4, width * height // 4))),
+        robot_counts=draw(st.tuples(*[st.integers(0, 3)] * 6).filter(lambda r: sum(r) >= 1)),
+        memory_duration=draw(st.integers(1, 15)),
+        memory_size=draw(st.sampled_from([None, 1, 2])),
+        capacity_policy=draw(st.sampled_from(list(CapacityPolicy))),
+        learning_enabled=draw(st.booleans()),
+        max_iterations=draw(st.integers(1, 60)),
+        sense_radius=draw(st.integers(0, 4)),
+        comm_radius=draw(st.integers(0, 6)),
+        query_cooldown=draw(st.integers(0, 4)),
+        snapshot_interval=draw(st.integers(1, 20)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=small_configs(), seed=st.integers(0, (1 << 64) - 1))
+def test_step_invariants_on_random_configs(config, seed):
+    arena = Arena(config, seed)
+    while arena.t < config.max_iterations and arena.alive_count > 0:
+        before = [agent.pos for agent in arena.agents]
+        arena.step()
+        assert arena.capture_total + arena.alive_count == arena.initial_total
+        for agent, (px, py) in zip(arena.agents, before):
+            colors = agent.store.known_colors()
+            assert arena._known[agent.id] == sum(1 << c for c in colors)
+            assert known_colors(agent.tree) == colors
+            expiry = agent.store.next_expiry()
+            assert arena._expiry[agent.id] == (np.iinfo(np.int64).max if expiry is None else expiry)
+            assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height
+            assert abs(agent.x - px) <= 1 and abs(agent.y - py) <= 1

@@ -125,6 +125,31 @@ def test_module_entry_point_runs(tiny_config, tmp_path):
     assert proc.stdout.splitlines()[0].startswith("BL")
 
 
+def test_optimized_run_writes_the_same_bytes(tiny_config, tmp_path):
+    # `python -O` strips assert statements; nothing the run computes may hang on one.
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("optimized" if flags else "plain")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ephemera", "run", "--config", str(tiny_config),
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_run_rejects_name_outside_out_dir(tmp_path, capsys):
+    config = tmp_path / "escape.cfg"
+    config.write_text(MINI_CFG.replace("name=tiny", "name=../escaped"))
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert "plain file stem" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.cfg"]
+
+
 # --- plot ------------------------------------------------------------------------
 
 def test_plot_two_series(tmp_path, capsys):

@@ -132,6 +132,20 @@ def test_programmatic_validation():
         ScenarioConfig(name="")
 
 
+@pytest.mark.parametrize("name", ["../x", "a/b", "/tmp/x", "..", "a\\b"])
+def test_name_must_be_plain_file_stem(tmp_path, name):
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig(name=name)
+    assert info.value.field == "name"
+    with pytest.raises(ConfigError, match=r"scenario\.cfg:1") as info:
+        load_config(write(tmp_path, f"name={name}\n"))
+    assert info.value.field == "name"
+
+
+def test_dotted_name_is_a_plain_stem():
+    assert ScenarioConfig(name="sweep.v2").name == "sweep.v2"
+
+
 # --- trials ---------------------------------------------------------------------------
 
 def test_trial_seeds_differ():
@@ -221,3 +235,39 @@ def test_parallel_and_serial_runs_identical(tmp_path, make_config):
 def test_run_trials_parallel_equals_serial(make_config):
     cfg = make_config(trials=3, max_iterations=120)
     assert run_trials(cfg, jobs=1) == run_trials(cfg, jobs=2)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, expected", [
+    (64, 3, 2, [2]),     # capped by the CPU count
+    (64, 3, 8, [3]),     # capped by the trial count
+    (2, 3, 8, [2]),      # as asked
+    (8, 1, 8, []),       # one trial runs in process
+    (4, 3, 1, []),       # one CPU runs in process
+])
+def test_pool_size_is_capped(monkeypatch, make_config, jobs, trials, cpus, expected):
+    from ephemera import experiment
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+    cfg = make_config(trials=trials, max_iterations=30)
+    assert run_trials(cfg, jobs=jobs) == [run_trial(cfg, i) for i in range(trials)]
+    assert RecordingPool.sizes == expected

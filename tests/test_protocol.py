@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ephemera import events as ev
-from ephemera.bt import COLORS, Color, assemble_agent_tree, known_colors
-from ephemera.knowledge import CapacityPolicy, KnowledgeStore
+from ephemera.bt import (
+    COLORS, Color, assemble_agent_tree, graft, known_colors, make_knowledge_subtree, serialize,
+)
+from ephemera.knowledge import CapacityPolicy, KnowledgeStore, LearnOutcome
 from ephemera.protocol import (
     ProtocolError,
     QueryMessage,
@@ -247,3 +252,105 @@ def test_merge_payload_rejects_wrong_subtree():
         merge_payload(querier, 1, wrong_color, Color.RED, 1, 10, REJECT, [])
     with pytest.raises(ProtocolError):
         merge_payload(querier, 1, "act(Explore)", Color.RED, 1, 10, REJECT, [])
+
+
+def test_knower_beyond_radius_lapses_however_far():
+    querier = Agent(0, pos=(0, 0))
+    far = Agent(1, pos=(25, 3), innate=COLORS)
+    deliveries = resolve_and_deliver(
+        [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, far),
+        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+    )
+    assert deliveries == []
+
+
+def test_evicted_responder_no_longer_answers():
+    # Agent 1 holds a learned Red and is nearest to agent 2. Its Green query
+    # comes first and evicts Red, so agent 2's Red query goes to the master.
+    master = Agent(0, pos=(6, 0), innate=COLORS)
+    holder = Agent(1, pos=(1, 0), capacity=1)
+    holder.store.learn(Color.RED, 0, 100)
+    holder.tree = graft(holder.tree, Color.RED)
+    asker = Agent(2, pos=(2, 0))
+    deliveries = resolve_and_deliver(
+        [QueryMessage(1, Color.GREEN, 1), QueryMessage(2, Color.RED, 1)],
+        agents_by_id(master, holder, asker),
+        now=2, comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
+    )
+    assert [(d.querier, d.responder) for d in deliveries] == [(1, 0), (2, 0)]
+
+
+def test_known_masks_are_updated_in_place():
+    master = Agent(0, pos=(0, 0), innate=COLORS)
+    learner = Agent(1, pos=(1, 0), innate=(Color.BLUE,), capacity=1)
+    agents = agents_by_id(master, learner)
+    xs, ys = np.array([0, 1]), np.array([0, 0])
+    known = np.array([0b1111, 0b1000])
+    resolve_and_deliver(
+        [QueryMessage(1, Color.GREEN, 1)], agents, now=2, comm_radius=3,
+        memory_duration=10, policy=EVICT, event_log=[], xs=xs, ys=ys, known=known,
+    )
+    assert known.tolist() == [0b1111, 0b1010]
+
+
+def reference_resolve(pending, agents, now, comm_radius, memory_duration, policy, event_log):
+    """The per-agent scan that the numpy search replaced: every agent checked
+    against every query, in querier-ID order."""
+    answered = []
+    for message in sorted(pending, key=lambda m: m.querier):
+        querier = agents[message.querier]
+        querier.pending_query = None
+        best_d = best_id = None
+        for other in agents:
+            if other.id == message.querier or not other.store.knows(message.color):
+                continue
+            d = max(abs(other.x - querier.x), abs(other.y - querier.y))
+            if d <= comm_radius and (best_d is None or d < best_d):
+                best_d, best_id = d, other.id
+        if best_id is None:
+            continue
+        payload = serialize(make_knowledge_subtree(message.color))
+        merge_payload(querier, best_id, payload, message.color, now, memory_duration, policy,
+                      event_log)
+        answered.append((message.querier, best_id))
+    return answered
+
+
+agent_specs = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 15), st.integers(0, 15)),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=agent_specs,
+    asks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3)), max_size=12),
+    comm_radius=st.integers(0, 8),
+    capacity=st.sampled_from([None, 1, 2]),
+    policy=st.sampled_from([REJECT, EVICT]),
+)
+def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, policy):
+    def build():
+        agents = []
+        for i, (x, y, innate, learned) in enumerate(specs):
+            agent = Agent(i, pos=(x, y), innate=[c for c in COLORS if innate >> c & 1],
+                          capacity=capacity)
+            for color in COLORS:  # learned skills can be evicted during the pass
+                if learned >> color & 1 and not innate >> color & 1:
+                    if agent.store.learn(color, 0, 100, REJECT).outcome is not LearnOutcome.REJECTED_FULL:
+                        agent.tree = graft(agent.tree, color)
+            agents.append(agent)
+        return agents
+
+    # One query per querier, as the arena emits them; colors may be known.
+    pending = list({q: QueryMessage(q, COLORS[c], 3) for q, c in asks if q < len(specs)}.values())
+    expected_agents, agents = build(), build()
+    expected_log, log = [], []
+    expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)
+    got = resolve_and_deliver(pending, agents, 4, comm_radius, 5, policy, log)
+    assert [(d.querier, d.responder) for d in got] == expected
+    assert log == expected_log
+    for a, b in zip(agents, expected_agents):
+        assert a.store.entries == b.store.entries
+        assert a.tree == b.tree

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ephemera.rng import SplitMix64, mix_seed
@@ -48,3 +49,28 @@ def test_mix_seed_differs_across_bases():
 def test_mix_seed_rejects_negative_trial():
     with pytest.raises(ValueError):
         mix_seed(42, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 77, (1 << 64) - 1])
+def test_below_many_matches_sequential_below(seed):
+    # Seed 2**64 - 1 wraps the state on the first draw.
+    ns = [3, 5, 8, 8, 3, 5, 5, 8, 3] * 7
+    batched = SplitMix64(seed)
+    single = SplitMix64(seed)
+    got = batched.below_many(ns)
+    assert got.dtype == np.int64
+    assert got.tolist() == [single.below(n) for n in ns]
+    assert batched._state == single._state
+    # The streams stay in step after the batch.
+    assert batched.next_u64() == single.next_u64()
+
+
+def test_below_many_empty_batch_keeps_state():
+    rng = SplitMix64(5)
+    assert rng.below_many([]).tolist() == []
+    assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
+def test_below_many_rejects_zero_modulus():
+    with pytest.raises(ValueError):
+        SplitMix64(1).below_many([3, 0])
