@@ -1,7 +1,7 @@
 """Deterministic grid-world foraging swarm where agents share behavior-tree
 skills on request and forget learned skills after a timeout."""
 
-from .arena import AgentState, Arena, Perception, RobotType, SetupError, Target
+from .arena import AgentState, Arena, RobotType, SetupError, Target
 from .bt import (
     Action,
     Blackboard,

@@ -5,7 +5,7 @@ Each :meth:`Arena.step` advances the clock by one and runs, with agents in
 ascending ID order inside every phase:
 
 1. resolve queries emitted last iteration (deliveries mutate queriers),
-2. expire learned skills and prune the matching subtrees,
+2. expire learned skills,
 3. sense,
 4. look up every agent's intent; Query intents may emit a query,
 5. execute intents (collect / move / stand),
@@ -21,12 +21,13 @@ Sensing is one numpy pass over agents x live targets. It yields, per agent
 and color, the distance to and ID of the nearest live target (ties to the
 lowest target ID) and the mask of colors within the sense radius.
 
-Every agent tree is the canonical tree of its known colors and the tick is
-memoryless, so an intent is a pure function of (known mask, seen mask).
-``INTENT_TABLE`` holds it for all 16 x 16 pairs; it is built once per
-process by ticking the 16 canonical trees, so the behavior-tree semantics
-stay the source of truth. Trees are still kept (grafted and pruned) as the
-agents' skill representation.
+An agent's :class:`KnowledgeStore` is the only record of what it knows;
+the mask and expiry arrays are its mirror. Every agent tree is the canonical
+tree of its known colors, so ``AgentState.tree`` is read from ``TREES``, the
+16 canonical trees built once per process. The tick is memoryless, so an
+intent is a pure function of (known mask, seen mask): ``INTENT_TABLE`` holds
+it for all 16 x 16 pairs, built by ticking the 16 trees, so the
+behavior-tree semantics stay the source of truth.
 
 Only Collect and Query agents are handled one by one, in ID order: a
 Collect agent takes the target under it or steps toward its nearest one,
@@ -47,13 +48,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from . import events as ev
 from . import metrics, protocol
-from .bt import COLORS, Blackboard, BTNode, Collect, Color, Query, assemble_agent_tree, prune, tick
+from .bt import COLORS, Blackboard, Collect, Color, Query, Selector, assemble_agent_tree, tick
+from .bt import prune  # noqa: F401  (bench/tracing.py patches arena.prune)
 from .knowledge import KnowledgeStore
 from .protocol import QueryMessage
 from .rng import SplitMix64
@@ -144,19 +147,21 @@ class Target:
 class AgentState:
     """One agent; its position is read from the arena's position arrays."""
 
-    __slots__ = ("id", "robot_type", "store", "tree", "cooldown_until", "pending_query",
-                 "_xs", "_ys")
+    __slots__ = ("id", "robot_type", "store", "cooldown_until", "_xs", "_ys")
 
     def __init__(self, agent_id: int, robot_type: RobotType, store: KnowledgeStore,
-                 tree: BTNode, xs: np.ndarray, ys: np.ndarray):
+                 xs: np.ndarray, ys: np.ndarray):
         self.id = agent_id
         self.robot_type = robot_type
         self.store = store
-        self.tree = tree
         self.cooldown_until = 0
-        self.pending_query: Optional[QueryMessage] = None
         self._xs = xs
         self._ys = ys
+
+    @property
+    def tree(self) -> Selector:
+        """The canonical behavior tree of the agent's known colors."""
+        return TREES[self.store.known_mask()]
 
     @property
     def x(self) -> int:
@@ -171,70 +176,29 @@ class AgentState:
         return (self.x, self.y)
 
 
-class Perception:
-    """One agent's view for one iteration: the nearest alive target of each
-    color within the sense radius, plus whether some visible color is
-    unknown to the agent."""
-
-    __slots__ = ("pos", "sees_unknown", "_nearest_d", "_nearest_tid", "_seen", "_arena")
-
-    def __init__(self, pos, nearest_d, nearest_tid, seen: int, known: int, arena=None):
-        self.pos = pos
-        self._nearest_d = nearest_d
-        self._nearest_tid = nearest_tid
-        self._seen = seen
-        self.sees_unknown = bool(seen & ~known)
-        self._arena = arena
-
-    def sees(self, color: Color) -> bool:
-        return bool(self._seen >> color & 1)
-
-    def visible_colors(self) -> tuple[Color, ...]:
-        return tuple(c for c in COLORS if self.sees(c))
-
-    def nearest_distance(self, color: Color) -> Optional[int]:
-        return self._nearest_d[color] if self.sees(color) else None
-
-    def nearest_target(self, color: Color) -> Optional[int]:
-        """ID of the nearest visible target of that color (ties: lowest ID)."""
-        return self._nearest_tid[color] if self.sees(color) else None
-
-    def visible(self, color: Color) -> list[tuple[int, int, int]]:
-        """All visible targets of that color as (target_id, x, y), ID order."""
-        if not self.sees(color):
-            return []
-        arena = self._arena
-        s, e = arena._seg[color]
-        ids = arena._live_ids[s:e]
-        d = np.maximum(np.abs(arena._live_x[s:e] - self.pos[0]),
-                       np.abs(arena._live_y[s:e] - self.pos[1]))
-        keep = (d <= arena.config.sense_radius) & arena._alive[ids]
-        return [(int(i), arena._cat_x[i], arena._cat_y[i]) for i in ids[keep]]
-
-
 def _intent_code(intent) -> int:
     if type(intent) is Collect:
         return int(intent.color)
     return _QUERY if type(intent) is Query else _EXPLORE
 
 
-def _build_intent_table() -> np.ndarray:
-    """Tick the canonical tree of every known mask against every seen mask."""
-    views = [Perception(None, None, None, seen, 0) for seen in range(16)]
-    rows = []
-    for known in range(16):
-        colors = tuple(c for c in COLORS if known >> c & 1)
-        tree = assemble_agent_tree(colors)
-        row = []
-        for view in views:
-            bb = Blackboard(view, colors)
+def _build_trees_and_intents() -> tuple[tuple[Selector, ...], np.ndarray]:
+    """The canonical tree of every known mask, and the intent it posts
+    against every seen mask."""
+    colors = [tuple(c for c in COLORS if known >> c & 1) for known in range(16)]
+    trees = tuple(map(assemble_agent_tree, colors))
+    table = np.zeros((16, 16), np.int8)
+    for known, tree in enumerate(trees):
+        for seen in range(16):
+            view = SimpleNamespace(sees=lambda color: bool(seen >> color & 1))
+            bb = Blackboard(view, colors[known])
             tick(tree, bb)
-            row.append(_intent_code(bb.intent))
-        rows.append(row)
-    return np.array(rows, np.int8)
+            table[known, seen] = _intent_code(bb.intent)
+    return trees, table
 
 
-INTENT_TABLE = _build_intent_table()
+# Trees are frozen, so every agent with the same known mask shares one.
+TREES, INTENT_TABLE = _build_trees_and_intents()
 
 
 class Arena:
@@ -344,7 +308,6 @@ class Arena:
         for robot_type, _, _ in agents:
             store = KnowledgeStore(robot_type.innate_colors, capacity=self.config.memory_size)
             self.agents.append(AgentState(len(self.agents), robot_type, store,
-                                          assemble_agent_tree(store.known_colors()),
                                           self._x, self._y))
         # Innate skills only so far: nothing expires yet.
         self._known = np.array([a.store.known_mask() for a in self.agents], np.int64)
@@ -403,23 +366,14 @@ class Arena:
 
     # --- sensing -------------------------------------------------------------
 
-    def sense(self, agent: AgentState) -> Perception:
-        i = slice(agent.id, agent.id + 1)
-        nearest_d, nearest_tid, seen = self._sense_rows(self._x[i], self._y[i])
-        return Perception(agent.pos, nearest_d[0].tolist(), nearest_tid[0].tolist(),
-                          int(seen[0]), agent.store.known_mask(), self)
-
     def _sense_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._sense_rows(self._x, self._y)
-
-    def _sense_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest live target of each color for agents at (xs, ys).
+        """Nearest live target of each color for every agent.
 
         Returns agents x 4 arrays of its distance (_FAR for a color with no
         live target) and its ID (ties: lowest ID; -1 for none), and the mask
         of the colors with a target within the sense radius.
         """
-        n = len(xs)
+        n = len(self._x)
         radius = self.config.sense_radius
         if not self._starts:
             return (np.full((n, 4), _FAR, self._dtype), np.full((n, 4), -1, self._dtype),
@@ -427,9 +381,9 @@ class Arena:
         size = n * len(self._live_ids)
         key = self._sense_buf[0][:size].reshape(n, -1)
         dy = self._sense_buf[1][:size].reshape(n, -1)
-        np.subtract(xs[:, None], self._live_x, out=key)
+        np.subtract(self._x[:, None], self._live_x, out=key)
         np.abs(key, out=key)
-        np.subtract(ys[:, None], self._live_y, out=dy)
+        np.subtract(self._y[:, None], self._live_y, out=dy)
         np.abs(dy, out=dy)
         np.maximum(key, dy, out=key)
         key *= self._n_targets
@@ -460,37 +414,28 @@ class Arena:
 
         # Phase 1: resolve queries emitted at now-1 (before forgetting, so an
         # entry expiring this iteration can still answer).
-        if self.pending:
-            messages, self.pending = self.pending, []
-            if cfg.learning_enabled:
-                mark = len(self.events)
-                deliveries = protocol.resolve_and_deliver(
-                    messages, agents, now, cfg.comm_radius,
-                    cfg.memory_duration, cfg.capacity_policy, self.events,
-                    self._x, self._y, self._known,
-                )
-                for delivery in deliveries:
-                    self._sync(agents[delivery.querier])
-                for record in self.events[mark:]:
-                    if record.kind == ev.DELIVERY:
-                        self.deliveries += 1
-                    elif record.kind == ev.REJECT:
-                        self.rejects_full += 1
-                    else:  # capacity eviction
-                        self.forgets += 1
-            else:
-                for message in messages:
-                    agents[message.querier].pending_query = None
+        if self.pending and cfg.learning_enabled:
+            mark = len(self.events)
+            deliveries = protocol.resolve_and_deliver(
+                self.pending, agents, now, cfg.comm_radius,
+                cfg.memory_duration, cfg.capacity_policy, self.events,
+                self._x, self._y, self._known,
+            )
+            for delivery in deliveries:
+                self._sync(agents[delivery.querier])
+            for record in self.events[mark:]:
+                if record.kind == ev.DELIVERY:
+                    self.deliveries += 1
+                elif record.kind == ev.REJECT:
+                    self.rejects_full += 1
+                else:  # capacity eviction
+                    self.forgets += 1
 
         # Phase 2: expiry sweep over the agents with a skill due.
         for i in (self._expiry <= now).nonzero()[0].tolist():
             agent = agents[i]
             removed = agent.store.forget_expired(now)
-            tree = agent.tree
-            for color in removed:
-                tree = prune(tree, color)
-                self.events.append(ev.EventRecord(now, ev.FORGET, i, color))
-            agent.tree = tree
+            self.events.extend(ev.EventRecord(now, ev.FORGET, i, color) for color in removed)
             self.forgets += len(removed)
             self._sync(agent)
 
@@ -517,8 +462,7 @@ class Arena:
             if code != _QUERY:
                 self._execute_intent(agent, COLORS[code], d_row[code], tid_row[code])
             elif now >= agent.cooldown_until:
-                sight = Perception(None, d_row, tid_row, seen_mask, int(self._known[i]))
-                message = protocol.emit_query(agent, sight, now, cfg.query_cooldown)
+                message = protocol.emit_query(agent, d_row, seen_mask, now, cfg.query_cooldown)
                 if message is not None:
                     new_queries.append(message)
                     self.queries_sent += 1

@@ -1,6 +1,10 @@
 """Behavior trees: node types, the text grammar, tick semantics, and the
 canonical agent-tree shape with graft/prune editing of skill subtrees.
 
+graft and prune are the paper's representation of learning and forgetting.
+A canonical tree is a pure function of its skill set, so the simulation
+does not edit trees: an agent's tree is derived from its knowledge store.
+
 Canonical grammar (serialize emits exactly this, parse also tolerates ASCII
 spaces between tokens)::
 

@@ -28,6 +28,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ephemera",
@@ -44,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", metavar="DIR", default=os.environ.get("EPHEMERA_OUT"),
                        help="output directory (default: $EPHEMERA_OUT)")
     run_p.add_argument("--seed", type=int, metavar="N", help="override base_seed")
-    run_p.add_argument("--trials", type=int, metavar="K", help="override trial count")
-    run_p.add_argument("--jobs", type=int, metavar="J", default=1,
+    run_p.add_argument("--trials", type=positive_int, metavar="K", help="override trial count")
+    run_p.add_argument("--jobs", type=positive_int, metavar="J", default=1,
                        help="worker processes for trials (default 1; output is identical)")
 
     plot_p = sub.add_parser("plot", help="draw one polyline per aggregate CSV into an SVG")

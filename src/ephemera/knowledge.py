@@ -34,7 +34,6 @@ class KnowledgeEntry:
     color: Color
     learned_at: Optional[int] = None  # None marks an innate entry
     expires_at: Optional[int] = None  # None never expires
-    taught_by: Optional[int] = None
 
     @property
     def innate(self) -> bool:
@@ -91,7 +90,6 @@ class KnowledgeStore:
         now: int,
         duration: int,
         policy: CapacityPolicy = CapacityPolicy.REJECT_WHEN_FULL,
-        taught_by: Optional[int] = None,
     ) -> LearnResult:
         """Merge one taught skill; full stores reject or evict per policy."""
         if duration < 1:
@@ -101,11 +99,11 @@ class KnowledgeStore:
             return LearnResult(LearnOutcome.ALREADY_INNATE)
         if entry is not None:
             # Re-learning restamps the entry so expires_at stays learned_at + duration.
-            self.entries[color] = KnowledgeEntry(color, now, now + duration, taught_by)
+            self.entries[color] = KnowledgeEntry(color, now, now + duration)
             self._refresh_caches()
             return LearnResult(LearnOutcome.REFRESHED)
         if self.capacity is None or self.learned_count() < self.capacity:
-            self.entries[color] = KnowledgeEntry(color, now, now + duration, taught_by)
+            self.entries[color] = KnowledgeEntry(color, now, now + duration)
             self._refresh_caches()
             return LearnResult(LearnOutcome.MERGED)
         if policy is CapacityPolicy.REJECT_WHEN_FULL:
@@ -115,7 +113,7 @@ class KnowledgeStore:
             key=lambda e: (e.learned_at, e.color),
         ).color
         del self.entries[victim]
-        self.entries[color] = KnowledgeEntry(color, now, now + duration, taught_by)
+        self.entries[color] = KnowledgeEntry(color, now, now + duration)
         self._refresh_caches()
         return LearnResult(LearnOutcome.EVICTED, victim)
 

@@ -12,6 +12,7 @@ Aggregate CSV schema::
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -78,11 +79,21 @@ def snapshot(arena, trial: int) -> MetricsSnapshot:
     )
 
 
-def write_csv(snapshots: Sequence[MetricsSnapshot], path) -> None:
+def _write_lines(path, lines: Sequence[str]) -> None:
+    """Write LF-terminated ASCII lines through a temp file in the target's
+    directory renamed over it, so the target is never left half written."""
     path = Path(path)
-    lines = [CSV_HEADER]
-    lines.extend(s.csv_row() for s in snapshots)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(snapshots: Sequence[MetricsSnapshot], path) -> None:
+    _write_lines(path, [CSV_HEADER, *(s.csv_row() for s in snapshots)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,10 +148,7 @@ def aggregate_trials(per_trial: Sequence[Sequence[MetricsSnapshot]]) -> list[Agg
 
 
 def write_aggregate_csv(rows: Sequence[AggregateRow], path) -> None:
-    path = Path(path)
-    lines = [AGGREGATE_HEADER]
-    lines.extend(r.csv_row() for r in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+    _write_lines(path, [AGGREGATE_HEADER, *(r.csv_row() for r in rows)])
 
 
 def read_aggregate_csv(path) -> list[AggregateRow]:

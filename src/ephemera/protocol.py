@@ -1,6 +1,10 @@
 """Query/respond/deliver: an agent that cannot handle a visible target
-broadcasts a color question; the nearest in-range knower answers with a
-serialized skill subtree; the querier merges it into store and tree.
+broadcasts a color question; the nearest in-range knower answers with the
+serialized skill subtree; the querier checks it and learns the color.
+
+The payload of each color is serialized once, at import, and must parse
+back to its skill subtree or the import fails, so the grammar is checked in
+every run without a codec round-trip per delivery.
 
 Queries emitted at iteration t are resolved at the start of t+1 against the
 positions and knowledge holding then; answering never mutates the responder.
@@ -14,7 +18,8 @@ from typing import Optional, Sequence as SequenceT
 import numpy as np
 
 from . import events as ev
-from .bt import COLORS, Color, ParseError, graft, make_knowledge_subtree, parse, prune, serialize
+from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
+from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
 from .knowledge import CapacityPolicy, LearnOutcome
 
 
@@ -41,28 +46,39 @@ class ProtocolError(RuntimeError):
     """A payload failed to parse or validate; indicates an implementation bug."""
 
 
-def emit_query(agent, perception, now: int, query_cooldown: int) -> Optional[QueryMessage]:
-    """Broadcast a question for the nearest visible unknown color.
+def _encode(color: Color) -> str:
+    subtree = make_knowledge_subtree(color)
+    payload = serialize(subtree)
+    try:
+        decoded = parse(payload)
+    except ParseError as exc:
+        raise ProtocolError(f"undecodable payload {payload!r}: {exc}") from exc
+    if decoded != subtree:
+        raise ProtocolError(f"payload {payload!r} does not decode to the {color.label} skill")
+    return payload
 
-    Returns None while the agent's cooldown is running. Distance ties break
-    toward the canonical color order.
+
+# The payload each responder sends, by color.
+_PAYLOADS = tuple(_encode(color) for color in COLORS)
+
+
+def emit_query(agent, nearest_d, seen: int, now: int,
+               query_cooldown: int) -> Optional[QueryMessage]:
+    """Broadcast a question for the nearest seen color the agent does not know.
+
+    ``nearest_d`` holds the distance to the nearest target of each color and
+    ``seen`` the mask of the colors within the sense radius (bit c for color
+    c). Returns None while the agent's cooldown is running or when it sees no
+    unknown color. Distance ties break toward the canonical color order.
     """
     if now < agent.cooldown_until:
         return None
-    best_d: Optional[int] = None
-    best_color: Optional[Color] = None
-    store = agent.store
-    for color in COLORS:
-        if perception.sees(color) and not store.knows(color):
-            d = perception.nearest_distance(color)
-            if best_d is None or d < best_d:
-                best_d, best_color = d, color
-    if best_color is None:
+    unknown = seen & ~agent.store.known_mask()
+    if not unknown:
         return None
-    message = QueryMessage(agent.id, best_color, now)
+    color = min((c for c in COLORS if unknown >> c & 1), key=lambda c: nearest_d[c])
     agent.cooldown_until = now + query_cooldown
-    agent.pending_query = message
-    return message
+    return QueryMessage(agent.id, color, now)
 
 
 def merge_payload(
@@ -75,31 +91,22 @@ def merge_payload(
     policy: CapacityPolicy,
     event_log: list[ev.EventRecord],
 ) -> None:
-    """Querier side of a delivery: parse, validate, learn, and graft.
+    """Querier side of a delivery: check the payload, then learn the color.
 
     Appends Forget (capacity eviction), Delivery, or Reject records to
     ``event_log``; a Delivery record is written only when the store kept the
     skill, so replaying the log reproduces knowledge exactly.
     """
-    try:
-        subtree = parse(payload)
-    except ParseError as exc:
-        raise ProtocolError(f"undecodable payload {payload!r}: {exc}") from exc
-    if subtree != make_knowledge_subtree(expected_color):
+    if payload != _PAYLOADS[expected_color]:
         raise ProtocolError(
             f"payload {payload!r} is not the skill subtree for {expected_color.label}"
         )
-    result = querier.store.learn(
-        expected_color, now, memory_duration, policy, taught_by=responder_id
-    )
+    result = querier.store.learn(expected_color, now, memory_duration, policy)
     if result.outcome is LearnOutcome.REJECTED_FULL:
         event_log.append(ev.EventRecord(now, ev.REJECT, querier.id, expected_color, responder_id))
         return
-    if result.outcome in (LearnOutcome.MERGED, LearnOutcome.EVICTED):
-        if result.victim is not None:
-            querier.tree = prune(querier.tree, result.victim)
-            event_log.append(ev.EventRecord(now, ev.FORGET, querier.id, result.victim))
-        querier.tree = graft(querier.tree, expected_color)
+    if result.victim is not None:
+        event_log.append(ev.EventRecord(now, ev.FORGET, querier.id, result.victim))
     event_log.append(ev.EventRecord(now, ev.DELIVERY, querier.id, expected_color, responder_id))
 
 
@@ -122,9 +129,9 @@ def resolve_and_deliver(
     memory_duration: int,
     policy: CapacityPolicy,
     event_log: list[ev.EventRecord],
-    xs=None,
-    ys=None,
-    known=None,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    known: np.ndarray,
 ) -> list[Delivery]:
     """Resolve last iteration's queries in ascending querier ID.
 
@@ -135,17 +142,11 @@ def resolve_and_deliver(
     with no responder lapse.
 
     ``xs``, ``ys`` and ``known`` are the agents' positions and known-color
-    masks as numpy arrays indexed by ID; they are read off ``agents`` when
-    omitted. ``known`` is updated in place as queriers learn or evict.
+    masks as numpy arrays indexed by ID; ``known`` is updated in place as
+    queriers learn or evict.
     """
     deliveries: list[Delivery] = []
     messages = sorted(pending, key=lambda m: m.querier)
-    for message in messages:
-        agents[message.querier].pending_query = None
-    if known is None:
-        known = np.array([a.store.known_mask() for a in agents], np.int64)
-        xs = [a.x for a in agents]
-        ys = [a.y for a in agents]
     knowers = np.flatnonzero(known)  # only they can answer, until one learns
     if not messages or knowers.size == 0:
         return deliveries
@@ -170,7 +171,7 @@ def resolve_and_deliver(
             continue
         q, color = message.querier, message.color
         querier = agents[q]
-        payload = serialize(make_knowledge_subtree(color))
+        payload = _PAYLOADS[color]
         merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
         deliveries.append(Delivery(q, best_id, payload, now))
         old, mask = int(known[q]), querier.store.known_mask()

@@ -3,13 +3,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ephemera import events as ev
-from ephemera.arena import _EXPLORE, _QUERY, INTENT_TABLE, Arena, ConservationError, RobotType, SetupError
+from ephemera.arena import (
+    _EXPLORE, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena, ConservationError, RobotType, SetupError,
+)
 from ephemera.bt import COLORS, Color, known_colors
-from ephemera.experiment import ScenarioConfig, get_scenario
+from ephemera.experiment import ScenarioConfig, get_scenario, run_trial
 from ephemera.knowledge import CapacityPolicy
 
 I, M = RobotType.IGNORANT, RobotType.MASTER
@@ -83,6 +85,13 @@ def layout(make_config, targets, agents, **cfg):
     return Arena.from_layout(make_config(**cfg), targets, agents)
 
 
+def sense_one(arena, agent_id=0):
+    """One agent's row of the sense pass: (nearest distances, nearest target
+    IDs, seen mask)."""
+    nearest_d, nearest_tid, seen = arena._sense_all()
+    return nearest_d[agent_id].tolist(), nearest_tid[agent_id].tolist(), int(seen[agent_id])
+
+
 def test_sense_radius_boundary_inclusive(make_config):
     arena = layout(
         make_config,
@@ -90,25 +99,26 @@ def test_sense_radius_boundary_inclusive(make_config):
         agents=[(M, 10, 10)],
         sense_radius=4,
     )
-    sight = arena.sense(arena.agents[0])
-    assert sight.sees(Color.RED)          # distance exactly 4
-    assert not sight.sees(Color.BLUE)     # distance 5
-    assert sight.nearest_distance(Color.RED) == 4
-    assert sight.visible(Color.RED) == [(0, 14, 10)]
-    assert sight.visible(Color.BLUE) == []
+    nearest_d, _, seen = sense_one(arena)
+    assert seen >> Color.RED & 1         # distance exactly 4
+    assert not seen >> Color.BLUE & 1    # distance 5
+    assert nearest_d[Color.RED] == 4
+    assert INTENT_TABLE[arena._known[0], seen] == Color.RED
 
 
 def test_sense_empty_perception(make_config):
     arena = layout(make_config, targets=[(Color.RED, 30, 30)], agents=[(I, 0, 0)])
-    sight = arena.sense(arena.agents[0])
-    assert sight.visible_colors() == ()
-    assert not sight.sees_unknown
+    _, _, seen = sense_one(arena)
+    assert seen == 0
+    assert INTENT_TABLE[arena._known[0], seen] == _EXPLORE
 
 
 def test_ignorant_robot_sees_unknown(make_config):
     arena = layout(make_config, targets=[(Color.RED, 2, 0)], agents=[(I, 0, 0), (M, 1, 0)])
-    assert arena.sense(arena.agents[0]).sees_unknown
-    assert not arena.sense(arena.agents[1]).sees_unknown
+    _, _, seen = arena._sense_all()
+    unknown = seen & ~arena._known
+    assert unknown.tolist() == [1 << Color.RED, 0]
+    assert INTENT_TABLE[arena._known, seen].tolist() == [_QUERY, Color.RED]
 
 
 def test_sense_groups_by_color_and_orders_by_id(make_config):
@@ -117,10 +127,10 @@ def test_sense_groups_by_color_and_orders_by_id(make_config):
         targets=[(Color.RED, 1, 0), (Color.RED, 3, 0), (Color.GREEN, 0, 2)],
         agents=[(M, 0, 0)],
     )
-    sight = arena.sense(arena.agents[0])
-    assert sight.visible(Color.RED) == [(0, 1, 0), (1, 3, 0)]
-    assert sight.visible(Color.GREEN) == [(2, 0, 2)]
-    assert sight.nearest_target(Color.RED) == 0
+    nearest_d, nearest_tid, seen = sense_one(arena)
+    assert seen == (1 << Color.RED) | (1 << Color.GREEN)
+    assert (nearest_d[Color.RED], nearest_tid[Color.RED]) == (1, 0)
+    assert (nearest_d[Color.GREEN], nearest_tid[Color.GREEN]) == (2, 2)
 
 
 def brute_force_sense(arena, agent):
@@ -142,20 +152,13 @@ def test_batch_and_single_sense_agree(make_config):
         assert nearest_d.dtype == nearest_tid.dtype == np.int32
         assert nearest_d.shape == nearest_tid.shape == (len(arena.agents), 4)
         for agent in arena.agents:
-            single = arena.sense(agent)
             reference = brute_force_sense(arena, agent)
             for color in COLORS:
                 live = reference[color]
-                visible = sorted((tid, x, y) for d, tid, x, y in live if d <= radius)
                 sees = bool(seen[agent.id] >> color & 1)
-                assert sees == single.sees(color) == bool(visible)
-                assert single.visible(color) == visible
+                assert sees == any(d <= radius for d, _, _, _ in live)
                 if live:
                     assert (nearest_d[agent.id, color], nearest_tid[agent.id, color]) == live[0][:2]
-                if sees:
-                    assert single.nearest_distance(color) == nearest_d[agent.id, color]
-                    assert single.nearest_target(color) == nearest_tid[agent.id, color]
-            assert single.sees_unknown == bool(int(seen[agent.id]) & ~agent.store.known_mask())
         arena.step()
     assert arena.capture_total > 0
 
@@ -443,3 +446,47 @@ def test_step_invariants_on_random_configs(config, seed):
             assert arena._expiry[agent.id] == (np.iinfo(np.int64).max if expiry is None else expiry)
             assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height
             assert abs(agent.x - px) <= 1 and abs(agent.y - py) <= 1
+
+
+def crowded_memory(policy):
+    """A config whose one-skill stores fill, so deliveries are rejected or evict."""
+    return ScenarioConfig(
+        name="prop", grid=(12, 12), targets_per_color=4, robot_counts=(3, 0, 1, 1, 1, 1),
+        memory_duration=15, memory_size=1, capacity_policy=policy, max_iterations=60,
+        sense_radius=4, comm_radius=6, query_cooldown=0, snapshot_interval=5,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs(), trial=st.integers(0, 1000))
+@example(config=crowded_memory(CapacityPolicy.EVICT_OLDEST), trial=0)
+@example(config=crowded_memory(CapacityPolicy.REJECT_WHEN_FULL), trial=0)
+def test_event_log_replay_reproduces_snapshots(config, trial):
+    """Replaying the event log from the innate skills gives every snapshot's
+    knowledge, capture and protocol columns."""
+    result = run_trial(config, trial)
+    known = [set(robot.innate_colors)
+             for robot, count in zip(ROBOT_ORDER, config.robot_counts) for _ in range(count)]
+    captures = [0, 0, 0, 0]
+    counts = {ev.DELIVERY: 0, ev.FORGET: 0, ev.REJECT: 0}
+    events = list(result.events)
+    assert [r.t for r in events] == sorted(r.t for r in events)
+    i = 0
+    for snap in result.snapshots:
+        while i < len(events) and events[i].t <= snap.t:
+            record = events[i]
+            if record.kind == ev.CAPTURE:
+                captures[record.color] += 1
+            else:
+                counts[record.kind] += 1
+            if record.kind == ev.DELIVERY:
+                assert record.color not in known[record.agent]
+                known[record.agent].add(record.color)
+            elif record.kind == ev.FORGET:
+                known[record.agent].remove(record.color)
+            i += 1
+        assert snap.knowledge_percent == sum(map(len, known)) * 100 / (len(known) * 4)
+        assert [snap.captured_red, snap.captured_green, snap.captured_yellow,
+                snap.captured_blue] == captures
+        assert (snap.deliveries, snap.forgets, snap.rejects_full) == (
+            counts[ev.DELIVERY], counts[ev.FORGET], counts[ev.REJECT])

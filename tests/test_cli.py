@@ -94,6 +94,23 @@ def test_run_trials_override(tmp_path, tiny_config):
     assert sorted(p.name for p in out_dir.iterdir()) == ["tiny_aggregate.csv", "tiny_trial00.csv"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-2"), ("--jobs", "0"), ("--jobs", "-1"),
+])
+def test_run_count_below_one_is_usage_error(tmp_path, tiny_config, capsys, flag, value):
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out_dir), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "must be >= 1" in err
+    assert not out_dir.exists()
+
+
+def test_run_with_one_job(tmp_path, tiny_config):
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out_dir), "--jobs", "1"]) == 0
+    assert len(list(out_dir.iterdir())) == 3
+
+
 def test_run_seed_override_changes_results(tmp_path, tiny_config):
     a, b, c = (tmp_path / n for n in "abc")
     main(["run", "--config", str(tiny_config), "--out", str(a), "--seed", "1"])

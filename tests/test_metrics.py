@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ephemera.arena import Arena
@@ -86,6 +88,32 @@ def test_write_csv_lf_only_and_repeatable(tmp_path):
     data = path_a.read_bytes()
     assert b"\r" not in data
     assert data == path_b.read_bytes()
+
+
+@pytest.mark.parametrize("write, rows", [
+    (write_csv, [snap(t=0), snap(t=100)]),
+    (write_aggregate_csv, aggregate_trials([[snap(t=0), snap(t=100)]])),
+])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write, rows):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write(rows, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("write, rows", [
+    (write_csv, [snap(t=0)]),
+    (write_aggregate_csv, aggregate_trials([[snap(t=0)]])),
+])
+def test_write_replaces_existing_file_whole(tmp_path, write, rows):
+    path = tmp_path / "out.csv"
+    path.write_text("stale contents that are longer than the new file\n" * 20)
+    write(rows, path)
+    assert path.read_text().count("\n") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # --- aggregation ----------------------------------------------------------------------

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ephemera import events as ev
-from ephemera.bt import (
-    COLORS, Color, assemble_agent_tree, graft, known_colors, make_knowledge_subtree, serialize,
-)
-from ephemera.knowledge import CapacityPolicy, KnowledgeStore, LearnOutcome
+from ephemera import protocol
+from ephemera.arena import TREES
+from ephemera.bt import COLORS, Color, ParseError, known_colors, make_knowledge_subtree, serialize
+from ephemera.knowledge import CapacityPolicy, KnowledgeStore
 from ephemera.protocol import (
     ProtocolError,
     QueryMessage,
@@ -27,58 +27,65 @@ class Agent:
         self.id = agent_id
         self.x, self.y = pos
         self.store = KnowledgeStore(innate, capacity=capacity)
-        self.tree = assemble_agent_tree(self.store.known_colors())
         self.cooldown_until = 0
-        self.pending_query = None
+
+    @property
+    def tree(self):
+        return TREES[self.store.known_mask()]
 
 
-class Sight:
-    """Perception stub: visible colors with nearest distances."""
+def sight(**by_color):
+    """A sense row: nearest distance per color (far for unseen) and the seen mask."""
+    nearest = {Color[name.upper()]: d for name, d in by_color.items()}
+    return [nearest.get(c, 1 << 20) for c in COLORS], sum(1 << c for c in nearest)
 
-    def __init__(self, **by_color):
-        self._nearest = {Color[name.upper()]: d for name, d in by_color.items()}
 
-    def sees(self, color):
-        return color in self._nearest
+def mirrors(agents):
+    """The position and known-mask arrays the arena keeps for ``agents``."""
+    return dict(
+        xs=np.array([a.x for a in agents]),
+        ys=np.array([a.y for a in agents]),
+        known=np.array([a.store.known_mask() for a in agents]),
+    )
 
-    def nearest_distance(self, color):
-        return self._nearest.get(color)
+
+def resolve(pending, agents, **kwargs):
+    return resolve_and_deliver(pending, agents, **kwargs, **mirrors(agents))
 
 
 # --- emit_query -----------------------------------------------------------------
 
 def test_emit_query_basic():
     agent = Agent(3)
-    message = emit_query(agent, Sight(red=2), now=10, query_cooldown=25)
+    message = emit_query(agent, *sight(red=2), now=10, query_cooldown=25)
     assert message == QueryMessage(querier=3, color=Color.RED, emitted_at=10)
     assert agent.cooldown_until == 35
-    assert agent.pending_query is message
 
 
 def test_emit_query_respects_cooldown():
     agent = Agent(0)
-    assert emit_query(agent, Sight(red=1), now=5, query_cooldown=25) is not None
+    assert emit_query(agent, *sight(red=1), now=5, query_cooldown=25) is not None
     # Next iteration is still inside the 25-iteration cooldown window.
-    assert emit_query(agent, Sight(red=1), now=6, query_cooldown=25) is None
-    assert emit_query(agent, Sight(red=1), now=29, query_cooldown=25) is None
-    assert emit_query(agent, Sight(red=1), now=30, query_cooldown=25) is not None
+    assert emit_query(agent, *sight(red=1), now=6, query_cooldown=25) is None
+    assert emit_query(agent, *sight(red=1), now=29, query_cooldown=25) is None
+    assert emit_query(agent, *sight(red=1), now=30, query_cooldown=25) is not None
 
 
 def test_emit_query_picks_nearest_unknown():
     agent = Agent(0, innate=(Color.RED,))
-    message = emit_query(agent, Sight(red=1, green=4, blue=3), now=1, query_cooldown=5)
+    message = emit_query(agent, *sight(red=1, green=4, blue=3), now=1, query_cooldown=5)
     assert message.color is Color.BLUE  # red is known; blue nearer than green
 
 
 def test_emit_query_tie_breaks_canonical():
     agent = Agent(0)
-    message = emit_query(agent, Sight(blue=2, red=2), now=1, query_cooldown=5)
+    message = emit_query(agent, *sight(blue=2, red=2), now=1, query_cooldown=5)
     assert message.color is Color.RED
 
 
 def test_emit_query_none_when_nothing_unknown():
     agent = Agent(0, innate=(Color.RED,))
-    assert emit_query(agent, Sight(red=1), now=1, query_cooldown=5) is None
+    assert emit_query(agent, *sight(red=1), now=1, query_cooldown=5) is None
 
 
 # --- resolve_and_deliver ----------------------------------------------------------
@@ -93,7 +100,7 @@ def test_delivery_payload_is_the_skill_subtree():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(3, 3), innate=COLORS)
     log = []
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 4)], agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
@@ -104,7 +111,6 @@ def test_delivery_payload_is_the_skill_subtree():
     assert delivery.delivered_at == 5
     assert querier.store.knows(Color.RED)
     assert known_colors(querier.tree) == (Color.RED,)
-    assert querier.pending_query is None
     assert log == [ev.EventRecord(5, ev.DELIVERY, 0, Color.RED, 1)]
 
 
@@ -112,7 +118,7 @@ def test_out_of_range_query_lapses():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(11, 0), innate=COLORS)  # Chebyshev 11 > radius 10
     log = []
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 4)], agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
@@ -124,7 +130,7 @@ def test_out_of_range_query_lapses():
 def test_boundary_distance_is_in_range():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(10, 10), innate=COLORS)
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 4)], agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
     )
@@ -135,7 +141,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     querier = Agent(0, pos=(0, 0))
     far = Agent(1, pos=(5, 0), innate=COLORS)
     near = Agent(2, pos=(2, 0), innate=COLORS)
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, far, near),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
@@ -144,7 +150,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     querier = Agent(0, pos=(0, 0))
     a = Agent(1, pos=(0, 4), innate=COLORS)
     b = Agent(2, pos=(4, 0), innate=COLORS)
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, a, b),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
@@ -155,7 +161,7 @@ def test_responder_store_is_never_mutated():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(1, 1), innate=COLORS)
     before = dict(master.store.entries)
-    resolve_and_deliver(
+    resolve(
         [QueryMessage(0, Color.GREEN, 1)], agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
@@ -168,7 +174,7 @@ def test_learned_knowledge_is_shareable_in_same_pass():
     first = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(5, 0), innate=COLORS)
     second = Agent(2, pos=(-8, 0))
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 3), QueryMessage(2, Color.RED, 3)],
         agents_by_id(first, master, second),
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
@@ -181,7 +187,7 @@ def test_one_responder_can_answer_many():
     master = Agent(0, pos=(0, 0), innate=COLORS)
     q1 = Agent(1, pos=(1, 0))
     q2 = Agent(2, pos=(0, 1))
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(1, Color.RED, 1), QueryMessage(2, Color.BLUE, 1)],
         agents_by_id(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
@@ -193,11 +199,11 @@ def test_full_store_rejects_and_logs():
     querier = Agent(0, pos=(0, 0), capacity=1)
     master = Agent(1, pos=(1, 0), innate=COLORS)
     log = []
-    resolve_and_deliver(
+    resolve(
         [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
-    resolve_and_deliver(
+    resolve(
         [QueryMessage(0, Color.GREEN, 3)], agents_by_id(querier, master),
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
@@ -211,11 +217,11 @@ def test_eviction_prunes_victim_and_logs_forget():
     querier = Agent(0, pos=(0, 0), capacity=1)
     master = Agent(1, pos=(1, 0), innate=COLORS)
     log = []
-    resolve_and_deliver(
+    resolve(
         [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
     )
-    resolve_and_deliver(
+    resolve(
         [QueryMessage(0, Color.GREEN, 3)], agents_by_id(querier, master),
         now=4, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
     )
@@ -229,7 +235,7 @@ def test_queries_resolve_in_querier_id_order():
     master = Agent(0, pos=(0, 0), innate=COLORS)
     q1 = Agent(1, pos=(1, 0))
     q2 = Agent(2, pos=(2, 0))
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(2, Color.RED, 1), QueryMessage(1, Color.RED, 1)],
         agents_by_id(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
@@ -254,10 +260,27 @@ def test_merge_payload_rejects_wrong_subtree():
         merge_payload(querier, 1, "act(Explore)", Color.RED, 1, 10, REJECT, [])
 
 
+def test_payloads_are_the_serialized_skill_subtrees():
+    assert protocol._PAYLOADS == tuple(serialize(make_knowledge_subtree(c)) for c in COLORS)
+
+
+def test_payload_that_does_not_decode_fails_the_encoding(monkeypatch):
+    monkeypatch.setattr(protocol, "parse", lambda text: make_knowledge_subtree(Color.BLUE))
+    with pytest.raises(ProtocolError):
+        protocol._encode(Color.RED)
+
+    def broken(text):
+        raise ParseError("unknown token", 0)
+
+    monkeypatch.setattr(protocol, "parse", broken)
+    with pytest.raises(ProtocolError):
+        protocol._encode(Color.RED)
+
+
 def test_knower_beyond_radius_lapses_however_far():
     querier = Agent(0, pos=(0, 0))
     far = Agent(1, pos=(25, 3), innate=COLORS)
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, far),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
@@ -270,9 +293,8 @@ def test_evicted_responder_no_longer_answers():
     master = Agent(0, pos=(6, 0), innate=COLORS)
     holder = Agent(1, pos=(1, 0), capacity=1)
     holder.store.learn(Color.RED, 0, 100)
-    holder.tree = graft(holder.tree, Color.RED)
     asker = Agent(2, pos=(2, 0))
-    deliveries = resolve_and_deliver(
+    deliveries = resolve(
         [QueryMessage(1, Color.GREEN, 1), QueryMessage(2, Color.RED, 1)],
         agents_by_id(master, holder, asker),
         now=2, comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
@@ -299,7 +321,6 @@ def reference_resolve(pending, agents, now, comm_radius, memory_duration, policy
     answered = []
     for message in sorted(pending, key=lambda m: m.querier):
         querier = agents[message.querier]
-        querier.pending_query = None
         best_d = best_id = None
         for other in agents:
             if other.id == message.querier or not other.store.knows(message.color):
@@ -338,8 +359,7 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
                           capacity=capacity)
             for color in COLORS:  # learned skills can be evicted during the pass
                 if learned >> color & 1 and not innate >> color & 1:
-                    if agent.store.learn(color, 0, 100, REJECT).outcome is not LearnOutcome.REJECTED_FULL:
-                        agent.tree = graft(agent.tree, color)
+                    agent.store.learn(color, 0, 100, REJECT)
             agents.append(agent)
         return agents
 
@@ -348,7 +368,8 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
     expected_agents, agents = build(), build()
     expected_log, log = [], []
     expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)
-    got = resolve_and_deliver(pending, agents, 4, comm_radius, 5, policy, log)
+    got = resolve(pending, agents, now=4, comm_radius=comm_radius, memory_duration=5,
+                  policy=policy, event_log=log)
     assert [(d.querier, d.responder) for d in got] == expected
     assert log == expected_log
     for a, b in zip(agents, expected_agents):
