@@ -17,9 +17,14 @@ expiry. The mask and expiry mirror each agent's :class:`KnowledgeStore` and
 are refreshed only when a delivery, eviction or expiry changes a store, so
 the expiry phase visits only agents with a skill due.
 
-Sensing is one numpy pass over agents x live targets. It yields, per agent
-and color, the distance to and ID of the nearest live target (ties to the
-lowest target ID) and the mask of colors within the sense radius.
+Sensing is one numpy pass over agents x live targets that computes only
+what every agent needs: Chebyshev distances in the narrowest signed dtype
+that holds the board's largest coordinate difference (int16 up to 32768
+cells on a side), one ``np.minimum.reduceat`` over the color segments for
+the nearest distance per agent and color, and from it the mask of colors
+within the sense radius. The ID of the nearest target (ties to the lowest
+ID) is read only by Collect agents, so it is found only on their rows of the
+same distance matrix, from the key distance x targets + ID.
 
 An agent's :class:`KnowledgeStore` is the only record of what it knows;
 the mask and expiry arrays are its mirror. Every agent tree is the canonical
@@ -64,7 +69,8 @@ from .rng import SplitMix64
 if TYPE_CHECKING:
     from .experiment import ScenarioConfig
 
-_FAR = 1 << 20  # distance reported for a color with no live target
+# Distance reported for a color with no live target: beyond every board.
+_FAR = np.iinfo(np.int64).max
 _NEVER = np.iinfo(np.int64).max  # next expiry of a store with no learned skill
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -281,16 +287,22 @@ class Arena:
 
     def _finish_init(self, cat_color, cat_x, cat_y, agents) -> None:
         n_targets = len(cat_color)
-        # A sense key is distance * n_targets + target ID; int32 unless that
-        # could overflow.
-        wide = max(self.width, self.height) * (n_targets + 1) >= 1 << 31
-        self._dtype = dtype = np.int64 if wide else np.int32
+        # Positions and distances use the narrowest signed dtype that holds
+        # the largest coordinate difference; every distance is at most span,
+        # so a larger radius sees the same as span does.
+        span = max(self.width, self.height) - 1
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
+        self._radius = min(self.config.sense_radius, span)
+        # A Collect agent's key is distance * n_targets + target ID; int32
+        # unless that could overflow.
+        wide = (span + 1) * (n_targets + 1) >= 1 << 31
+        self._key_dtype = np.int64 if wide else np.int32
         self._cat_color = cat_color
         self._cat_x = cat_x
         self._cat_y = cat_y
         self._n_targets = n_targets
         self._alive = np.ones(n_targets, bool)
-        self._live_ids = np.arange(n_targets, dtype=dtype)
+        self._live_ids = np.arange(n_targets, dtype=self._key_dtype)
         self._live_x = np.array(cat_x, dtype=dtype)
         self._live_y = np.array(cat_y, dtype=dtype)
         self._live_color = np.array([int(c) for c in cat_color], dtype=np.int8)
@@ -367,41 +379,45 @@ class Arena:
     # --- sensing -------------------------------------------------------------
 
     def _sense_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest live target of each color for every agent.
+        """Distance to the nearest live target of each color for every agent.
 
-        Returns agents x 4 arrays of its distance (_FAR for a color with no
-        live target) and its ID (ties: lowest ID; -1 for none), and the mask
-        of the colors with a target within the sense radius.
+        Returns the agents x 4 nearest distances (_FAR for a color with no
+        live target), the mask of the colors with a target within the sense
+        radius, and the agents x live-targets distance matrix, which
+        :meth:`_nearest_ids` reads and the next sense overwrites.
         """
         n = len(self._x)
-        radius = self.config.sense_radius
-        if not self._starts:
-            return (np.full((n, 4), _FAR, self._dtype), np.full((n, 4), -1, self._dtype),
-                    np.zeros(n, np.uint8))
         size = n * len(self._live_ids)
-        key = self._sense_buf[0][:size].reshape(n, -1)
+        dist = self._sense_buf[0][:size].reshape(n, -1)
         dy = self._sense_buf[1][:size].reshape(n, -1)
-        np.subtract(self._x[:, None], self._live_x, out=key)
-        np.abs(key, out=key)
+        np.subtract(self._x[:, None], self._live_x, out=dist)
+        np.abs(dist, out=dist)
         np.subtract(self._y[:, None], self._live_y, out=dy)
         np.abs(dy, out=dy)
-        np.maximum(key, dy, out=key)
-        key *= self._n_targets
+        np.maximum(dist, dy, out=dist)
+        nearest_d = np.minimum.reduceat(dist, self._starts, axis=1)
+        if len(self._present) < 4:
+            nearest_d = self._by_color(nearest_d, _FAR)
+        seen = np.packbits(nearest_d <= self._radius, axis=1, bitorder="little")[:, 0]
+        return nearest_d, seen, dist
+
+    def _nearest_ids(self, dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """IDs of the nearest live target of each color (ties: lowest ID; -1
+        for a color with none) for the agents ``rows``, read off the distance
+        matrix of the last sense."""
+        n_targets = self._n_targets
+        key = np.multiply(dist[rows], n_targets, dtype=self._key_dtype)
         key += self._live_ids
         # Over a color's segment the least key is the nearest target, ties
         # to the lowest ID.
-        d, tid = np.divmod(np.minimum.reduceat(key, self._starts, axis=1), self._n_targets)
-        present = self._present
-        if len(present) == 4:
-            nearest_d, nearest_tid, seen = d, tid, d <= radius
-        else:
-            nearest_d = np.full((n, 4), _FAR, self._dtype)
-            nearest_tid = np.full((n, 4), -1, self._dtype)
-            seen = np.zeros((n, 4), bool)
-            nearest_d[:, present] = d
-            nearest_tid[:, present] = tid
-            seen[:, present] = d <= radius
-        return nearest_d, nearest_tid, np.packbits(seen, axis=1, bitorder="little")[:, 0]
+        tid = np.minimum.reduceat(key, self._starts, axis=1) % n_targets
+        return tid if len(self._present) == 4 else self._by_color(tid, -1)
+
+    def _by_color(self, per_segment: np.ndarray, absent: int) -> np.ndarray:
+        """Widen rows x present-colors to rows x 4, ``absent`` elsewhere."""
+        out = np.full((len(per_segment), 4), absent, np.int64)
+        out[:, self._present] = per_segment
+        return out
 
     # --- stepping -------------------------------------------------------------
 
@@ -440,7 +456,7 @@ class Arena:
             self._sync(agent)
 
         # Phase 3: sense.
-        nearest_d, nearest_tid, seen = self._sense_all()
+        nearest_d, seen, dist = self._sense_all()
 
         # Phase 4: intents. Explorers move at once, on one batch of draws.
         intents = INTENT_TABLE[self._known, seen]
@@ -451,16 +467,19 @@ class Arena:
             self._x[explorers] += _MOVE_DX[cls, draws]
             self._y[explorers] += _MOVE_DY[cls, draws]
 
-        # Phase 5: Query and Collect agents, one by one in ID order.
+        # Phase 5: Query and Collect agents, one by one in ID order. Only a
+        # Collect agent reads a target ID: the one of its color, as sensed.
         new_queries = []
         busy = (intents != _EXPLORE).nonzero()[0]
-        for i, code, d_row, tid_row, seen_mask in zip(
-            busy.tolist(), intents[busy].tolist(), nearest_d[busy].tolist(),
-            nearest_tid[busy].tolist(), seen[busy].tolist(),
+        codes = intents[busy]
+        rows = busy[codes < _QUERY]
+        tid_rows = iter(self._nearest_ids(dist, rows).tolist() if rows.size else ())
+        for i, code, d_row, seen_mask in zip(
+            busy.tolist(), codes.tolist(), nearest_d[busy].tolist(), seen[busy].tolist(),
         ):
             agent = agents[i]
             if code != _QUERY:
-                self._execute_intent(agent, COLORS[code], d_row[code], tid_row[code])
+                self._execute_intent(agent, COLORS[code], d_row[code], next(tid_rows)[code])
             elif now >= agent.cooldown_until:
                 message = protocol.emit_query(agent, d_row, seen_mask, now, cfg.query_cooldown)
                 if message is not None:

@@ -1,5 +1,8 @@
+import dataclasses
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +11,10 @@ from hypothesis import strategies as st
 
 from ephemera import events as ev
 from ephemera.arena import (
-    _EXPLORE, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena, ConservationError, RobotType, SetupError,
+    _EXPLORE, _FAR, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena, ConservationError, RobotType, SetupError,
 )
 from ephemera.bt import COLORS, Color, known_colors
-from ephemera.experiment import ScenarioConfig, get_scenario, run_trial
+from ephemera.experiment import ScenarioConfig, get_scenario, run_scenario, run_trial
 from ephemera.knowledge import CapacityPolicy
 
 I, M = RobotType.IGNORANT, RobotType.MASTER
@@ -88,8 +91,9 @@ def layout(make_config, targets, agents, **cfg):
 def sense_one(arena, agent_id=0):
     """One agent's row of the sense pass: (nearest distances, nearest target
     IDs, seen mask)."""
-    nearest_d, nearest_tid, seen = arena._sense_all()
-    return nearest_d[agent_id].tolist(), nearest_tid[agent_id].tolist(), int(seen[agent_id])
+    nearest_d, seen, dist = arena._sense_all()
+    nearest_tid = arena._nearest_ids(dist, np.array([agent_id]))
+    return nearest_d[agent_id].tolist(), nearest_tid[0].tolist(), int(seen[agent_id])
 
 
 def test_sense_radius_boundary_inclusive(make_config):
@@ -115,7 +119,7 @@ def test_sense_empty_perception(make_config):
 
 def test_ignorant_robot_sees_unknown(make_config):
     arena = layout(make_config, targets=[(Color.RED, 2, 0)], agents=[(I, 0, 0), (M, 1, 0)])
-    _, _, seen = arena._sense_all()
+    _, seen, _ = arena._sense_all()
     unknown = seen & ~arena._known
     assert unknown.tolist() == [1 << Color.RED, 0]
     assert INTENT_TABLE[arena._known, seen].tolist() == [_QUERY, Color.RED]
@@ -144,23 +148,54 @@ def brute_force_sense(arena, agent):
     return {color: sorted(entries) for color, entries in found.items()}
 
 
+def assert_sense_matches_brute_force(arena):
+    """Every agent's distance and seen bit for every color, and its nearest
+    target ID through the Collect-row helper called for all rows, equal the
+    brute-force scan. Returns the sense pass's distance matrix."""
+    radius = arena.config.sense_radius
+    nearest_d, seen, dist = arena._sense_all()
+    nearest_tid = arena._nearest_ids(dist, np.arange(len(arena.agents)))
+    assert nearest_d.shape == nearest_tid.shape == (len(arena.agents), 4)
+    for agent in arena.agents:
+        reference = brute_force_sense(arena, agent)
+        for color in COLORS:
+            live = reference[color]
+            sees = bool(seen[agent.id] >> color & 1)
+            assert sees == any(d <= radius for d, _, _, _ in live)
+            nearest = live[0][:2] if live else (_FAR, -1)
+            assert (nearest_d[agent.id, color], nearest_tid[agent.id, color]) == nearest
+    return dist
+
+
 def test_batch_and_single_sense_agree(make_config):
     arena = Arena(make_config(), seed=77)
-    radius = arena.config.sense_radius
     for _ in range(40):  # a few captures happen, so dead targets are left out
-        nearest_d, nearest_tid, seen = arena._sense_all()
-        assert nearest_d.dtype == nearest_tid.dtype == np.int32
-        assert nearest_d.shape == nearest_tid.shape == (len(arena.agents), 4)
-        for agent in arena.agents:
-            reference = brute_force_sense(arena, agent)
-            for color in COLORS:
-                live = reference[color]
-                sees = bool(seen[agent.id] >> color & 1)
-                assert sees == any(d <= radius for d, _, _, _ in live)
-                if live:
-                    assert (nearest_d[agent.id, color], nearest_tid[agent.id, color]) == live[0][:2]
+        dist = assert_sense_matches_brute_force(arena)
+        assert dist.dtype == arena._x.dtype == arena._live_x.dtype == np.int16
         arena.step()
     assert arena.capture_total > 0
+
+
+@pytest.mark.parametrize("width, dtype", [(32767, np.int16), (32768, np.int16),
+                                          (32769, np.int32), (40000, np.int32)])
+@pytest.mark.parametrize("radius", [4, 100_000, 1 << 40])
+def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype, radius):
+    """Agents and targets at both ends of a width x 1 corridor, so distances
+    reach width - 1; green and yellow have no target at all. A radius beyond
+    the board sees every present color and still no absent one."""
+    end = width - 1
+    arena = layout(
+        make_config,
+        targets=[(Color.RED, 0, 0), (Color.RED, end, 0), (Color.BLUE, 1, 0),
+                 (Color.BLUE, end - 1, 0), (Color.RED, end // 2 - 3, 0),
+                 (Color.RED, end // 2 + 3, 0)],
+        agents=[(M, 0, 0), (I, end, 0), (M, end // 2, 0), (I, 1, 0)],
+        grid=(width, 1), sense_radius=radius,
+    )
+    assert assert_sense_matches_brute_force(arena).max() == end
+    for _ in range(3):
+        arena.step()
+        assert assert_sense_matches_brute_force(arena).dtype == dtype
 
 
 # --- stepping ------------------------------------------------------------------
@@ -490,3 +525,18 @@ def test_event_log_replay_reproduces_snapshots(config, trial):
                 snap.captured_blue] == captures
         assert (snap.deliveries, snap.forgets, snap.rejects_full) == (
             counts[ev.DELIVERY], counts[ev.FORGET], counts[ev.REJECT])
+
+
+@settings(max_examples=8, deadline=None)
+@given(config=small_configs())
+def test_serial_and_parallel_runs_write_identical_csvs(config):
+    config = dataclasses.replace(config, trials=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, parallel = Path(tmp, "serial"), Path(tmp, "parallel")
+        run_scenario(config, serial, jobs=1)
+        run_scenario(config, parallel, jobs=2)
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in parallel.iterdir())
+        assert len(names) == config.trials + 1
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
