@@ -17,14 +17,12 @@ expiry. The mask and expiry mirror each agent's :class:`KnowledgeStore` and
 are refreshed only when a delivery, eviction or expiry changes a store, so
 the expiry phase visits only agents with a skill due.
 
-Sensing is one numpy pass over agents x live targets that computes only
-what every agent needs: Chebyshev distances in the narrowest signed dtype
-that holds the board's largest coordinate difference (int16 up to 32768
-cells on a side), one ``np.minimum.reduceat`` over the color segments for
-the nearest distance per agent and color, and from it the mask of colors
-within the sense radius. The ID of the nearest target (ties to the lowest
-ID) is read only by Collect agents, so it is found only on their rows of the
-same distance matrix, from the key distance x targets + ID.
+Sensing is one numpy pass over agents x live targets: Chebyshev distances
+in the narrowest signed dtype that holds the board's largest coordinate
+difference (int16 up to 32768 cells on a side), one ``np.minimum.reduceat``
+over the color segments for the nearest distance per agent and color, and
+from it the mask of colors within the sense radius. The live targets are
+ordered by ID within each color segment.
 
 An agent's :class:`KnowledgeStore` is the only record of what it knows;
 the mask and expiry arrays are its mirror. Every agent tree is the canonical
@@ -34,11 +32,14 @@ intent is a pure function of (known mask, seen mask): ``INTENT_TABLE`` holds
 it for all 16 x 16 pairs, built by ticking the 16 trees, so the
 behavior-tree semantics stay the source of truth.
 
-Only Collect and Query agents are handled one by one, in ID order: a
-Collect agent takes the target under it or steps toward its nearest one,
-and a capture only marks the target dead, so a higher-ID agent that sensed
-the same target steps toward the nearest one still alive. The live-target
-arrays are compacted once, at the end of the step.
+Only Collect and Query agents are handled one by one, in ID order. A
+Collect agent finds its nearest live target of its color (ties to the
+lowest ID) on its own row of the sense matrix, which still holds: it has not
+moved since the sense pass, and a capture only marks the target dead, so
+the live-target arrays are compacted once, at the end of the step. If a
+lower-ID agent took that target earlier in the step, the search runs again
+without the dead targets. The agent takes the target under it, steps toward
+one within the sense radius, or stands still.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -70,7 +71,8 @@ if TYPE_CHECKING:
     from .experiment import ScenarioConfig
 
 # Distance reported for a color with no live target: beyond every board.
-_FAR = np.iinfo(np.int64).max
+# An int64 scalar, so that np.where over a narrow row widens rather than wraps.
+_FAR = np.int64(np.iinfo(np.int64).max)
 _NEVER = np.iinfo(np.int64).max  # next expiry of a store with no learned skill
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -293,20 +295,14 @@ class Arena:
         span = max(self.width, self.height) - 1
         dtype = next(t for t in (np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
-        # A Collect agent's key is distance * n_targets + target ID; int32
-        # unless that could overflow.
-        wide = (span + 1) * (n_targets + 1) >= 1 << 31
-        self._key_dtype = np.int64 if wide else np.int32
         self._cat_color = cat_color
         self._cat_x = cat_x
         self._cat_y = cat_y
-        self._n_targets = n_targets
         self._alive = np.ones(n_targets, bool)
-        self._live_ids = np.arange(n_targets, dtype=self._key_dtype)
+        self._live_ids = np.arange(n_targets)
         self._live_x = np.array(cat_x, dtype=dtype)
         self._live_y = np.array(cat_y, dtype=dtype)
         self._live_color = np.array([int(c) for c in cat_color], dtype=np.int8)
-        self._stale = False  # live arrays still hold targets captured this step
         self._reseg()
         # Scratch for the agents x live-targets sense matrices, reused every
         # step: fresh matrices of that size cost more than the arithmetic.
@@ -384,7 +380,7 @@ class Arena:
         Returns the agents x 4 nearest distances (_FAR for a color with no
         live target), the mask of the colors with a target within the sense
         radius, and the agents x live-targets distance matrix, which
-        :meth:`_nearest_ids` reads and the next sense overwrites.
+        :meth:`_nearest` reads and the next sense overwrites.
         """
         n = len(self._x)
         size = n * len(self._live_ids)
@@ -401,17 +397,18 @@ class Arena:
         seen = np.packbits(nearest_d <= self._radius, axis=1, bitorder="little")[:, 0]
         return nearest_d, seen, dist
 
-    def _nearest_ids(self, dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """IDs of the nearest live target of each color (ties: lowest ID; -1
-        for a color with none) for the agents ``rows``, read off the distance
-        matrix of the last sense."""
-        n_targets = self._n_targets
-        key = np.multiply(dist[rows], n_targets, dtype=self._key_dtype)
-        key += self._live_ids
-        # Over a color's segment the least key is the nearest target, ties
-        # to the lowest ID.
-        tid = np.minimum.reduceat(key, self._starts, axis=1) % n_targets
-        return tid if len(self._present) == 4 else self._by_color(tid, -1)
+    def _nearest(self, dist_row: np.ndarray, color: int) -> tuple[int, int]:
+        """Live-array index and distance of the nearest live target of
+        ``color`` on an agent's row of the sense matrix, ties to the lowest
+        ID. The color must have a target in the live arrays."""
+        s, e = self._seg[color]
+        row = dist_row[s:e]
+        j = int(row.argmin())  # first minimum = lowest target ID
+        if not self._alive[self._live_ids[s + j]]:
+            # A lower-ID agent took it earlier this step.
+            row = np.where(self._alive[self._live_ids[s:e]], row, _FAR)
+            j = int(row.argmin())
+        return s + j, int(row[j])
 
     def _by_color(self, per_segment: np.ndarray, absent: int) -> np.ndarray:
         """Widen rows x present-colors to rows x 4, ``absent`` elsewhere."""
@@ -467,19 +464,15 @@ class Arena:
             self._x[explorers] += _MOVE_DX[cls, draws]
             self._y[explorers] += _MOVE_DY[cls, draws]
 
-        # Phase 5: Query and Collect agents, one by one in ID order. Only a
-        # Collect agent reads a target ID: the one of its color, as sensed.
+        # Phase 5: Query and Collect agents, one by one in ID order.
         new_queries = []
         busy = (intents != _EXPLORE).nonzero()[0]
-        codes = intents[busy]
-        rows = busy[codes < _QUERY]
-        tid_rows = iter(self._nearest_ids(dist, rows).tolist() if rows.size else ())
         for i, code, d_row, seen_mask in zip(
-            busy.tolist(), codes.tolist(), nearest_d[busy].tolist(), seen[busy].tolist(),
+            busy.tolist(), intents[busy].tolist(), nearest_d[busy].tolist(), seen[busy].tolist(),
         ):
             agent = agents[i]
             if code != _QUERY:
-                self._execute_intent(agent, COLORS[code], d_row[code], next(tid_rows)[code])
+                self._execute_intent(agent, code, dist[i])
             elif now >= agent.cooldown_until:
                 message = protocol.emit_query(agent, d_row, seen_mask, now, cfg.query_cooldown)
                 if message is not None:
@@ -487,7 +480,7 @@ class Arena:
                     self.queries_sent += 1
             # A Query agent awaiting an answer stands still.
         self.pending = new_queries
-        if self._stale:
+        if len(self._live_ids) != self.alive_count:
             self._compact()
 
         # Phase 6: snapshot on the grid.
@@ -500,41 +493,23 @@ class Arena:
                 f"!= {self.initial_total} placed"
             )
 
-    def _execute_intent(self, agent: AgentState, color: Color, distance: int,
-                        target_id: int) -> None:
-        """Collect ``color``: take the sensed nearest target if it lies under
-        the agent, else step toward it. If a lower-ID agent took it earlier
-        this step, step toward the nearest target of that color still alive
-        within the sense radius, if any."""
-        if self._alive[target_id]:
-            if distance == 0:
-                self._capture(target_id, agent)
-                return
-            dest = (self._cat_x[target_id], self._cat_y[target_id])
-        else:
-            dest = self._nearest_live(agent.x, agent.y, color)
-            if dest is None:
-                return
-        dx = dest[0] - agent.x
-        dy = dest[1] - agent.y
+    def _execute_intent(self, agent: AgentState, color: int, dist_row: np.ndarray) -> None:
+        """Collect ``color``: take the nearest live target if it lies under
+        the agent, else step toward it if it is within the sense radius."""
+        k, distance = self._nearest(dist_row, color)
+        if distance > self._radius:
+            return
+        if distance == 0:
+            self._capture(int(self._live_ids[k]), agent)
+            return
+        dx = int(self._live_x[k]) - agent.x
+        dy = int(self._live_y[k]) - agent.y
         self._x[agent.id] += (dx > 0) - (dx < 0)
         self._y[agent.id] += (dy > 0) - (dy < 0)
-
-    def _nearest_live(self, x: int, y: int, color: Color) -> Optional[tuple[int, int]]:
-        s, e = self._seg[color]
-        alive = np.flatnonzero(self._alive[self._live_ids[s:e]]) + s
-        if alive.size == 0:
-            return None
-        d = np.maximum(np.abs(self._live_x[alive] - x), np.abs(self._live_y[alive] - y))
-        i = int(d.argmin())  # first minimum = lowest target ID
-        if int(d[i]) > self.config.sense_radius:
-            return None
-        return (int(self._live_x[alive[i]]), int(self._live_y[alive[i]]))
 
     def _capture(self, target_id: int, agent: AgentState) -> None:
         color = self._cat_color[target_id]
         self._alive[target_id] = False
-        self._stale = True
         self.alive_count -= 1
         self.capture_counts[color] += 1
         self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent.id, color))
@@ -547,4 +522,3 @@ class Arena:
         self._live_y = self._live_y[keep]
         self._live_color = self._live_color[keep]
         self._reseg()
-        self._stale = False

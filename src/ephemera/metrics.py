@@ -12,6 +12,7 @@ Aggregate CSV schema::
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,10 +161,13 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
     rows = []
     for line in lines[1:]:
         f = line.split(",")
-        if len(f) != 7:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(AggregateRow(
-            int(f[0]), float(f[1]), float(f[2]), float(f[3]),
-            float(f[4]), int(f[5]), int(f[6]),
-        ))
+        try:
+            if len(f) != 7:
+                raise ValueError("expected 7 fields")
+            floats = [float(v) for v in f[1:5]]
+            if not all(map(math.isfinite, floats)):
+                raise ValueError("non-finite value")
+            rows.append(AggregateRow(int(f[0]), *floats, int(f[5]), int(f[6])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {line!r} ({exc})") from None
     return rows

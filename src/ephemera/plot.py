@@ -28,6 +28,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data. (``xml.sax.saxutils`` would import
+    ``urllib.request`` and ``ssl``, megabytes for every process.)"""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_plot(
     series: Sequence[PlotSeries],
     title: str,
@@ -36,7 +42,8 @@ def render_plot(
     y_label: str = "value",
 ) -> None:
     """One polyline per series on linear axes covering the data range, with
-    five gridlines per axis, a legend of series names, and a title."""
+    five gridlines per axis, a legend of series names, and a title. Names,
+    title and labels are written as XML-escaped text."""
     series = list(series)
     if not series:
         raise ValueError("render_plot needs at least one series")
@@ -63,7 +70,7 @@ def render_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
         f'font-family="sans-serif" font-size="13">\n',
         f'<rect width="{_W}" height="{_H}" fill="white"/>\n',
-        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>\n',
+        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>\n',
     ]
     for i in range(5):
         frac = i / 4
@@ -91,11 +98,11 @@ def render_plot(
         f'height="{_fmt(_Y1 - _Y0)}" fill="none" stroke="black" stroke-width="1"/>\n'
     )
     out.append(
-        f'<text x="{_fmt((_X0 + _X1) / 2)}" y="{_H - 10}" text-anchor="middle">{x_label}</text>\n'
+        f'<text x="{_fmt((_X0 + _X1) / 2)}" y="{_H - 10}" text-anchor="middle">{_escape(x_label)}</text>\n'
     )
     out.append(
         f'<text x="18" y="{_fmt((_Y0 + _Y1) / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fmt((_Y0 + _Y1) / 2)})">{y_label}</text>\n'
+        f'transform="rotate(-90 18 {_fmt((_Y0 + _Y1) / 2)})">{_escape(y_label)}</text>\n'
     )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -112,7 +119,7 @@ def render_plot(
         )
         out.append(
             f'<text x="{_fmt(_X1 - 114)}" y="{_fmt(ly)}" '
-            f'dominant-baseline="middle">{s.name}</text>\n'
+            f'dominant-baseline="middle">{_escape(s.name)}</text>\n'
         )
     out.append("</svg>\n")
     Path(path).write_text("".join(out), encoding="utf-8", newline="")

@@ -88,12 +88,27 @@ def layout(make_config, targets, agents, **cfg):
     return Arena.from_layout(make_config(**cfg), targets, agents)
 
 
+def search_all(arena, dist, agent_id):
+    """Per color, (distance, ID) of the nearest live target as the Collect
+    search finds it on the agent's row of ``dist``; (_FAR, -1) for a color
+    with no live target."""
+    found = []
+    for color in COLORS:
+        s, e = arena._seg[color]
+        if arena._alive[arena._live_ids[s:e]].any():
+            k, d = arena._nearest(dist[agent_id], color)
+            found.append((d, int(arena._live_ids[k])))
+        else:
+            found.append((_FAR, -1))
+    return found
+
+
 def sense_one(arena, agent_id=0):
-    """One agent's row of the sense pass: (nearest distances, nearest target
-    IDs, seen mask)."""
+    """One agent's row of the sense pass and its Collect search: (nearest
+    distances, nearest target IDs, seen mask)."""
     nearest_d, seen, dist = arena._sense_all()
-    nearest_tid = arena._nearest_ids(dist, np.array([agent_id]))
-    return nearest_d[agent_id].tolist(), nearest_tid[0].tolist(), int(seen[agent_id])
+    nearest_tid = [tid for _, tid in search_all(arena, dist, agent_id)]
+    return nearest_d[agent_id].tolist(), nearest_tid, int(seen[agent_id])
 
 
 def test_sense_radius_boundary_inclusive(make_config):
@@ -148,22 +163,35 @@ def brute_force_sense(arena, agent):
     return {color: sorted(entries) for color, entries in found.items()}
 
 
+def assert_search_matches_brute_force(arena, dist):
+    """For every agent and every color with a live target, the Collect
+    search on the agent's row of ``dist`` finds the brute-force nearest
+    distance and ID, and finds it beyond the radius exactly when no live
+    target of that color is within it."""
+    radius = arena.config.sense_radius
+    for agent in arena.agents:
+        reference = brute_force_sense(arena, agent)
+        for color, found in zip(COLORS, search_all(arena, dist, agent.id)):
+            live = reference[color]
+            assert found == (live[0][:2] if live else (_FAR, -1))
+            assert (found[0] <= radius) == any(d <= radius for d, _, _, _ in live)
+
+
 def assert_sense_matches_brute_force(arena):
-    """Every agent's distance and seen bit for every color, and its nearest
-    target ID through the Collect-row helper called for all rows, equal the
-    brute-force scan. Returns the sense pass's distance matrix."""
+    """Every agent's distance and seen bit for every color, and its Collect
+    search for every color with a live target, equal the brute-force scan.
+    Returns the sense pass's distance matrix."""
     radius = arena.config.sense_radius
     nearest_d, seen, dist = arena._sense_all()
-    nearest_tid = arena._nearest_ids(dist, np.arange(len(arena.agents)))
-    assert nearest_d.shape == nearest_tid.shape == (len(arena.agents), 4)
+    assert nearest_d.shape == (len(arena.agents), 4)
     for agent in arena.agents:
         reference = brute_force_sense(arena, agent)
         for color in COLORS:
             live = reference[color]
             sees = bool(seen[agent.id] >> color & 1)
             assert sees == any(d <= radius for d, _, _, _ in live)
-            nearest = live[0][:2] if live else (_FAR, -1)
-            assert (nearest_d[agent.id, color], nearest_tid[agent.id, color]) == nearest
+            assert nearest_d[agent.id, color] == (live[0][0] if live else _FAR)
+    assert_search_matches_brute_force(arena, dist)
     return dist
 
 
@@ -174,6 +202,23 @@ def test_batch_and_single_sense_agree(make_config):
         assert dist.dtype == arena._x.dtype == arena._live_x.dtype == np.int16
         arena.step()
     assert arena.capture_total > 0
+
+
+def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
+    """Agent 0 takes red 0 under it; on the rows sensed before that capture,
+    every agent's search now finds the nearest red still alive: agent 0 the
+    lower ID of two at distance 3, agent 1 red 1 and agent 2 red 2."""
+    arena = layout(
+        make_config,
+        targets=[(Color.RED, 5, 5), (Color.RED, 8, 5), (Color.RED, 2, 5), (Color.BLUE, 5, 6)],
+        agents=[(M, 5, 5), (M, 6, 5), (I, 4, 4)],
+    )
+    _, _, dist = arena._sense_all()
+    assert [arena._nearest(dist[i], Color.RED)[0] for i in range(3)] == [0, 0, 0]
+    arena._execute_intent(arena.agents[0], Color.RED, dist[0])
+    assert arena.capture_counts[Color.RED] == 1 and len(arena._live_ids) == 4
+    assert_search_matches_brute_force(arena, dist)
+    assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("width, dtype", [(32767, np.int16), (32768, np.int16),
@@ -270,6 +315,23 @@ def test_collect_conflict_loser_moves_to_next_target(make_config):
     arena.step()
     assert arena.capture_total == 1
     assert arena.agents[1].pos == (6, 5)  # one step toward the surviving red
+
+
+@pytest.mark.parametrize("reds, loser_to", [
+    ([(10, 5)], (5, 5)),          # the only other red is at distance 5 > radius 4
+    ([(8, 5), (2, 5)], (6, 5)),   # two at distance 3: toward red 1, the lower ID
+    ([(2, 5), (8, 5)], (4, 5)),
+], ids=["beyond-radius", "tie-east", "tie-west"])
+def test_collect_conflict_loser_searches_the_survivors(make_config, reds, loser_to):
+    arena = layout(
+        make_config,
+        targets=[(Color.RED, 5, 5)] + [(Color.RED, x, y) for x, y in reds],
+        agents=[(M, 5, 5), (M, 5, 5)],
+        sense_radius=4,
+    )
+    arena.step()
+    assert arena.capture_total == 1
+    assert arena.agents[1].pos == loser_to
 
 
 def test_explore_in_corner_stays_in_bounds(make_config):

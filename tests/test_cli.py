@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -196,6 +197,40 @@ def test_plot_rejects_non_aggregate_csv(tmp_path, capsys):
     bad.write_text("t,who,knows\n")
     assert main(["plot", "--out", str(tmp_path / "p.svg"), str(bad)]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", [1, 4], ids=["knowledge", "captured"])
+def test_plot_rejects_non_finite_values(tmp_path, capsys, value, column):
+    a = tmp_path / "A.csv"
+    write_aggregate_csv(agg_rows([10.0, 20.0]), a)
+    lines = a.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    a.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.svg"
+    assert main(["plot", "--out", str(out), str(a)]) == 2
+    err = capsys.readouterr().err
+    assert "A.csv" in err and lines[2] in err
+    assert not out.exists()
+
+
+def test_plot_svg_is_well_formed_with_markup_in_names(tmp_path):
+    a = tmp_path / "a&b<c_aggregate.csv"
+    write_aggregate_csv(agg_rows([10.0, 20.0]), a)
+    out = tmp_path / "o.svg"
+    assert main(["plot", "--out", str(out), str(a)]) == 0
+    texts = [el.text for el in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c_aggregate" in texts
+
+
+def test_render_plot_escapes_title_and_labels(tmp_path):
+    out = tmp_path / "x.svg"
+    render_plot([PlotSeries("s>1 & s<2", [0, 1], [0.0, 1.0])], "<t> & 'q'", out,
+                x_label="x<y", y_label='"a"&b')
+    texts = {el.text for el in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")}
+    assert {"s>1 & s<2", "<t> & 'q'", "x<y", '"a"&b'} <= texts
 
 
 def test_plot_is_deterministic(tmp_path):

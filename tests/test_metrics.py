@@ -197,3 +197,18 @@ def test_read_aggregate_rejects_other_csvs(tmp_path):
     path.write_text(CSV_HEADER + "\n")
     with pytest.raises(ValueError):
         read_aggregate_csv(path)
+
+
+# Columns: t, mean/min/max knowledge, mean/min/max captured.
+@pytest.mark.parametrize("column", [1, 3, 4, 6], ids=["mean_knowledge", "max_knowledge",
+                                                      "mean_captured", "max_captured"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_read_aggregate_rejects_non_finite_values(tmp_path, column, value):
+    fields = "100,10.0000,5.0000,15.0000,2.0000,1,3".split(",")
+    fields[column] = value
+    row = ",".join(fields)
+    path = tmp_path / "agg.csv"
+    path.write_text(f"{AGGREGATE_HEADER}\n0,0.0000,0.0000,0.0000,0.0000,0,0\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_aggregate_csv(path)
+    assert str(path) in str(info.value) and row in str(info.value)
