@@ -11,11 +11,10 @@ ascending ID order inside every phase:
 5. execute intents (collect / move / stand),
 6. record a metrics snapshot on the snapshot grid.
 
-Per-agent state lives in arrays indexed by agent ID: x, y, a 4-bit mask of
-the known colors (bit c for color c) and the iteration of the next skill
-expiry. The mask and expiry mirror each agent's :class:`KnowledgeStore` and
-are refreshed only when a delivery, eviction or expiry changes a store, so
-the expiry phase visits only agents with a skill due.
+Per-agent state lives in arrays indexed by agent ID: x, y, the end of the
+query cooldown, and the skills (:class:`Knowledge`), of which
+``AgentState.store`` is a view. Expiry is one search of ``expires_at``, in
+row-major order (agent ID, then color): the order of the Forget events.
 
 Sensing is one numpy pass over agents x live targets: Chebyshev distances
 in the narrowest signed dtype that holds the board's largest coordinate
@@ -24,22 +23,17 @@ over the color segments for the nearest distance per agent and color, and
 from it the mask of colors within the sense radius. The live targets are
 ordered by ID within each color segment.
 
-An agent's :class:`KnowledgeStore` is the only record of what it knows;
-the mask and expiry arrays are its mirror. Every agent tree is the canonical
-tree of its known colors, so ``AgentState.tree`` is read from ``TREES``, the
-16 canonical trees built once per process. The tick is memoryless, so an
-intent is a pure function of (known mask, seen mask): ``INTENT_TABLE`` holds
-it for all 16 x 16 pairs, built by ticking the 16 trees, so the
-behavior-tree semantics stay the source of truth.
+Every agent tree is the canonical tree of its known colors, so
+``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
+once per process. The tick is memoryless, so an intent is a pure function of
+(known mask, seen mask): ``INTENT_TABLE`` holds it for all 16 x 16 pairs,
+built by ticking the 16 trees, so the behavior-tree semantics stay the
+source of truth.
 
-Only Collect and Query agents are handled one by one, in ID order. A
-Collect agent finds its nearest live target of its color (ties to the
-lowest ID) on its own row of the sense matrix, which still holds: it has not
-moved since the sense pass, and a capture only marks the target dead, so
-the live-target arrays are compacted once, at the end of the step. If a
-lower-ID agent took that target earlier in the step, the search runs again
-without the dead targets. The agent takes the target under it, steps toward
-one within the sense radius, or stands still.
+Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
+rows of the sense matrix: none has moved since the sense pass, and the
+live-target arrays are compacted only at the end of the step. Query agents
+past their cooldown emit queries in ID order.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
@@ -63,7 +57,7 @@ from . import events as ev
 from . import metrics, protocol
 from .bt import COLORS, Blackboard, Collect, Color, Query, Selector, assemble_agent_tree, tick
 from .bt import prune  # noqa: F401  (bench/tracing.py patches arena.prune)
-from .knowledge import KnowledgeStore
+from .knowledge import Knowledge, KnowledgeStore
 from .protocol import QueryMessage
 from .rng import SplitMix64
 
@@ -73,7 +67,6 @@ if TYPE_CHECKING:
 # Distance reported for a color with no live target: beyond every board.
 # An int64 scalar, so that np.where over a narrow row widens rather than wraps.
 _FAR = np.int64(np.iinfo(np.int64).max)
-_NEVER = np.iinfo(np.int64).max  # next expiry of a store with no learned skill
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 # Intent codes: 0..3 collect that color, then query and explore.
@@ -121,27 +114,13 @@ class RobotType(Enum):
 
     @property
     def innate_colors(self) -> tuple[Color, ...]:
-        return _INNATE[self]
-
-
-_INNATE = {
-    RobotType.IGNORANT: (),
-    RobotType.MASTER: COLORS,
-    RobotType.RED: (Color.RED,),
-    RobotType.GREEN: (Color.GREEN,),
-    RobotType.YELLOW: (Color.YELLOW,),
-    RobotType.BLUE: (Color.BLUE,),
-}
+        """Every color for a master, none for the ignorant, else its own."""
+        if self is RobotType.MASTER:
+            return COLORS
+        return () if self is RobotType.IGNORANT else (Color[self.name],)
 
 # Order of the robot-count tuple in scenario configs.
-ROBOT_ORDER = (
-    RobotType.IGNORANT,
-    RobotType.MASTER,
-    RobotType.RED,
-    RobotType.GREEN,
-    RobotType.YELLOW,
-    RobotType.BLUE,
-)
+ROBOT_ORDER = tuple(RobotType)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,18 +132,25 @@ class Target:
 
 
 class AgentState:
-    """One agent; its position is read from the arena's position arrays."""
+    """One agent: a view of its entries in the arena's arrays."""
 
-    __slots__ = ("id", "robot_type", "store", "cooldown_until", "_xs", "_ys")
+    __slots__ = ("id", "robot_type", "store", "_xs", "_ys", "_cooldown")
 
     def __init__(self, agent_id: int, robot_type: RobotType, store: KnowledgeStore,
-                 xs: np.ndarray, ys: np.ndarray):
+                 xs: np.ndarray, ys: np.ndarray, cooldown: np.ndarray):
         self.id = agent_id
         self.robot_type = robot_type
         self.store = store
-        self.cooldown_until = 0
-        self._xs = xs
-        self._ys = ys
+        self._xs, self._ys, self._cooldown = xs, ys, cooldown
+
+    @property
+    def cooldown_until(self) -> int:
+        """The first iteration at which the agent may query again."""
+        return int(self._cooldown[self.id])
+
+    @cooldown_until.setter
+    def cooldown_until(self, until: int) -> None:
+        self._cooldown[self.id] = until
 
     @property
     def tree(self) -> Selector:
@@ -214,18 +200,13 @@ class Arena:
     order and the draw-order contract."""
 
     def __init__(self, config: "ScenarioConfig", seed: int):
+        self._start(config, seed)
         width, height = config.grid
         total_targets = config.targets_per_color * len(COLORS)
         if total_targets > width * height:
             raise SetupError(
                 f"{total_targets} targets do not fit on a {width}x{height} grid"
             )
-        self.config = config
-        self.width = width
-        self.height = height
-        self.rng = SplitMix64(seed)
-        self.seed = seed
-
         cells = width * height
         occupied: set[tuple[int, int]] = set()
         cat_color: list[Color] = []
@@ -263,12 +244,8 @@ class Arena:
         Targets are reordered color-major; agent IDs follow the given order.
         """
         arena = cls.__new__(cls)
+        arena._start(config, seed)
         width, height = config.grid
-        arena.config = config
-        arena.width = width
-        arena.height = height
-        arena.rng = SplitMix64(seed)
-        arena.seed = seed
         spec = sorted(targets, key=lambda item: item[0])
         cells = set()
         for color, x, y in spec:
@@ -287,6 +264,11 @@ class Arena:
         )
         return arena
 
+    def _start(self, config: "ScenarioConfig", seed: int) -> None:
+        self.config = config
+        self.width, self.height = config.grid
+        self.rng = SplitMix64(seed)
+
     def _finish_init(self, cat_color, cat_x, cat_y, agents) -> None:
         n_targets = len(cat_color)
         # Positions and distances use the narrowest signed dtype that holds
@@ -295,9 +277,7 @@ class Arena:
         span = max(self.width, self.height) - 1
         dtype = next(t for t in (np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
-        self._cat_color = cat_color
-        self._cat_x = cat_x
-        self._cat_y = cat_y
+        self._cat_color, self._cat_x, self._cat_y = cat_color, cat_x, cat_y
         self._alive = np.ones(n_targets, bool)
         self._live_ids = np.arange(n_targets)
         self._live_x = np.array(cat_x, dtype=dtype)
@@ -312,14 +292,16 @@ class Arena:
 
         self._x = np.array([x for _, x, _ in agents], dtype=dtype)
         self._y = np.array([y for _, _, y in agents], dtype=dtype)
-        self.agents: list[AgentState] = []
-        for robot_type, _, _ in agents:
-            store = KnowledgeStore(robot_type.innate_colors, capacity=self.config.memory_size)
-            self.agents.append(AgentState(len(self.agents), robot_type, store,
-                                          self._x, self._y))
-        # Innate skills only so far: nothing expires yet.
-        self._known = np.array([a.store.known_mask() for a in self.agents], np.int64)
-        self._expiry = np.full(len(agents), _NEVER, np.int64)
+        self._cooldown = np.zeros(len(agents), np.int64)
+        self.knowledge = Knowledge(
+            [sum(1 << c for c in robot_type.innate_colors) for robot_type, _, _ in agents],
+            self.config.memory_size,
+        )
+        self.agents = [
+            AgentState(i, robot_type, KnowledgeStore(table=self.knowledge, row=i),
+                       self._x, self._y, self._cooldown)
+            for i, (robot_type, _, _) in enumerate(agents)
+        ]
         # Edge class of each column and row (see _moves_by_class).
         xs = np.arange(self.width)
         ys = np.arange(self.height)
@@ -334,23 +316,13 @@ class Arena:
         self.capture_counts = [0, 0, 0, 0]
         self.initial_total = n_targets
         self.alive_count = n_targets
-        self.queries_sent = 0
-        self.deliveries = 0
-        self.forgets = 0
-        self.rejects_full = 0
+        self.queries_sent = self.deliveries = self.forgets = self.rejects_full = 0
 
     def _reseg(self) -> None:
         bounds = np.searchsorted(self._live_color, (0, 1, 2, 3, 4)).tolist()
         self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
         self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
         self._starts = [bounds[c] for c in self._present]
-
-    def _sync(self, agent: AgentState) -> None:
-        """Copy the agent's known mask and next expiry from its store."""
-        store = agent.store
-        self._known[agent.id] = store.known_mask()
-        expiry = store.next_expiry()
-        self._expiry[agent.id] = _NEVER if expiry is None else expiry
 
     # --- queries about state ------------------------------------------------
 
@@ -392,29 +364,20 @@ class Arena:
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
         nearest_d = np.minimum.reduceat(dist, self._starts, axis=1)
-        if len(self._present) < 4:
-            nearest_d = self._by_color(nearest_d, _FAR)
+        if len(self._present) < 4:  # widen to all 4 colors, _FAR for the absent
+            nearest_d, present = np.full((n, 4), _FAR, np.int64), nearest_d
+            nearest_d[:, self._present] = present
         seen = np.packbits(nearest_d <= self._radius, axis=1, bitorder="little")[:, 0]
         return nearest_d, seen, dist
 
     def _nearest(self, dist_row: np.ndarray, color: int) -> tuple[int, int]:
-        """Live-array index and distance of the nearest live target of
-        ``color`` on an agent's row of the sense matrix, ties to the lowest
-        ID. The color must have a target in the live arrays."""
+        """Live-array index and distance of the nearest target of ``color``
+        not captured this step, on an agent's row of the sense matrix, ties
+        to the lowest ID. The color must have a target in the live arrays."""
         s, e = self._seg[color]
-        row = dist_row[s:e]
+        row = np.where(self._alive[self._live_ids[s:e]], dist_row[s:e], _FAR)
         j = int(row.argmin())  # first minimum = lowest target ID
-        if not self._alive[self._live_ids[s + j]]:
-            # A lower-ID agent took it earlier this step.
-            row = np.where(self._alive[self._live_ids[s:e]], row, _FAR)
-            j = int(row.argmin())
         return s + j, int(row[j])
-
-    def _by_color(self, per_segment: np.ndarray, absent: int) -> np.ndarray:
-        """Widen rows x present-colors to rows x 4, ``absent`` elsewhere."""
-        out = np.full((len(per_segment), 4), absent, np.int64)
-        out[:, self._present] = per_segment
-        return out
 
     # --- stepping -------------------------------------------------------------
 
@@ -429,34 +392,26 @@ class Arena:
         # entry expiring this iteration can still answer).
         if self.pending and cfg.learning_enabled:
             mark = len(self.events)
-            deliveries = protocol.resolve_and_deliver(
+            protocol.resolve_and_deliver(
                 self.pending, agents, now, cfg.comm_radius,
                 cfg.memory_duration, cfg.capacity_policy, self.events,
-                self._x, self._y, self._known,
+                self._x, self._y, self.knowledge.known,
             )
-            for delivery in deliveries:
-                self._sync(agents[delivery.querier])
-            for record in self.events[mark:]:
-                if record.kind == ev.DELIVERY:
-                    self.deliveries += 1
-                elif record.kind == ev.REJECT:
-                    self.rejects_full += 1
-                else:  # capacity eviction
-                    self.forgets += 1
+            kinds = [record.kind for record in self.events[mark:]]
+            self.deliveries += kinds.count(ev.DELIVERY)
+            self.rejects_full += kinds.count(ev.REJECT)
+            self.forgets += kinds.count(ev.FORGET)  # capacity evictions
 
-        # Phase 2: expiry sweep over the agents with a skill due.
-        for i in (self._expiry <= now).nonzero()[0].tolist():
-            agent = agents[i]
-            removed = agent.store.forget_expired(now)
-            self.events.extend(ev.EventRecord(now, ev.FORGET, i, color) for color in removed)
-            self.forgets += len(removed)
-            self._sync(agent)
+        # Phase 2: expire the learned skills that are due.
+        expired = self.knowledge.expire(now)
+        self.events.extend(ev.EventRecord(now, ev.FORGET, i, COLORS[c]) for i, c in zip(*expired))
+        self.forgets += len(expired[0])
 
         # Phase 3: sense.
         nearest_d, seen, dist = self._sense_all()
 
         # Phase 4: intents. Explorers move at once, on one batch of draws.
-        intents = INTENT_TABLE[self._known, seen]
+        intents = INTENT_TABLE[self.knowledge.known, seen]
         explorers = (intents == _EXPLORE).nonzero()[0]
         if explorers.size:
             cls = self._x_class[self._x[explorers]] + self._y_class[self._y[explorers]]
@@ -464,22 +419,18 @@ class Arena:
             self._x[explorers] += _MOVE_DX[cls, draws]
             self._y[explorers] += _MOVE_DY[cls, draws]
 
-        # Phase 5: Query and Collect agents, one by one in ID order.
-        new_queries = []
-        busy = (intents != _EXPLORE).nonzero()[0]
-        for i, code, d_row, seen_mask in zip(
-            busy.tolist(), intents[busy].tolist(), nearest_d[busy].tolist(), seen[busy].tolist(),
-        ):
-            agent = agents[i]
-            if code != _QUERY:
-                self._execute_intent(agent, code, dist[i])
-            elif now >= agent.cooldown_until:
-                message = protocol.emit_query(agent, d_row, seen_mask, now, cfg.query_cooldown)
-                if message is not None:
-                    new_queries.append(message)
-                    self.queries_sent += 1
-            # A Query agent awaiting an answer stands still.
-        self.pending = new_queries
+        # Phase 5: Collect agents as one batch; Query agents past their
+        # cooldown emit in ID order; every Query agent stands still.
+        collectors = (intents < _QUERY).nonzero()[0]
+        if collectors.size:
+            self._execute_intent(collectors, intents[collectors], nearest_d, dist)
+        askers = ((intents == _QUERY) & (self._cooldown <= now)).nonzero()[0]
+        self.pending = [
+            protocol.emit_query(agents[i], d_row, seen_mask, now, cfg.query_cooldown)
+            for i, d_row, seen_mask in zip(
+                askers.tolist(), nearest_d[askers].tolist(), seen[askers].tolist())
+        ]
+        self.queries_sent += len(self.pending)
         if len(self._live_ids) != self.alive_count:
             self._compact()
 
@@ -493,26 +444,41 @@ class Arena:
                 f"!= {self.initial_total} placed"
             )
 
-    def _execute_intent(self, agent: AgentState, color: int, dist_row: np.ndarray) -> None:
-        """Collect ``color``: take the nearest live target if it lies under
-        the agent, else step toward it if it is within the sense radius."""
-        k, distance = self._nearest(dist_row, color)
-        if distance > self._radius:
-            return
-        if distance == 0:
-            self._capture(int(self._live_ids[k]), agent)
-            return
-        dx = int(self._live_x[k]) - agent.x
-        dy = int(self._live_y[k]) - agent.y
-        self._x[agent.id] += (dx > 0) - (dx < 0)
-        self._y[agent.id] += (dy > 0) - (dy < 0)
+    def _execute_intent(self, rows: np.ndarray, colors: np.ndarray,
+                        nearest_d: np.ndarray, dist: np.ndarray) -> None:
+        """Collect, for the agents ``rows`` (ascending IDs) with the intents
+        ``colors``, from this step's sense pass: each takes the nearest live
+        target of its color (ties to the lowest ID) if it lies under it, the
+        lowest ID winning a contested target, or steps toward it. Only an
+        agent whose target a lower ID took searches again, and never finds a
+        target under it: no two targets share a cell."""
+        d = nearest_d[rows, colors]
+        k = np.empty(len(rows), np.intp)  # live index of each row's target
+        for c in set(colors.tolist()):
+            s, e = self._seg[c]
+            of_c = colors == c
+            k[of_c] = dist[rows[of_c], s:e].argmin(axis=1) + s  # first minimum = lowest ID
+        if not d.all():
+            taken = set()  # in ID order, so by lower IDs at each row
+            tids = self._live_ids[k].tolist()
+            for p, i, t, dt in zip(range(len(k)), rows.tolist(), tids, d.tolist()):
+                if t in taken:
+                    k[p], dt = self._nearest(dist[i], int(colors[p]))
+                    d[p] = dt if dt <= self._radius else 0
+                elif dt == 0:
+                    taken.add(t)
+                    self._capture(t, i)
+        step = d > 0
+        movers, toward = rows[step], k[step]
+        self._x[movers] += np.sign(self._live_x[toward] - self._x[movers])
+        self._y[movers] += np.sign(self._live_y[toward] - self._y[movers])
 
-    def _capture(self, target_id: int, agent: AgentState) -> None:
+    def _capture(self, target_id: int, agent_id: int) -> None:
         color = self._cat_color[target_id]
         self._alive[target_id] = False
         self.alive_count -= 1
         self.capture_counts[color] += 1
-        self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent.id, color))
+        self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent_id, color))
 
     def _compact(self) -> None:
         """Drop the targets captured this step from the live arrays."""

@@ -1,13 +1,26 @@
-"""Per-agent skill store: innate vs learned entries, expiry, and a capacity
-bound on how many learned skills can be held at once."""
+"""Skills of a population as agents x colors arrays: innate vs learned
+skills, expiry, and a capacity bound on learned skills per agent.
+
+Per agent, :class:`Knowledge` holds the 4-bit innate mask, ``learned_at``
+and ``expires_at`` per color (``NEVER`` for an absent or innate color), and
+the known mask (bit c for color c): the innate plus the learned colors,
+updated by every write to the row. A :class:`KnowledgeStore` views one row."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .bt import COLORS, Color
+
+NEVER = np.iinfo(np.int64).max  # learned_at and expires_at of an absent or innate color
+
+# Number of colors, and the colors in canonical order, of each 4-bit mask.
+POPCOUNT = np.array([mask.bit_count() for mask in range(16)], np.int64)
+COLORS_OF = tuple(tuple(c for c in COLORS if mask >> c & 1) for mask in range(16))
 
 
 class CapacityPolicy(Enum):
@@ -40,97 +53,104 @@ class KnowledgeEntry:
         return self.learned_at is None
 
 
-# Known-color tuple (canonical order) -> 4-bit mask, bit c for color c.
-_MASKS = {tuple(c for c in COLORS if mask >> c & 1): mask for mask in range(16)}
+class Knowledge:
+    """The skills of agents ``0..n-1``, each holding at most ``capacity``
+    learned ones (None = unlimited); innate skills never expire or leave."""
 
+    __slots__ = ("capacity", "innate", "known", "learned_at", "expires_at", "next_expiry")
 
-class KnowledgeStore:
-    """At most one entry per color. ``capacity`` bounds learned entries only
-    (None = unlimited); innate entries never expire and are never evicted."""
-
-    __slots__ = ("entries", "capacity", "_known", "_mask", "_next_expiry")
-
-    def __init__(self, innate: Iterable[Color] = (), capacity: Optional[int] = None):
+    def __init__(self, innate: Sequence[int], capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 or None")
         self.capacity = capacity
-        self.entries: dict[Color, KnowledgeEntry] = {
-            c: KnowledgeEntry(c) for c in sorted(set(innate))
-        }
-        self._known: tuple[Color, ...] = tuple(self.entries)
-        self._mask = _MASKS[self._known]
-        self._next_expiry: Optional[int] = None
+        self.innate = np.array(innate, np.int64)
+        self.known = self.innate.copy()
+        self.learned_at = np.full((len(self.innate), len(COLORS)), NEVER, np.int64)
+        self.expires_at = self.learned_at.copy()
+        self.next_expiry = NEVER  # at most the smallest expires_at
 
-    def _refresh_caches(self) -> None:
-        self._known = tuple(sorted(self.entries))
-        self._mask = _MASKS[self._known]
-        expiries = [e.expires_at for e in self.entries.values() if e.expires_at is not None]
-        self._next_expiry = min(expiries) if expiries else None
+    def expire(self, now: int, first: int = 0, stop: Optional[int] = None) -> tuple[list, list]:
+        """Drop the learned skills of agents ``first..stop-1`` with
+        ``expires_at <= now``; returns their agent IDs and colors, in
+        ascending agent ID and then canonical color order."""
+        if now < self.next_expiry:
+            return [], []
+        agents, colors = np.nonzero(self.expires_at[first:stop] <= now)
+        agents += first
+        self.learned_at[agents, colors] = self.expires_at[agents, colors] = NEVER
+        np.bitwise_and.at(self.known, agents, ~(1 << colors))
+        self.next_expiry = int(self.expires_at.min())
+        return agents.tolist(), colors.tolist()
+
+
+class KnowledgeStore:
+    """One agent's skills: the view of row ``row`` of ``table``, or without
+    a table, a population of one with the given innate colors."""
+
+    __slots__ = ("table", "row")
+
+    def __init__(self, innate: Iterable[Color] = (), capacity: Optional[int] = None,
+                 table: Optional[Knowledge] = None, row: int = 0):
+        self.table, self.row = table or Knowledge([sum(1 << c for c in {*innate})], capacity), row
+
+    @property
+    def entries(self) -> dict[Color, KnowledgeEntry]:
+        """One entry per known color, in canonical order."""
+        learned = self.table.learned_at[self.row].tolist()
+        expires = self.table.expires_at[self.row].tolist()
+        return {c: KnowledgeEntry(c) if learned[c] == NEVER
+                else KnowledgeEntry(c, learned[c], expires[c]) for c in self.known_colors()}
 
     def knows(self, color: Color) -> bool:
-        return color in self.entries
+        return bool(self.known_mask() >> color & 1)
 
     def known_colors(self) -> tuple[Color, ...]:
-        return self._known
+        return COLORS_OF[self.known_mask()]
 
     def known_mask(self) -> int:
         """The known colors as a 4-bit mask, bit ``c`` for color ``c``."""
-        return self._mask
-
-    def next_expiry(self) -> Optional[int]:
-        """Earliest ``expires_at`` of the learned entries; None if none expire."""
-        return self._next_expiry
+        return int(self.table.known[self.row])
 
     def learned_count(self) -> int:
-        return sum(1 for e in self.entries.values() if not e.innate)
+        return (self.known_mask() & ~int(self.table.innate[self.row])).bit_count()
 
-    def learn(
-        self,
-        color: Color,
-        now: int,
-        duration: int,
-        policy: CapacityPolicy = CapacityPolicy.REJECT_WHEN_FULL,
-    ) -> LearnResult:
-        """Merge one taught skill; full stores reject or evict per policy."""
+    def learn(self, color: Color, now: int, duration: int,
+              policy: CapacityPolicy = CapacityPolicy.REJECT_WHEN_FULL) -> LearnResult:
+        """Merge one taught skill; full stores reject or evict per policy.
+        The eviction victim is the learned color with the smallest
+        ``learned_at``, ties to the canonical color order."""
         if duration < 1:
             raise ValueError("duration must be >= 1")
-        entry = self.entries.get(color)
-        if entry is not None and entry.innate:
+        table, row, bit = self.table, self.row, 1 << color
+        known = int(table.known[row])
+        learned = known & ~int(table.innate[row])
+        victim = None
+        if known & ~learned & bit:
             return LearnResult(LearnOutcome.ALREADY_INNATE)
-        if entry is not None:
+        if learned & bit:
             # Re-learning restamps the entry so expires_at stays learned_at + duration.
-            self.entries[color] = KnowledgeEntry(color, now, now + duration)
-            self._refresh_caches()
-            return LearnResult(LearnOutcome.REFRESHED)
-        if self.capacity is None or self.learned_count() < self.capacity:
-            self.entries[color] = KnowledgeEntry(color, now, now + duration)
-            self._refresh_caches()
-            return LearnResult(LearnOutcome.MERGED)
-        if policy is CapacityPolicy.REJECT_WHEN_FULL:
+            outcome = LearnOutcome.REFRESHED
+        elif table.capacity is None or learned.bit_count() < table.capacity:
+            outcome = LearnOutcome.MERGED
+        elif policy is CapacityPolicy.REJECT_WHEN_FULL:
             return LearnResult(LearnOutcome.REJECTED_FULL)
-        victim = min(
-            (e for e in self.entries.values() if not e.innate),
-            key=lambda e: (e.learned_at, e.color),
-        ).color
-        del self.entries[victim]
-        self.entries[color] = KnowledgeEntry(color, now, now + duration)
-        self._refresh_caches()
-        return LearnResult(LearnOutcome.EVICTED, victim)
+        else:
+            # Innate and absent colors hold NEVER: the first minimum is the
+            # oldest learned color.
+            outcome, times = LearnOutcome.EVICTED, table.learned_at[row].tolist()
+            victim = COLORS[times.index(min(times))]
+            table.learned_at[row, victim] = table.expires_at[row, victim] = NEVER
+            known &= ~(1 << victim)
+        table.learned_at[row, color] = now
+        table.expires_at[row, color] = now + duration
+        table.next_expiry = min(table.next_expiry, now + duration)
+        table.known[row] = known | bit
+        return LearnResult(outcome, victim)
 
     def forget_expired(self, now: int) -> list[Color]:
         """Drop learned entries with expires_at <= now; returns them in
         canonical color order. Innate entries are untouched."""
-        if self._next_expiry is None or now < self._next_expiry:
-            return []
-        removed = sorted(
-            c
-            for c, e in self.entries.items()
-            if e.expires_at is not None and e.expires_at <= now
-        )
-        for color in removed:
-            del self.entries[color]
-        self._refresh_caches()
-        return removed
+        return [COLORS[c] for c in self.table.expire(now, self.row, self.row + 1)[1]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,11 +172,8 @@ class KnowledgeCensus:
 
 
 def census(stores: Iterable[KnowledgeStore]) -> KnowledgeCensus:
-    stores = list(stores)
-    if not stores:
+    masks = [store.known_mask() for store in stores]
+    if not masks:
         raise ValueError("census requires at least one store")
-    counts = [0, 0, 0, 0]
-    for store in stores:
-        for color in store.entries:
-            counts[color] += 1
-    return KnowledgeCensus(*counts, max_possible=len(stores) * len(COLORS))
+    counts = [sum(mask >> c & 1 for mask in masks) for c in COLORS]
+    return KnowledgeCensus(*counts, max_possible=len(masks) * len(COLORS))

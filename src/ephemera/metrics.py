@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bt import Color
-from .knowledge import KnowledgeCensus, census
+from .bt import COLORS, Color
+from .knowledge import POPCOUNT, KnowledgeCensus
 
 CSV_HEADER = "trial,t,knowledge_pct,cap_total,cap_r,cap_g,cap_y,cap_b,queries,deliveries,forgets,rejects"
 AGGREGATE_HEADER = "t,mean_knowledge_pct,min,max,mean_cap_total,min,max"
@@ -62,12 +62,12 @@ def knowledge_percent(group: KnowledgeCensus) -> float:
 
 def snapshot(arena, trial: int) -> MetricsSnapshot:
     """Freeze the arena's observable state at this instant."""
-    group = census([agent.store for agent in arena.agents])
+    known = arena.knowledge.known  # knowledge_percent of their census, by popcount
     counts = arena.capture_counts
     return MetricsSnapshot(
         trial=trial,
         t=arena.t,
-        knowledge_percent=knowledge_percent(group),
+        knowledge_percent=int(POPCOUNT[known].sum()) * 100 / (len(known) * len(COLORS)),
         captured_total=sum(counts),
         captured_red=counts[Color.RED],
         captured_green=counts[Color.GREEN],

@@ -3,6 +3,8 @@ inputs always produce identical bytes."""
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +26,11 @@ class PlotSeries:
     ys: Sequence[float]
 
 
+# What XML 1.0 cannot carry even escaped: C0 controls but tab, LF and CR,
+# lone surrogates, and U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -43,13 +50,21 @@ def render_plot(
 ) -> None:
     """One polyline per series on linear axes covering the data range, with
     five gridlines per axis, a legend of series names, and a title. Names,
-    title and labels are written as XML-escaped text."""
+    title and labels are written as XML-escaped text. A non-finite value, or
+    text that XML 1.0 cannot carry, raises ValueError before any write."""
     series = list(series)
     if not series:
         raise ValueError("render_plot needs at least one series")
     for s in series:
         if not s.xs or len(s.xs) != len(s.ys):
             raise ValueError(f"series {s.name!r} is empty or ragged")
+        if not all(map(math.isfinite, [*s.xs, *s.ys])):
+            raise ValueError(f"series {s.name!r} holds a NaN or infinite value")
+    for field, text in [("title", title), ("x_label", x_label), ("y_label", y_label),
+                        *(("series name", s.name) for s in series)]:
+        if bad := _NOT_XML.search(text):
+            raise ValueError(f"{field} {text!r} holds U+{ord(bad[0]):04X}, "
+                             "which XML 1.0 cannot carry")
 
     xmin = min(min(s.xs) for s in series)
     xmax = max(max(s.xs) for s in series)

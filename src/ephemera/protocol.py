@@ -20,7 +20,7 @@ import numpy as np
 from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
-from .knowledge import CapacityPolicy, LearnOutcome
+from .knowledge import COLORS_OF, CapacityPolicy, LearnOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +76,7 @@ def emit_query(agent, nearest_d, seen: int, now: int,
     unknown = seen & ~agent.store.known_mask()
     if not unknown:
         return None
-    color = min((c for c in COLORS if unknown >> c & 1), key=lambda c: nearest_d[c])
+    color = min(COLORS_OF[unknown], key=nearest_d.__getitem__)
     agent.cooldown_until = now + query_cooldown
     return QueryMessage(agent.id, color, now)
 
@@ -143,7 +143,8 @@ def resolve_and_deliver(
 
     ``xs``, ``ys`` and ``known`` are the agents' positions and known-color
     masks as numpy arrays indexed by ID; ``known`` is updated in place as
-    queriers learn or evict.
+    queriers learn or evict, if it is not already the array their stores
+    write.
     """
     deliveries: list[Delivery] = []
     messages = sorted(pending, key=lambda m: m.querier)
@@ -158,13 +159,13 @@ def resolve_and_deliver(
     lapse = min(comm_radius, _MAX_REACH) + 1
     # Every query's answer from the knowledge at the start of the pass, as
     # (distance, responder); kept current below as queriers learn or evict.
-    dist = np.maximum(np.abs(xs[knowers] - xs[queriers, None]),
-                      np.abs(ys[knowers] - ys[queriers, None]))
+    qx, qy = xs[queriers], ys[queriers]
+    dist = np.maximum(np.abs(xs[knowers] - qx[:, None]), np.abs(ys[knowers] - qy[:, None]))
     can_answer = ((known[knowers] & bits[:, None]) != 0) & (knowers != queriers[:, None])
     reach = np.where(can_answer, dist, lapse)
     first = reach.argmin(axis=1)  # first minimum = lowest ID
-    answers = list(zip(reach[np.arange(len(messages)), first].tolist(),
-                       knowers[first].tolist()))
+    answers = list(zip(reach.min(axis=1).tolist(), knowers[first].tolist()))
+    qx, qy = qx.tolist(), qy.tolist()
     for r, message in enumerate(messages):
         best_d, best_id = answers[r]
         if best_d >= lapse:
@@ -172,9 +173,10 @@ def resolve_and_deliver(
         q, color = message.querier, message.color
         querier = agents[q]
         payload = _PAYLOADS[color]
+        old = int(known[q])
         merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
         deliveries.append(Delivery(q, best_id, payload, now))
-        old, mask = int(known[q]), querier.store.known_mask()
+        mask = querier.store.known_mask()
         if mask == old:
             continue
         known[q] = mask
@@ -182,8 +184,7 @@ def resolve_and_deliver(
             other = messages[s]
             bit = 1 << other.color
             if mask & bit and other.querier != q:  # q can now answer it
-                d = max(abs(int(xs[q]) - int(xs[other.querier])),
-                        abs(int(ys[q]) - int(ys[other.querier])))
+                d = max(abs(qx[r] - qx[s]), abs(qy[r] - qy[s]))
                 answers[s] = min(answers[s], (d, q))
             elif old & bit and answers[s][1] == q:  # q was its responder
                 answers[s] = _nearest_knower(xs, ys, known, other, lapse)

@@ -43,6 +43,7 @@ def mean(xs):
     return sum(xs) / len(xs)
 
 
+@pytest.mark.slow
 def test_criterion_01_eq1_exactness(scenario_cache):
     with criterion(1, "Eq. 1 exactness"):
         for name in ("T1K", "T20K", "M1", "NL"):
@@ -73,6 +74,7 @@ def test_criterion_02_table_fidelity():
         assert scenarios["NL"].learning_enabled is False
 
 
+@pytest.mark.slow
 def test_criterion_03_duration_trend(scenario_cache):
     from scipy.stats import spearmanr
 
@@ -85,6 +87,7 @@ def test_criterion_03_duration_trend(scenario_cache):
         assert rho > 0
 
 
+@pytest.mark.slow
 def test_criterion_04_size_trend(scenario_cache):
     with criterion(4, "memory size trend"):
         totals = {f"M{i}": final_totals(scenario_cache(f"M{i}")) for i in (1, 2, 3, 4)}
@@ -98,6 +101,7 @@ def test_criterion_04_size_trend(scenario_cache):
             )
 
 
+@pytest.mark.slow
 def test_criterion_05_hierarchy(scenario_cache):
     with criterion(5, "NL <= ephemeral <= BL hierarchy"):
         nl = mean(final_totals(scenario_cache("NL")))
@@ -108,6 +112,7 @@ def test_criterion_05_hierarchy(scenario_cache):
             assert nl <= t_mean <= bl, f"{name} mean {t_mean} breaks NL({nl}) <= T <= BL({bl})"
 
 
+@pytest.mark.slow
 def test_criterion_06_knowledge_monotonicity(scenario_cache):
     with criterion(6, "monotone knowledge under T20K, decay under T1K"):
         for result in scenario_cache("T20K"):
@@ -124,6 +129,7 @@ def test_criterion_06_knowledge_monotonicity(scenario_cache):
         assert decays >= 8
 
 
+@pytest.mark.slow
 def test_criterion_07_conservation_and_monotonicity(scenario_cache):
     with criterion(7, "conservation and counter monotonicity"):
         # captured + alive == 100 is asserted inside Arena.step at every
@@ -146,6 +152,7 @@ def test_criterion_07_conservation_and_monotonicity(scenario_cache):
                     assert b.rejects_full >= a.rejects_full
 
 
+@pytest.mark.slow
 def test_criterion_08_determinism(tmp_path):
     with criterion(8, "byte-identical reruns, serial == parallel"):
         def run(out_dir, *extra):
@@ -200,6 +207,7 @@ def _replay_percent(config, event_lines, snapshot_ts):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_09_oracle_equivalence(scenario_cache, tmp_path):
     with criterion(9, "event-log replay and census oracles"):
         cfg = get_scenario("T5K")

@@ -122,22 +122,22 @@ def test_sense_radius_boundary_inclusive(make_config):
     assert seen >> Color.RED & 1         # distance exactly 4
     assert not seen >> Color.BLUE & 1    # distance 5
     assert nearest_d[Color.RED] == 4
-    assert INTENT_TABLE[arena._known[0], seen] == Color.RED
+    assert INTENT_TABLE[arena.knowledge.known[0], seen] == Color.RED
 
 
 def test_sense_empty_perception(make_config):
     arena = layout(make_config, targets=[(Color.RED, 30, 30)], agents=[(I, 0, 0)])
     _, _, seen = sense_one(arena)
     assert seen == 0
-    assert INTENT_TABLE[arena._known[0], seen] == _EXPLORE
+    assert INTENT_TABLE[arena.knowledge.known[0], seen] == _EXPLORE
 
 
 def test_ignorant_robot_sees_unknown(make_config):
     arena = layout(make_config, targets=[(Color.RED, 2, 0)], agents=[(I, 0, 0), (M, 1, 0)])
     _, seen, _ = arena._sense_all()
-    unknown = seen & ~arena._known
+    unknown = seen & ~arena.knowledge.known
     assert unknown.tolist() == [1 << Color.RED, 0]
-    assert INTENT_TABLE[arena._known, seen].tolist() == [_QUERY, Color.RED]
+    assert INTENT_TABLE[arena.knowledge.known, seen].tolist() == [_QUERY, Color.RED]
 
 
 def test_sense_groups_by_color_and_orders_by_id(make_config):
@@ -213,9 +213,9 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
         targets=[(Color.RED, 5, 5), (Color.RED, 8, 5), (Color.RED, 2, 5), (Color.BLUE, 5, 6)],
         agents=[(M, 5, 5), (M, 6, 5), (I, 4, 4)],
     )
-    _, _, dist = arena._sense_all()
+    nearest_d, _, dist = arena._sense_all()
     assert [arena._nearest(dist[i], Color.RED)[0] for i in range(3)] == [0, 0, 0]
-    arena._execute_intent(arena.agents[0], Color.RED, dist[0])
+    arena._execute_intent(np.array([0]), np.array([Color.RED]), nearest_d, dist)
     assert arena.capture_counts[Color.RED] == 1 and len(arena._live_ids) == 4
     assert_search_matches_brute_force(arena, dist)
     assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
@@ -488,6 +488,78 @@ def test_event_lines_round_trip(make_config):
         assert ev.parse_event_line(record.line()) == record
 
 
+# --- batched Collect against the per-agent reference ---------------------------
+
+class PerAgentCollectArena(Arena):
+    """The Collect phase as it ran before it was batched: each Collect agent,
+    in ID order, searches its own sense row for the nearest live target of
+    its color (lowest ID on ties), searching again without the targets that
+    lower IDs took earlier in the step; it takes a target under it, steps
+    toward one within the sense radius, or stands still."""
+
+    def _execute_intent(self, rows, colors, nearest_d, dist):
+        for i, color in zip(rows.tolist(), colors.tolist()):
+            s, e = self._seg[color]
+            row = dist[i, s:e]
+            j = int(row.argmin())
+            if not self._alive[self._live_ids[s + j]]:
+                row = np.where(self._alive[self._live_ids[s:e]], row, _FAR)
+                j = int(row.argmin())
+            k, distance = s + j, int(row[j])
+            if distance > self._radius:
+                continue
+            if distance == 0:
+                self._capture(int(self._live_ids[k]), i)
+                continue
+            dx = int(self._live_x[k]) - int(self._x[i])
+            dy = int(self._live_y[k]) - int(self._y[i])
+            self._x[i] += (dx > 0) - (dx < 0)
+            self._y[i] += (dy > 0) - (dy < 0)
+
+
+@st.composite
+def crowded_boards(draw):
+    """Small dense boards: agents stacked on a few cells, most of them
+    masters, so targets are contested and often equidistant."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    spots = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6, unique=True))
+    target_cells = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells),
+                                 unique=True))
+    targets = [(draw(st.sampled_from(COLORS)), x, y) for x, y in target_cells]
+    robot = st.sampled_from([M, M, M, RobotType.RED, RobotType.BLUE, I])
+    agents = draw(st.lists(st.tuples(robot, st.sampled_from(spots)), min_size=1, max_size=12))
+    config = ScenarioConfig(
+        name="crowded", grid=(width, height), targets_per_color=0,
+        robot_counts=(1, 0, 0, 0, 0, 0), memory_duration=draw(st.integers(1, 6)),
+        learning_enabled=draw(st.booleans()), max_iterations=draw(st.integers(1, 25)),
+        sense_radius=draw(st.integers(0, 4)), comm_radius=draw(st.integers(0, 4)),
+        query_cooldown=draw(st.integers(0, 2)), snapshot_interval=5,
+    )
+    return config, targets, [(robot_type, x, y) for robot_type, (x, y) in agents]
+
+
+@settings(max_examples=300, deadline=None)
+@given(board=crowded_boards(), seed=st.integers(0, 2**16))
+@example(board=(ScenarioConfig(name="contest", grid=(5, 1), targets_per_color=0,
+                               robot_counts=(1, 0, 0, 0, 0, 0), sense_radius=2),
+                [(Color.RED, 2, 0), (Color.RED, 0, 0), (Color.RED, 4, 0)],
+                [(M, 2, 0), (M, 2, 0), (M, 2, 0), (M, 1, 0)]), seed=0)
+def test_batched_collect_matches_the_per_agent_reference(board, seed):
+    config, targets, agents = board
+    batched = Arena.from_layout(config, targets, agents, seed)
+    reference = PerAgentCollectArena.from_layout(config, targets, agents, seed)
+    while batched.t < config.max_iterations and batched.alive_count > 0:
+        batched.step()
+        reference.step()
+        assert batched._x.tolist() == reference._x.tolist()
+        assert batched._y.tolist() == reference._y.tolist()
+        assert batched.capture_counts == reference.capture_counts
+        assert batched._alive.tolist() == reference._alive.tolist()
+        assert batched.event_lines() == reference.event_lines()
+    assert reference.alive_count == batched.alive_count
+
+
 # --- intent table and array mirrors ------------------------------------------
 
 def spec_intent(known: int, seen: int) -> int:
@@ -527,6 +599,24 @@ def small_configs(draw):
     )
 
 
+def assert_knowledge_arrays_coherent(arena):
+    """The known mask is the innate mask plus the learned colors; a learned
+    color expires memory_duration after it was learned, and is never innate;
+    no agent holds more learned colors than memory_size."""
+    k = arena.knowledge
+    never = np.iinfo(np.int64).max
+    learned = k.learned_at != never
+    innate = (k.innate[:, None] >> np.arange(4)) & 1 == 1
+    assert not (learned & innate).any()
+    assert (k.known == k.innate | (learned << np.arange(4)).sum(axis=1)).all()
+    duration = arena.config.memory_duration
+    assert (k.expires_at == np.where(learned, np.where(learned, k.learned_at, 0) + duration,
+                                     never)).all()
+    assert (k.expires_at > arena.t).all()
+    if arena.config.memory_size is not None:
+        assert (learned.sum(axis=1) <= arena.config.memory_size).all()
+
+
 @settings(max_examples=80, deadline=None)
 @given(config=small_configs(), seed=st.integers(0, (1 << 64) - 1))
 def test_step_invariants_on_random_configs(config, seed):
@@ -535,12 +625,10 @@ def test_step_invariants_on_random_configs(config, seed):
         before = [agent.pos for agent in arena.agents]
         arena.step()
         assert arena.capture_total + arena.alive_count == arena.initial_total
+        assert_knowledge_arrays_coherent(arena)
         for agent, (px, py) in zip(arena.agents, before):
             colors = agent.store.known_colors()
-            assert arena._known[agent.id] == sum(1 << c for c in colors)
             assert known_colors(agent.tree) == colors
-            expiry = agent.store.next_expiry()
-            assert arena._expiry[agent.id] == (np.iinfo(np.int64).max if expiry is None else expiry)
             assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height
             assert abs(agent.x - px) <= 1 and abs(agent.y - py) <= 1
 

@@ -271,3 +271,61 @@ def test_render_plot_rejects_empty_series(tmp_path):
         render_plot([], "t", tmp_path / "x.svg")
     with pytest.raises(ValueError):
         render_plot([PlotSeries("empty", [], [])], "t", tmp_path / "x.svg")
+
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+NOT_XML = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\udfff",
+           "\ufffe", "\uffff"]
+
+
+def svg_texts(path):
+    return [el.text for el in ET.parse(path).getroot().iter(SVG_TEXT)]
+
+
+@pytest.mark.parametrize("char", NOT_XML, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("field", ["series name", "title", "x_label", "y_label"])
+def test_render_plot_rejects_text_xml_cannot_carry(tmp_path, char, field):
+    text = f"a{char}b"
+    name, labels = "s", {"title": "t", "x_label": "x", "y_label": "y"}
+    if field == "series name":
+        name = text
+    else:
+        labels[field] = text
+    out = tmp_path / "x.svg"
+    with pytest.raises(ValueError, match=f"{field} .*U\\+{ord(char):04X}"):
+        render_plot([PlotSeries(name, [0, 1], [0.0, 1.0])], labels["title"], out,
+                    x_label=labels["x_label"], y_label=labels["y_label"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["tab\there", "line\nbreak", "ret\rurn", "\x7f\x80\x9f",
+                                  "\ud7ff\ue000\ufffd", "\U00010000\U0010ffff", "\xe9 \U0001f41d"])
+def test_render_plot_accepts_every_character_xml_carries(tmp_path, text):
+    out = tmp_path / "x.svg"
+    render_plot([PlotSeries(text, [0, 1], [0.0, 1.0])], text, out, x_label=text, y_label=text)
+    carried = text.replace("\r", "\n")  # XML parsers normalize line ends
+    assert svg_texts(out).count(carried) == 4
+
+
+def test_plot_rejects_series_name_xml_cannot_carry(tmp_path, capsys):
+    a = tmp_path / "a\x01b.csv"
+    write_aggregate_csv(agg_rows([10.0, 20.0]), a)
+    out = tmp_path / "o.svg"
+    assert main(["plot", "--out", str(out), str(a)]) == 2
+    assert "series name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0, 1], [float("nan"), 1.0]),
+    ([0, float("inf")], [0.0, 1.0]),
+    ([0, 1], [0.0, float("-inf")]),
+], ids=["nan-y", "inf-x", "-inf-y"])
+def test_render_plot_rejects_non_finite_values(tmp_path, xs, ys):
+    out = tmp_path / "n.svg"
+    series = [PlotSeries("fine", [0, 1], [0.0, 1.0]), PlotSeries("broken", xs, ys)]
+    with pytest.raises(ValueError, match="series 'broken'"):
+        render_plot(series, "t", out)
+    assert not out.exists()
+    render_plot(series[:1], "t", out)
+    assert "fine" in svg_texts(out)

@@ -1,12 +1,22 @@
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ephemera import events as ev
 from ephemera.bt import COLORS, Color
 from ephemera.knowledge import (
+    NEVER,
     CapacityPolicy,
+    Knowledge,
+    KnowledgeEntry,
     KnowledgeStore,
     LearnOutcome,
+    LearnResult,
     census,
 )
+from ephemera.protocol import _PAYLOADS, merge_payload
 from ephemera.rng import SplitMix64
 
 REJECT = CapacityPolicy.REJECT_WHEN_FULL
@@ -228,3 +238,105 @@ def test_census_matches_brute_force_scan():
     for color in COLORS:
         assert result.count(color) == sum(1 for s in stores if s.knows(color))
     assert result.max_possible == len(stores) * 4
+
+
+# --- the population arrays against a dict store per agent ---------------------------
+
+class DictStore:
+    """One agent's skills as a dict of entries, the layout the arrays
+    replaced: the reference model of the arrays."""
+
+    def __init__(self, innate, capacity):
+        self.capacity = capacity
+        self.entries = {c: KnowledgeEntry(c) for c in sorted(set(innate))}
+
+    def learn(self, color, now, duration, policy):
+        entry = self.entries.get(color)
+        if entry is not None and entry.innate:
+            return LearnResult(LearnOutcome.ALREADY_INNATE)
+        learned = [e for e in self.entries.values() if not e.innate]
+        result = LearnResult(LearnOutcome.REFRESHED if entry else LearnOutcome.MERGED)
+        if entry is None and self.capacity is not None and len(learned) >= self.capacity:
+            if policy is REJECT:
+                return LearnResult(LearnOutcome.REJECTED_FULL)
+            victim = min(learned, key=lambda e: (e.learned_at, e.color)).color
+            del self.entries[victim]
+            result = LearnResult(LearnOutcome.EVICTED, victim)
+        self.entries[color] = KnowledgeEntry(color, now, now + duration)
+        return result
+
+    def forget_expired(self, now):
+        removed = sorted(c for c, e in self.entries.items()
+                         if e.expires_at is not None and e.expires_at <= now)
+        for color in removed:
+            del self.entries[color]
+        return removed
+
+
+def merge_into_model(model, agent, responder, color, now, duration, policy, log):
+    """merge_payload's event contract on the reference model."""
+    result = model.learn(color, now, duration, policy)
+    if result.outcome is LearnOutcome.REJECTED_FULL:
+        log.append(ev.EventRecord(now, ev.REJECT, agent, color, responder))
+        return result
+    if result.victim is not None:
+        log.append(ev.EventRecord(now, ev.FORGET, agent, result.victim))
+    log.append(ev.EventRecord(now, ev.DELIVERY, agent, color, responder))
+    return result
+
+
+iterations = st.lists(
+    st.tuples(
+        st.integers(1, 3),  # iterations since the previous one
+        # deliveries of this iteration: (agent, color, responder)
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(COLORS), st.integers(0, 9)),
+                 max_size=6),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    innate=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+    capacity=st.sampled_from([None, 1, 2, 3, 4]),
+    policy=st.sampled_from([REJECT, EVICT]),
+    duration=st.integers(1, 5),
+    steps=iterations,
+)
+def test_knowledge_arrays_match_a_dict_store_per_agent(innate, capacity, policy, duration,
+                                                       steps):
+    """Iterations as the arena runs them: deliveries merged in order (learn,
+    refresh, evict or reject), then one expiry sweep. Durations are short,
+    so skills are learned in the iteration that others expire."""
+    table = Knowledge(innate, capacity)
+    agents = [SimpleNamespace(id=i, store=KnowledgeStore(table=table, row=i))
+              for i in range(len(innate))]
+    models = [DictStore([c for c in COLORS if mask >> c & 1], capacity) for mask in innate]
+    now = 0
+    for gap, deliveries in steps:
+        now += gap
+        log, expected = [], []
+        for agent, color, responder in deliveries:
+            if agent >= len(agents):
+                continue
+            model_result = merge_into_model(models[agent], agent, responder, color, now,
+                                            duration, policy, expected)
+            merge_payload(agents[agent], responder, _PAYLOADS[color], color, now, duration,
+                          policy, log)
+            if model_result.victim is not None:
+                assert log[-2] == ev.EventRecord(now, ev.FORGET, agent, model_result.victim)
+        dropped = table.expire(now)
+        log.extend(ev.EventRecord(now, ev.FORGET, i, COLORS[c]) for i, c in zip(*dropped))
+        for i, model in enumerate(models):
+            expected.extend(ev.EventRecord(now, ev.FORGET, i, c) for c in model.forget_expired(now))
+        assert log == expected
+        for i, (agent, model) in enumerate(zip(agents, models)):
+            assert agent.store.entries == model.entries
+            assert agent.store.known_colors() == tuple(sorted(model.entries))
+            assert table.known[i] == sum(1 << c for c in model.entries)
+            learned = {c: e for c, e in model.entries.items() if not e.innate}
+            assert table.learned_at[i].tolist() == [
+                learned[c].learned_at if c in learned else NEVER for c in COLORS]
+            assert table.expires_at[i].tolist() == [
+                learned[c].expires_at if c in learned else NEVER for c in COLORS]
