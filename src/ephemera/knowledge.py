@@ -122,10 +122,9 @@ class KnowledgeStore:
         if duration < 1:
             raise ValueError("duration must be >= 1")
         table, row, bit = self.table, self.row, 1 << color
-        known = int(table.known[row])
-        learned = known & ~int(table.innate[row])
-        victim = None
-        if known & ~learned & bit:
+        innate, known = int(table.innate[row]), int(table.known[row])
+        learned, victim = known & ~innate, None
+        if innate & bit:
             return LearnResult(LearnOutcome.ALREADY_INNATE)
         if learned & bit:
             # Re-learning restamps the entry so expires_at stays learned_at + duration.
