@@ -33,13 +33,17 @@ source of truth.
 Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
 rows of the sense matrix: none has moved since the sense pass, and the
 live-target arrays are compacted only at the end of the step. Query agents
-past their cooldown emit queries in ID order.
+past their cooldown emit their queries as one batch
+(:meth:`Arena._emit_queries`): an m x 2 array of (querier, color) rows in
+ascending ID, which the next step passes to
+:func:`protocol.resolve_and_deliver`.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
 then agents by ID; a cell index v maps to x = v % width, y = v // width),
 then one draw per exploring agent per iteration, in agent-ID order. The
-draws of a step are taken as one batch (:meth:`SplitMix64.below_many`): an
+draws of a step are taken as one batch (:meth:`SplitMix64.below_many`,
+sliced off the generator's block of precomputed words): an
 interior agent picks one of the 8 Moore moves (``% 8``), an agent on the
 edge one of the in-bounds moves, kept in ``_MOORE`` order.
 """
@@ -58,7 +62,6 @@ from . import metrics, protocol
 from .bt import COLORS, Blackboard, Collect, Color, Query, Selector, assemble_agent_tree, tick
 from .bt import prune  # noqa: F401  (bench/tracing.py patches arena.prune)
 from .knowledge import Knowledge, KnowledgeStore
-from .protocol import QueryMessage
 from .rng import SplitMix64
 
 if TYPE_CHECKING:
@@ -72,6 +75,9 @@ _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 # Intent codes: 0..3 collect that color, then query and explore.
 _QUERY = 4
 _EXPLORE = 5
+
+# The queries of a step in which no agent asks.
+_NO_QUERIES = np.empty((0, 2), np.intp)
 
 
 def _moves_by_class():
@@ -310,7 +316,7 @@ class Arena:
 
         self.t = 0
         self.trial = 0
-        self.pending: list[QueryMessage] = []
+        self.pending = _NO_QUERIES  # (querier, color) rows, ascending querier
         self.events: list[ev.EventRecord] = []
         self.snapshots: list[metrics.MetricsSnapshot] = []
         self.capture_counts = [0, 0, 0, 0]
@@ -390,7 +396,7 @@ class Arena:
 
         # Phase 1: resolve queries emitted at now-1 (before forgetting, so an
         # entry expiring this iteration can still answer).
-        if self.pending and cfg.learning_enabled:
+        if len(self.pending) and cfg.learning_enabled:
             mark = len(self.events)
             protocol.resolve_and_deliver(
                 self.pending, agents, now, cfg.comm_radius,
@@ -420,16 +426,11 @@ class Arena:
             self._y[explorers] += _MOVE_DY[cls, draws]
 
         # Phase 5: Collect agents as one batch; Query agents past their
-        # cooldown emit in ID order; every Query agent stands still.
+        # cooldown emit as one batch; every Query agent stands still.
         collectors = (intents < _QUERY).nonzero()[0]
         if collectors.size:
             self._execute_intent(collectors, intents[collectors], nearest_d, dist)
-        askers = ((intents == _QUERY) & (self._cooldown <= now)).nonzero()[0]
-        self.pending = [
-            protocol.emit_query(agents[i], d_row, seen_mask, now, cfg.query_cooldown)
-            for i, d_row, seen_mask in zip(
-                askers.tolist(), nearest_d[askers].tolist(), seen[askers].tolist())
-        ]
+        self.pending = self._emit_queries(intents, seen, nearest_d)
         self.queries_sent += len(self.pending)
         if len(self._live_ids) != self.alive_count:
             self._compact()
@@ -472,6 +473,21 @@ class Arena:
         movers, toward = rows[step], k[step]
         self._x[movers] += np.sign(self._live_x[toward] - self._x[movers])
         self._y[movers] += np.sign(self._live_y[toward] - self._y[movers])
+
+    def _emit_queries(self, intents: np.ndarray, seen: np.ndarray,
+                      nearest_d: np.ndarray) -> np.ndarray:
+        """This step's queries as (querier, color) rows in ascending querier
+        ID: one from every agent in the Query intent whose cooldown has run
+        out, which restarts it. The color follows
+        :func:`protocol.query_colors`; a Query intent always sees a color
+        its agent does not know (``INTENT_TABLE``)."""
+        now = self.t
+        askers = ((intents == _QUERY) & (self._cooldown <= now)).nonzero()[0]
+        if not askers.size:
+            return _NO_QUERIES
+        self._cooldown[askers] = now + self.config.query_cooldown
+        unknown = seen[askers] & ~self.knowledge.known[askers]
+        return np.array((askers, protocol.query_colors(unknown, nearest_d[askers]))).T
 
     def _capture(self, target_id: int, agent_id: int) -> None:
         color = self._cat_color[target_id]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class LearnOutcome(Enum):
     EVICTED = "evicted"
 
 
-@dataclass(frozen=True, slots=True)
-class LearnResult:
+class LearnResult(NamedTuple):
     outcome: LearnOutcome
     victim: Optional[Color] = None  # set only when outcome is EVICTED
 

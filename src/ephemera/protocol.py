@@ -8,19 +8,23 @@ every run without a codec round-trip per delivery.
 
 Queries emitted at iteration t are resolved at the start of t+1 against the
 positions and knowledge holding then; answering never mutates the responder.
+A step's queries travel as one array of (querier, color) rows, in ascending
+querier ID, from emission to :func:`resolve_and_deliver`; :func:`query_colors`
+is the rule for the color a querier asks about, for a batch of agents and
+for :func:`emit_query`'s one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence as SequenceT
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
-from .knowledge import COLORS_OF, CapacityPolicy, LearnOutcome
+from .knowledge import CapacityPolicy, LearnOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,8 +34,7 @@ class QueryMessage:
     emitted_at: int
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
+class Delivery(NamedTuple):
     querier: int
     responder: int
     payload: str  # serialized skill subtree, canonical grammar
@@ -40,6 +43,10 @@ class Delivery:
 
 # Bound on comm_radius in the numpy search, above any grid distance.
 _MAX_REACH = 1 << 62
+# Distance given to the colors a querier knows or does not see.
+_NOT_ASKED = np.int64(np.iinfo(np.int64).max)
+# Bit c of every 4-bit mask, as a 16 x 4 table.
+_MASK_BITS = np.array([[mask >> c & 1 for c in COLORS] for mask in range(16)], bool)
 
 
 class ProtocolError(RuntimeError):
@@ -62,6 +69,16 @@ def _encode(color: Color) -> str:
 _PAYLOADS = tuple(_encode(color) for color in COLORS)
 
 
+def query_colors(unknown: np.ndarray, nearest_d: np.ndarray) -> np.ndarray:
+    """The color each querier asks about: the nearest of its unknown seen
+    colors, distance ties toward the canonical color order.
+
+    ``unknown`` holds one 4-bit mask per querier (bit c for color c, never
+    0) and ``nearest_d`` one row per querier of the distance to the nearest
+    target of each color."""
+    return np.where(_MASK_BITS[unknown], nearest_d, _NOT_ASKED).argmin(axis=1)
+
+
 def emit_query(agent, nearest_d, seen: int, now: int,
                query_cooldown: int) -> Optional[QueryMessage]:
     """Broadcast a question for the nearest seen color the agent does not know.
@@ -69,14 +86,14 @@ def emit_query(agent, nearest_d, seen: int, now: int,
     ``nearest_d`` holds the distance to the nearest target of each color and
     ``seen`` the mask of the colors within the sense radius (bit c for color
     c). Returns None while the agent's cooldown is running or when it sees no
-    unknown color. Distance ties break toward the canonical color order.
+    unknown color. The color is :func:`query_colors`' for this one agent.
     """
     if now < agent.cooldown_until:
         return None
     unknown = seen & ~agent.store.known_mask()
     if not unknown:
         return None
-    color = min(COLORS_OF[unknown], key=nearest_d.__getitem__)
+    color = COLORS[int(query_colors(np.array([unknown]), np.array([nearest_d]))[0])]
     agent.cooldown_until = now + query_cooldown
     return QueryMessage(agent.id, color, now)
 
@@ -110,19 +127,18 @@ def merge_payload(
     event_log.append(ev.EventRecord(now, ev.DELIVERY, querier.id, expected_color, responder_id))
 
 
-def _nearest_knower(xs, ys, known, message, lapse: int) -> tuple[int, int]:
-    """(distance, ID) of the nearest agent other than the querier that knows
-    the message's color; the distance is ``lapse`` or more if none is in reach."""
-    q = message.querier
+def _nearest_knower(xs, ys, known, q: int, color: int, lapse: int) -> tuple[int, int]:
+    """(distance, ID) of the nearest agent other than ``q`` that knows
+    ``color``; the distance is ``lapse`` or more if none is in reach."""
     d = np.maximum(np.abs(xs - xs[q]), np.abs(ys - ys[q]))
-    d = np.where(known & (1 << message.color), d, lapse)
+    d = np.where(known & (1 << color), d, np.int64(lapse))
     d[q] = lapse
     best = int(d.argmin())  # first minimum = lowest ID
     return int(d[best]), best
 
 
 def resolve_and_deliver(
-    pending: SequenceT[QueryMessage],
+    pending: np.ndarray,
     agents,
     now: int,
     comm_radius: int,
@@ -135,42 +151,50 @@ def resolve_and_deliver(
 ) -> list[Delivery]:
     """Resolve last iteration's queries in ascending querier ID.
 
-    ``agents`` is indexed by agent ID. For each query the nearest agent
-    within ``comm_radius`` (Chebyshev) that currently knows the color answers
-    (ties to the lowest ID); the querier merges the answer immediately, so a
-    skill learned here can answer a later query in the same pass. Queries
-    with no responder lapse.
+    ``pending`` is an m x 2 integer array of (querier, color) rows, one per
+    query, in ascending querier ID, as :meth:`Arena.step` emits them; rows
+    out of that order raise ValueError. ``agents`` is indexed by agent ID.
+    For each query the nearest agent within ``comm_radius`` (Chebyshev) that
+    currently knows the color answers (ties to the lowest ID); the querier
+    merges the answer immediately, so a skill learned here can answer a later
+    query in the same pass. Queries with no responder lapse. Returns one :class:`Delivery` per
+    answered query, whether the querier kept the skill or rejected it.
 
     ``xs``, ``ys`` and ``known`` are the agents' positions and known-color
-    masks as numpy arrays indexed by ID; ``known`` is updated in place as
-    queriers learn or evict, if it is not already the array their stores
-    write.
+    masks as numpy arrays indexed by ID, the positions in an integer dtype
+    that holds the difference of any two of them; ``known`` is updated in
+    place as queriers learn or evict, if it is not already the array their
+    stores write.
     """
     deliveries: list[Delivery] = []
-    messages = sorted(pending, key=lambda m: m.querier)
-    knowers = np.flatnonzero(known)  # only they can answer, until one learns
-    if not messages or knowers.size == 0:
+    if not len(pending):
         return deliveries
-    xs = np.asarray(xs, np.int64)
-    ys = np.asarray(ys, np.int64)
-    queriers = np.array([m.querier for m in messages], np.intp)
-    bits = np.array([1 << m.color for m in messages], np.int64)
+    queriers, colors = pending.T
+    qs = queriers.tolist()
+    if qs != sorted(qs):
+        raise ValueError("resolve_and_deliver() needs the queries in ascending querier ID")
+    knowers = np.flatnonzero(known)  # only they can answer, until one learns
+    if knowers.size == 0:
+        return deliveries
     # Distances from `lapse` up are out of reach.
     lapse = min(comm_radius, _MAX_REACH) + 1
     # Every query's answer from the knowledge at the start of the pass, as
     # (distance, responder); kept current below as queriers learn or evict.
     qx, qy = xs[queriers], ys[queriers]
     dist = np.maximum(np.abs(xs[knowers] - qx[:, None]), np.abs(ys[knowers] - qy[:, None]))
-    can_answer = ((known[knowers] & bits[:, None]) != 0) & (knowers != queriers[:, None])
-    reach = np.where(can_answer, dist, lapse)
+    can_answer = _MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
+    reach = np.where(can_answer, dist, np.int64(lapse))
+    best = reach.min(axis=1)
+    if best.min() >= lapse:  # no query is answered, so no one learns
+        return deliveries
     first = reach.argmin(axis=1)  # first minimum = lowest ID
-    answers = list(zip(reach.min(axis=1).tolist(), knowers[first].tolist()))
+    answers = list(zip(best.tolist(), knowers[first].tolist()))
+    cs = colors.tolist()
     qx, qy = qx.tolist(), qy.tolist()
-    for r, message in enumerate(messages):
-        best_d, best_id = answers[r]
+    for r, (best_d, best_id) in enumerate(answers):
         if best_d >= lapse:
             continue
-        q, color = message.querier, message.color
+        q, color = qs[r], COLORS[cs[r]]
         querier = agents[q]
         payload = _PAYLOADS[color]
         old = int(known[q])
@@ -180,12 +204,13 @@ def resolve_and_deliver(
         if mask == old:
             continue
         known[q] = mask
-        for s in range(r + 1, len(messages)):
-            other = messages[s]
-            bit = 1 << other.color
-            if mask & bit and other.querier != q:  # q can now answer it
-                d = max(abs(qx[r] - qx[s]), abs(qy[r] - qy[s]))
-                answers[s] = min(answers[s], (d, q))
-            elif old & bit and answers[s][1] == q:  # q was its responder
-                answers[s] = _nearest_knower(xs, ys, known, other, lapse)
+        # Only a color q gained or lost can change a later query's answer.
+        changed = mask ^ old
+        for s in [s for s in range(r + 1, len(qs)) if changed >> cs[s] & 1]:
+            if mask >> cs[s] & 1:  # q learned the color, so it can answer
+                if qs[s] != q:
+                    d = max(abs(qx[r] - qx[s]), abs(qy[r] - qy[s]))
+                    answers[s] = min(answers[s], (d, q))
+            elif answers[s][1] == q:  # q forgot the color it was to answer with
+                answers[s] = _nearest_knower(xs, ys, known, qs[s], cs[s], lapse)
     return deliveries

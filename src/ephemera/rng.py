@@ -4,10 +4,14 @@ The generator is pinned here rather than borrowed from the stdlib so that a
 trial's draw sequence is a documented part of the reproducibility contract:
 ``next_u64`` advances the state by the 64-bit golden-ratio constant and
 returns the finalized state; ``below(n)`` draws one word and reduces it
-modulo ``n``. Draw k after state s is ``fmix64(s + k * golden)``, so
-``below_many`` computes a run of draws in one numpy expression (Steele, Lea
-& Flood, OOPSLA 2014) with the same words and final state as a loop of
-``below`` calls.
+modulo ``n``. Draw k after state s is ``fmix64(s + k * golden)`` (Steele, Lea
+& Flood, OOPSLA 2014), so the words can be computed ahead: the generator
+keeps a block of the next ``_BLOCK`` words (more when one batch needs more)
+and a read position, and ``below_many`` slices its draws off that block. It
+advances the state exactly as a loop of ``below`` calls would. ``next_u64``
+and ``below`` advance the state without reading the block, so they drop it,
+and the next batch computes a fresh block from the state; any interleaving
+of the three calls gives the words of a plain loop.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ _U_30 = np.uint64(30)
 _U_27 = np.uint64(27)
 _U_31 = np.uint64(31)
 
+# Words per precomputed block.
+_BLOCK = 4096
+_NO_WORDS = np.empty(0, np.uint64)
+_OUT_OF_RANGE = "below_many() needs every n to be an integer in [1, 2**63)"
+
 
 def _fmix64(z: int) -> int:
     z ^= z >> 30
@@ -36,12 +45,18 @@ def _fmix64(z: int) -> int:
 
 
 class SplitMix64:
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_block", "_pos")
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
+        # _block[k] is fmix64(s + (k + 1) * golden) for the state s it was
+        # computed at; _pos words of it are used, so the state is
+        # s + _pos * golden.
+        self._block = _NO_WORDS
+        self._pos = 0
 
     def next_u64(self) -> int:
+        self._block = _NO_WORDS
         self._state = (self._state + _GOLDEN) & MASK64
         return _fmix64(self._state)
 
@@ -50,27 +65,46 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs n >= 1")
         # next_u64 inlined; this is the hot call of the simulation loop.
+        self._block = _NO_WORDS
         s = self._state = (self._state + _GOLDEN) & MASK64
         z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return (z ^ (z >> 31)) % n
 
     def below_many(self, ns) -> np.ndarray:
-        """One ``below(n)`` draw per entry of ``ns``, in order, as int64."""
-        ns = np.asarray(ns, dtype=np.uint64)
-        if ns.size and int(ns.min()) <= 0:
-            raise ValueError("below_many() needs every n >= 1")
-        z = np.arange(1, ns.size + 1, dtype=np.uint64)
+        """One ``below(n)`` draw per entry of ``ns``, in order, as int64.
+
+        Every n must be an integer in [1, 2**63), so that each draw fits
+        an int64; anything else raises ValueError and draws nothing."""
+        ns = np.asarray(ns)
+        if not ns.size:
+            return np.empty(0, np.int64)
+        if ns.dtype.kind not in "iu":
+            raise ValueError(_OUT_OF_RANGE)
+        # An n of 2**63 or more views as a negative int64.
+        signed = ns.view(np.int64) if ns.dtype == np.uint64 else ns.astype(np.int64)
+        if int(signed.min()) <= 0:
+            raise ValueError(_OUT_OF_RANGE)
+        m = signed.size
+        pos = self._pos
+        if pos + m > self._block.size:
+            self._fill(max(m, _BLOCK))
+            pos = 0
+        self._pos = pos + m
+        self._state = (self._state + m * _GOLDEN) & MASK64
+        return (self._block[pos:pos + m] % signed.view(np.uint64)).view(np.int64)
+
+    def _fill(self, size: int) -> None:
+        """Compute the next ``size`` words after the current state."""
+        z = np.arange(1, size + 1, dtype=np.uint64)
         z *= _U_GOLDEN
         z += np.uint64(self._state)
-        self._state = (self._state + ns.size * _GOLDEN) & MASK64
         z ^= z >> _U_30
         z *= _U_M1
         z ^= z >> _U_27
         z *= _U_M2
         z ^= z >> _U_31
-        z %= ns
-        return z.astype(np.int64)
+        self._block = z
 
 
 def mix_seed(base_seed: int, trial_index: int) -> int:

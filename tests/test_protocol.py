@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from ephemera import events as ev
 from ephemera import protocol
-from ephemera.arena import TREES
+from ephemera.arena import _QUERY, INTENT_TABLE, TREES, Arena, RobotType
 from ephemera.bt import COLORS, Color, ParseError, known_colors, make_knowledge_subtree, serialize
-from ephemera.knowledge import CapacityPolicy, KnowledgeStore
+from ephemera.experiment import ScenarioConfig
+from ephemera.knowledge import COLORS_OF, CapacityPolicy, KnowledgeStore, LearnOutcome, LearnResult
 from ephemera.protocol import (
+    Delivery,
     ProtocolError,
     QueryMessage,
     emit_query,
@@ -47,6 +49,11 @@ def mirrors(agents):
         ys=np.array([a.y for a in agents]),
         known=np.array([a.store.known_mask() for a in agents]),
     )
+
+
+def queries(*rows):
+    """The pending input of resolve_and_deliver: one (querier, color) row per query."""
+    return np.array(rows, np.intp).reshape(-1, 2)
 
 
 def resolve(pending, agents, **kwargs):
@@ -88,6 +95,72 @@ def test_emit_query_none_when_nothing_unknown():
     assert emit_query(agent, *sight(red=1), now=1, query_cooldown=5) is None
 
 
+# --- batch emission -------------------------------------------------------------
+
+def test_every_query_intent_sees_an_unknown_color():
+    for known in range(16):
+        for seen in range(16):
+            if INTENT_TABLE[known, seen] == _QUERY:
+                assert seen & ~known, (known, seen)
+
+
+def emission_arena(known, cooldowns, query_cooldown):
+    """An arena whose agents know the colors ``known`` and may query again
+    from ``cooldowns``."""
+    cfg = ScenarioConfig(name="emit", grid=(8, 8), targets_per_color=1,
+                         robot_counts=(len(known), 0, 0, 0, 0, 0),
+                         query_cooldown=query_cooldown)
+    arena = Arena.from_layout(cfg, [(c, c, 0) for c in COLORS],
+                              [(RobotType.IGNORANT, 0, 7)] * len(known))
+    for agent, mask, until in zip(arena.agents, known, cooldowns):
+        for color in COLORS_OF[mask]:
+            agent.store.learn(color, 0, 1000)
+        agent.cooldown_until = until
+    return arena
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15),
+                  st.lists(st.integers(0, 3), min_size=4, max_size=4), st.integers(0, 12)),
+        min_size=1, max_size=12,
+    ),
+    now=st.integers(1, 10),
+    query_cooldown=st.integers(0, 6),
+    dtype=st.sampled_from([np.int16, np.int64]),
+)
+def test_batch_emission_matches_emit_query_per_agent(rows, now, query_cooldown, dtype):
+    # Distances from 0 to 3 make ties common; the sense pass hands over
+    # int16 rows when every color has a live target, else int64.
+    known = [k for k, _, _, _ in rows]
+    cooldowns = [c for _, _, _, c in rows]
+    seen = np.array([s for _, s, _, _ in rows], np.uint8)
+    nearest_d = np.array([d for _, _, d, _ in rows], dtype)
+    batch = emission_arena(known, cooldowns, query_cooldown)
+    single = emission_arena(known, cooldowns, query_cooldown)
+    intents = INTENT_TABLE[batch.knowledge.known, seen]
+
+    batch.t = now
+    pending = batch._emit_queries(intents, seen, nearest_d)
+
+    expected = []
+    for agent in single.agents:
+        if intents[agent.id] != _QUERY:
+            continue
+        message = emit_query(agent, nearest_d[agent.id].tolist(), int(seen[agent.id]), now,
+                             query_cooldown)
+        if message is not None:
+            expected.append((message.querier, message.color))
+            # The per-agent rule emit_query applied before the batch existed.
+            unknown = COLORS_OF[int(seen[agent.id]) & ~known[agent.id]]
+            assert message.color == min(unknown, key=nearest_d[agent.id].tolist().__getitem__)
+    assert pending.shape == (len(expected), 2)
+    assert pending.tolist() == [[q, int(c)] for q, c in expected]
+    assert ([a.cooldown_until for a in batch.agents]
+            == [a.cooldown_until for a in single.agents])
+
+
 # --- resolve_and_deliver ----------------------------------------------------------
 
 def agents_by_id(*agents):
@@ -101,7 +174,7 @@ def test_delivery_payload_is_the_skill_subtree():
     master = Agent(1, pos=(3, 3), innate=COLORS)
     log = []
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 4)], agents_by_id(querier, master),
+        queries((0, Color.RED)), agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     assert len(deliveries) == 1
@@ -114,12 +187,22 @@ def test_delivery_payload_is_the_skill_subtree():
     assert log == [ev.EventRecord(5, ev.DELIVERY, 0, Color.RED, 1)]
 
 
+def test_delivery_and_learn_result_keep_their_fields():
+    delivery = Delivery(0, 1, "act(Explore)", 5)
+    assert delivery._fields == ("querier", "responder", "payload", "delivered_at")
+    assert delivery == (0, 1, "act(Explore)", 5)
+    result = LearnResult(LearnOutcome.EVICTED, Color.RED)
+    assert result._fields == ("outcome", "victim")
+    assert (result.outcome.value, result.victim) == ("evicted", Color.RED)
+    assert LearnResult(LearnOutcome.MERGED).victim is None
+
+
 def test_out_of_range_query_lapses():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(11, 0), innate=COLORS)  # Chebyshev 11 > radius 10
     log = []
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 4)], agents_by_id(querier, master),
+        queries((0, Color.RED)), agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     assert deliveries == []
@@ -131,7 +214,7 @@ def test_boundary_distance_is_in_range():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(10, 10), innate=COLORS)
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 4)], agents_by_id(querier, master),
+        queries((0, Color.RED)), agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
     )
     assert len(deliveries) == 1
@@ -142,7 +225,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     far = Agent(1, pos=(5, 0), innate=COLORS)
     near = Agent(2, pos=(2, 0), innate=COLORS)
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, far, near),
+        queries((0, Color.RED)), agents_by_id(querier, far, near),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries[0].responder == 2
@@ -151,7 +234,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     a = Agent(1, pos=(0, 4), innate=COLORS)
     b = Agent(2, pos=(4, 0), innate=COLORS)
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, a, b),
+        queries((0, Color.RED)), agents_by_id(querier, a, b),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries[0].responder == 1
@@ -162,7 +245,7 @@ def test_responder_store_is_never_mutated():
     master = Agent(1, pos=(1, 1), innate=COLORS)
     before = dict(master.store.entries)
     resolve(
-        [QueryMessage(0, Color.GREEN, 1)], agents_by_id(querier, master),
+        queries((0, Color.GREEN)), agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert master.store.entries == before
@@ -175,7 +258,7 @@ def test_learned_knowledge_is_shareable_in_same_pass():
     master = Agent(1, pos=(5, 0), innate=COLORS)
     second = Agent(2, pos=(-8, 0))
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 3), QueryMessage(2, Color.RED, 3)],
+        queries((0, Color.RED), (2, Color.RED)),
         agents_by_id(first, master, second),
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
     )
@@ -188,7 +271,7 @@ def test_one_responder_can_answer_many():
     q1 = Agent(1, pos=(1, 0))
     q2 = Agent(2, pos=(0, 1))
     deliveries = resolve(
-        [QueryMessage(1, Color.RED, 1), QueryMessage(2, Color.BLUE, 1)],
+        queries((1, Color.RED), (2, Color.BLUE)),
         agents_by_id(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
@@ -200,11 +283,11 @@ def test_full_store_rejects_and_logs():
     master = Agent(1, pos=(1, 0), innate=COLORS)
     log = []
     resolve(
-        [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, master),
+        queries((0, Color.RED)), agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     resolve(
-        [QueryMessage(0, Color.GREEN, 3)], agents_by_id(querier, master),
+        queries((0, Color.GREEN)), agents_by_id(querier, master),
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     assert querier.store.known_colors() == (Color.RED,)
@@ -218,11 +301,11 @@ def test_eviction_prunes_victim_and_logs_forget():
     master = Agent(1, pos=(1, 0), innate=COLORS)
     log = []
     resolve(
-        [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, master),
+        queries((0, Color.RED)), agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
     )
     resolve(
-        [QueryMessage(0, Color.GREEN, 3)], agents_by_id(querier, master),
+        queries((0, Color.GREEN)), agents_by_id(querier, master),
         now=4, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
     )
     assert querier.store.known_colors() == (Color.GREEN,)
@@ -232,15 +315,31 @@ def test_eviction_prunes_victim_and_logs_forget():
 
 
 def test_queries_resolve_in_querier_id_order():
+    # Agent 1 learns Red first and is nearer agent 2 than the master is.
     master = Agent(0, pos=(0, 0), innate=COLORS)
-    q1 = Agent(1, pos=(1, 0))
-    q2 = Agent(2, pos=(2, 0))
+    q1 = Agent(1, pos=(5, 0))
+    q2 = Agent(2, pos=(7, 0))
     deliveries = resolve(
-        [QueryMessage(2, Color.RED, 1), QueryMessage(1, Color.RED, 1)],
+        queries((1, Color.RED), (2, Color.RED)),
         agents_by_id(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
-    assert [d.querier for d in deliveries] == [1, 2]
+    assert [(d.querier, d.responder) for d in deliveries] == [(1, 0), (2, 1)]
+
+
+def test_queries_out_of_querier_id_order_are_refused():
+    master = Agent(0, pos=(0, 0), innate=COLORS)
+    q1 = Agent(1, pos=(1, 0))
+    q2 = Agent(2, pos=(2, 0))
+    log = []
+    with pytest.raises(ValueError):
+        resolve(
+            queries((2, Color.RED), (1, Color.RED)),
+            agents_by_id(master, q1, q2),
+            now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=log,
+        )
+    assert log == []
+    assert not q1.store.knows(Color.RED) and not q2.store.knows(Color.RED)
 
 
 # --- payload validation -------------------------------------------------------------
@@ -281,7 +380,7 @@ def test_knower_beyond_radius_lapses_however_far():
     querier = Agent(0, pos=(0, 0))
     far = Agent(1, pos=(25, 3), innate=COLORS)
     deliveries = resolve(
-        [QueryMessage(0, Color.RED, 1)], agents_by_id(querier, far),
+        queries((0, Color.RED)), agents_by_id(querier, far),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries == []
@@ -295,7 +394,7 @@ def test_evicted_responder_no_longer_answers():
     holder.store.learn(Color.RED, 0, 100)
     asker = Agent(2, pos=(2, 0))
     deliveries = resolve(
-        [QueryMessage(1, Color.GREEN, 1), QueryMessage(2, Color.RED, 1)],
+        queries((1, Color.GREEN), (2, Color.RED)),
         agents_by_id(master, holder, asker),
         now=2, comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
     )
@@ -309,7 +408,7 @@ def test_known_masks_are_updated_in_place():
     xs, ys = np.array([0, 1]), np.array([0, 0])
     known = np.array([0b1111, 0b1000])
     resolve_and_deliver(
-        [QueryMessage(1, Color.GREEN, 1)], agents, now=2, comm_radius=3,
+        queries((1, Color.GREEN)), agents, now=2, comm_radius=3,
         memory_duration=10, policy=EVICT, event_log=[], xs=xs, ys=ys, known=known,
     )
     assert known.tolist() == [0b1111, 0b1010]
@@ -319,21 +418,20 @@ def reference_resolve(pending, agents, now, comm_radius, memory_duration, policy
     """The per-agent scan that the numpy search replaced: every agent checked
     against every query, in querier-ID order."""
     answered = []
-    for message in sorted(pending, key=lambda m: m.querier):
-        querier = agents[message.querier]
+    for q, c in sorted(pending.tolist(), key=lambda row: row[0]):
+        querier, color = agents[q], COLORS[c]
         best_d = best_id = None
         for other in agents:
-            if other.id == message.querier or not other.store.knows(message.color):
+            if other.id == q or not other.store.knows(color):
                 continue
             d = max(abs(other.x - querier.x), abs(other.y - querier.y))
             if d <= comm_radius and (best_d is None or d < best_d):
                 best_d, best_id = d, other.id
         if best_id is None:
             continue
-        payload = serialize(make_knowledge_subtree(message.color))
-        merge_payload(querier, best_id, payload, message.color, now, memory_duration, policy,
-                      event_log)
-        answered.append((message.querier, best_id))
+        payload = serialize(make_knowledge_subtree(color))
+        merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
+        answered.append((q, best_id))
     return answered
 
 
@@ -364,7 +462,7 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
         return agents
 
     # One query per querier, as the arena emits them; colors may be known.
-    pending = list({q: QueryMessage(q, COLORS[c], 3) for q, c in asks if q < len(specs)}.values())
+    pending = queries(*sorted({q: c for q, c in asks if q < len(specs)}.items()))
     expected_agents, agents = build(), build()
     expected_log, log = [], []
     expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)

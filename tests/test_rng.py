@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ephemera.rng import SplitMix64, mix_seed
 
@@ -74,3 +76,52 @@ def test_below_many_empty_batch_keeps_state():
 def test_below_many_rejects_zero_modulus():
     with pytest.raises(ValueError):
         SplitMix64(1).below_many([3, 0])
+
+
+@pytest.mark.parametrize("ns", [[2**64 - 1], [3, 2**63], [1.5], [2, 2.0], [2**64]])
+def test_below_many_rejects_what_an_int64_draw_cannot_hold(ns):
+    # below(2**64 - 1) is a non-negative int, which no int64 batch holds;
+    # 1.5 is not a modulus at all. Nothing is drawn.
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError):
+        rng.below_many(ns)
+    assert rng.next_u64() == SplitMix64(1).next_u64()
+
+
+def test_below_many_takes_the_largest_int64_modulus():
+    n = 2**63 - 1
+    assert SplitMix64(9).below_many(np.array([n], np.uint64)).tolist() == [SplitMix64(9).below(n)]
+
+
+draw_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("below"), st.integers(1, 2**64 - 1)),
+        st.tuples(st.just("next_u64"), st.none()),
+        # (size, largest n, dtype); 0 is an empty batch, and sizes up to 5000
+        # straddle and exceed the 4096-word block.
+        st.tuples(st.just("below_many"),
+                  st.tuples(st.one_of(st.integers(0, 40), st.integers(3000, 5000)),
+                            st.sampled_from([8, 48400, 2**63 - 1]),
+                            st.sampled_from([np.int64, np.uint64]))),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=draw_calls)
+def test_any_interleaving_draws_the_words_of_a_plain_loop(seed, calls):
+    rng, loop = SplitMix64(seed), SplitMix64(seed)
+    for k, (call, arg) in enumerate(calls):
+        if call == "below":
+            assert rng.below(arg) == loop.below(arg)
+        elif call == "next_u64":
+            assert rng.next_u64() == loop.next_u64()
+        else:
+            size, top, dtype = arg
+            ns = np.random.default_rng(k).integers(1, top, size, endpoint=True, dtype=dtype)
+            got = rng.below_many(ns)
+            assert got.dtype == np.int64
+            assert got.tolist() == [loop.below(n) for n in ns.tolist()]
+        assert rng._state == loop._state
+    assert rng.next_u64() == loop.next_u64()
