@@ -16,12 +16,22 @@ query cooldown, and the skills (:class:`Knowledge`), of which
 ``AgentState.store`` is a view. Expiry is one search of ``expires_at``, in
 row-major order (agent ID, then color): the order of the Forget events.
 
-Sensing is one numpy pass over agents x live targets: Chebyshev distances
-in the narrowest signed dtype that holds the board's largest coordinate
+Sensing keeps every agent's view across steps: ``_near``, its distance to
+the nearest live target of each color, and ``_seen``, the mask of colors
+within the sense radius. A step senses only the rows that can have changed,
+in one numpy pass over those agents x live targets: Chebyshev distances in
+the narrowest signed dtype that holds the board's largest coordinate
 difference (int16 up to 32768 cells on a side), one ``np.minimum.reduceat``
 over the color segments for the nearest distance per agent and color, and
-from it the mask of colors within the sense radius. The live targets are
-ordered by ID within each color segment.
+from it the seen mask. The live targets are ordered by ID within each color
+segment. The first sense takes every agent; after it, an agent that stood in
+the Query intent last step keeps its row unless it learned in this step's
+resolve (it may collect now) or a target captured since lay at exactly its
+kept nearest distance of that color. The kept rows are exact, not
+approximate: a Query agent does not move and targets only disappear, so its
+nearest distance of a color changes only when a target at that distance is
+captured. Every Collect agent is among the sensed rows: a kept row's agent
+was in Query and learned nothing, so it sees no color it knows.
 
 Every agent tree is the canonical tree of its known colors, so
 ``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
@@ -32,7 +42,8 @@ source of truth.
 
 Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
 rows of the sense matrix: none has moved since the sense pass, and the
-live-target arrays are compacted only at the end of the step. Query agents
+live-target arrays are compacted only at the end of the step. A capture
+records the target's ID for the next sense. Query agents
 past their cooldown emit their queries as one batch
 (:meth:`Arena._emit_queries`): an m x 2 array of (querier, color) rows in
 ascending ID, which the next step passes to
@@ -290,6 +301,11 @@ class Arena:
         self._live_y = np.array(cat_y, dtype=dtype)
         self._live_color = np.array([int(c) for c in cat_color], dtype=np.int8)
         self._reseg()
+        # The kept view (see _sense_all), created by the first sense; the
+        # agents left out of the next sense, and the targets captured since
+        # the last one.
+        self._near = self._seen = self._parked = None
+        self._captured: list[int] = []
         # Scratch for the agents x live-targets sense matrices, reused every
         # step: fresh matrices of that size cost more than the arithmetic.
         # np.empty maps pages only as the first sense writes them.
@@ -352,29 +368,51 @@ class Arena:
 
     # --- sensing -------------------------------------------------------------
 
-    def _sense_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distance to the nearest live target of each color for every agent.
+    def _sense_all(self) -> tuple[np.ndarray, slice | np.ndarray]:
+        """Bring every agent's view up to date: ``_near``, the agents x 4
+        distances to the nearest live target of each color (_FAR for a color
+        with no live target), and ``_seen``, the mask of the colors with a
+        target within the sense radius.
 
-        Returns the agents x 4 nearest distances (_FAR for a color with no
-        live target), the mask of the colors with a target within the sense
-        radius, and the agents x live-targets distance matrix, which
-        :meth:`_nearest` reads and the next sense overwrites.
+        Senses every agent not parked, after un-parking each parked agent
+        for which a target captured since the last sense lay at its kept
+        nearest distance of that color (module docstring). Returns the
+        sensed rows x live-targets distance matrix, which :meth:`_nearest`
+        reads and the next sense overwrites, and the sensed agent IDs: a
+        full slice when no agent was parked, else their ascending array.
         """
-        n = len(self._x)
-        size = n * len(self._live_ids)
-        dist = self._sense_buf[0][:size].reshape(n, -1)
-        dy = self._sense_buf[1][:size].reshape(n, -1)
-        np.subtract(self._x[:, None], self._live_x, out=dist)
+        parked, captured = self._parked, self._captured
+        rows = slice(None)
+        if parked is not None and parked.any():
+            if captured:  # captures x agents, so numpy loops over the long axis
+                tx = np.array([self._cat_x[t] for t in captured], self._x.dtype)
+                ty = np.array([self._cat_y[t] for t in captured], self._y.dtype)
+                d = np.maximum(np.abs(tx[:, None] - self._x), np.abs(ty[:, None] - self._y))
+                near = self._near.T[[self._cat_color[t] for t in captured]]
+                parked &= ~(d == near).any(axis=0)
+            rows = (~parked).nonzero()[0]
+        captured.clear()
+        x, y = self._x[rows], self._y[rows]
+        shape = (len(x), len(self._live_ids))
+        size = shape[0] * shape[1]
+        dist = self._sense_buf[0][:size].reshape(shape)
+        dy = self._sense_buf[1][:size].reshape(shape)
+        np.subtract(x[:, None], self._live_x, out=dist)
         np.abs(dist, out=dist)
-        np.subtract(self._y[:, None], self._live_y, out=dy)
+        np.subtract(y[:, None], self._live_y, out=dy)
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
         nearest_d = np.minimum.reduceat(dist, self._starts, axis=1)
         if len(self._present) < 4:  # widen to all 4 colors, _FAR for the absent
-            nearest_d, present = np.full((n, 4), _FAR, np.int64), nearest_d
+            nearest_d, present = np.full((len(x), 4), _FAR, np.int64), nearest_d
             nearest_d[:, self._present] = present
-        seen = np.packbits(nearest_d <= self._radius, axis=1, bitorder="little")[:, 0]
-        return nearest_d, seen, dist
+        if self._near is None:
+            self._near = np.empty((len(x), 4), np.int64)
+            self._seen = np.empty(len(x), np.uint8)
+        self._near[rows] = nearest_d
+        self._seen[rows] = np.packbits(nearest_d <= self._radius, axis=1,
+                                       bitorder="little")[:, 0]
+        return dist, rows
 
     def _nearest(self, dist_row: np.ndarray, color: int) -> tuple[int, int]:
         """Live-array index and distance of the nearest target of ``color``
@@ -398,11 +436,13 @@ class Arena:
         # entry expiring this iteration can still answer).
         if len(self.pending) and cfg.learning_enabled:
             mark = len(self.events)
-            protocol.resolve_and_deliver(
+            delivered = protocol.resolve_and_deliver(
                 self.pending, agents, now, cfg.comm_radius,
                 cfg.memory_duration, cfg.capacity_policy, self.events,
                 self._x, self._y, self.knowledge.known,
             )
+            if delivered:  # a learner may collect now, so it is sensed
+                self._parked[[d.querier for d in delivered]] = False
             kinds = [record.kind for record in self.events[mark:]]
             self.deliveries += kinds.count(ev.DELIVERY)
             self.rejects_full += kinds.count(ev.REJECT)
@@ -413,8 +453,9 @@ class Arena:
         self.events.extend(ev.EventRecord(now, ev.FORGET, i, COLORS[c]) for i, c in zip(*expired))
         self.forgets += len(expired[0])
 
-        # Phase 3: sense.
-        nearest_d, seen, dist = self._sense_all()
+        # Phase 3: sense the rows that can have changed.
+        dist, sensed = self._sense_all()
+        nearest_d, seen = self._near, self._seen
 
         # Phase 4: intents. Explorers move at once, on one batch of draws.
         intents = INTENT_TABLE[self.knowledge.known, seen]
@@ -426,11 +467,13 @@ class Arena:
             self._y[explorers] += _MOVE_DY[cls, draws]
 
         # Phase 5: Collect agents as one batch; Query agents past their
-        # cooldown emit as one batch; every Query agent stands still.
+        # cooldown emit as one batch; every Query agent stands still, so it
+        # is parked: the next sense keeps its view.
         collectors = (intents < _QUERY).nonzero()[0]
         if collectors.size:
-            self._execute_intent(collectors, intents[collectors], nearest_d, dist)
-        self.pending = self._emit_queries(intents, seen, nearest_d)
+            self._execute_intent(collectors, intents[collectors], dist, sensed)
+        self._parked = querying = intents == _QUERY
+        self.pending = self._emit_queries(querying, seen, nearest_d)
         self.queries_sent += len(self.pending)
         if len(self._live_ids) != self.alive_count:
             self._compact()
@@ -446,25 +489,32 @@ class Arena:
             )
 
     def _execute_intent(self, rows: np.ndarray, colors: np.ndarray,
-                        nearest_d: np.ndarray, dist: np.ndarray) -> None:
+                        dist: np.ndarray, sensed: slice | np.ndarray) -> None:
         """Collect, for the agents ``rows`` (ascending IDs) with the intents
-        ``colors``, from this step's sense pass: each takes the nearest live
-        target of its color (ties to the lowest ID) if it lies under it, the
-        lowest ID winning a contested target, or steps toward it. Only an
-        agent whose target a lower ID took searches again, and never finds a
-        target under it: no two targets share a cell."""
-        d = nearest_d[rows, colors]
+        ``colors``, from this step's sense pass (``dist`` and ``sensed`` as
+        :meth:`_sense_all` returns them; an agent that was not sensed raises
+        RuntimeError): each takes the nearest live target of its color (ties
+        to the lowest ID) if it lies under it, the lowest ID winning a
+        contested target, or steps toward it. Only an agent whose target a
+        lower ID took searches again, and never finds a target under it: no
+        two targets share a cell."""
+        at = rows  # each agent's row of dist
+        if not isinstance(sensed, slice):
+            at = np.searchsorted(sensed, rows)
+            if not np.array_equal(sensed.take(at, mode="clip"), rows):
+                raise RuntimeError(f"t={self.t}: a Collect agent was not sensed")
+        d = self._near[rows, colors]
         k = np.empty(len(rows), np.intp)  # live index of each row's target
         for c in set(colors.tolist()):
             s, e = self._seg[c]
             of_c = colors == c
-            k[of_c] = dist[rows[of_c], s:e].argmin(axis=1) + s  # first minimum = lowest ID
+            k[of_c] = dist[at[of_c], s:e].argmin(axis=1) + s  # first minimum = lowest ID
         if not d.all():
             taken = set()  # in ID order, so by lower IDs at each row
             tids = self._live_ids[k].tolist()
             for p, i, t, dt in zip(range(len(k)), rows.tolist(), tids, d.tolist()):
                 if t in taken:
-                    k[p], dt = self._nearest(dist[i], int(colors[p]))
+                    k[p], dt = self._nearest(dist[at[p]], int(colors[p]))
                     d[p] = dt if dt <= self._radius else 0
                 elif dt == 0:
                     taken.add(t)
@@ -474,15 +524,15 @@ class Arena:
         self._x[movers] += np.sign(self._live_x[toward] - self._x[movers])
         self._y[movers] += np.sign(self._live_y[toward] - self._y[movers])
 
-    def _emit_queries(self, intents: np.ndarray, seen: np.ndarray,
+    def _emit_queries(self, querying: np.ndarray, seen: np.ndarray,
                       nearest_d: np.ndarray) -> np.ndarray:
         """This step's queries as (querier, color) rows in ascending querier
-        ID: one from every agent in the Query intent whose cooldown has run
-        out, which restarts it. The color follows
+        ID: one from every agent in the Query intent (the mask ``querying``)
+        whose cooldown has run out, which restarts it. The color follows
         :func:`protocol.query_colors`; a Query intent always sees a color
         its agent does not know (``INTENT_TABLE``)."""
         now = self.t
-        askers = ((intents == _QUERY) & (self._cooldown <= now)).nonzero()[0]
+        askers = (querying & (self._cooldown <= now)).nonzero()[0]
         if not askers.size:
             return _NO_QUERIES
         self._cooldown[askers] = now + self.config.query_cooldown
@@ -492,6 +542,7 @@ class Arena:
     def _capture(self, target_id: int, agent_id: int) -> None:
         color = self._cat_color[target_id]
         self._alive[target_id] = False
+        self._captured.append(target_id)
         self.alive_count -= 1
         self.capture_counts[color] += 1
         self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent_id, color))

@@ -88,15 +88,15 @@ def layout(make_config, targets, agents, **cfg):
     return Arena.from_layout(make_config(**cfg), targets, agents)
 
 
-def search_all(arena, dist, agent_id):
+def search_all(arena, dist, row):
     """Per color, (distance, ID) of the nearest live target as the Collect
-    search finds it on the agent's row of ``dist``; (_FAR, -1) for a color
-    with no live target."""
+    search finds it on row ``row`` of ``dist``; (_FAR, -1) for a color with
+    no live target."""
     found = []
     for color in COLORS:
         s, e = arena._seg[color]
         if arena._alive[arena._live_ids[s:e]].any():
-            k, d = arena._nearest(dist[agent_id], color)
+            k, d = arena._nearest(dist[row], color)
             found.append((d, int(arena._live_ids[k])))
         else:
             found.append((_FAR, -1))
@@ -104,11 +104,13 @@ def search_all(arena, dist, agent_id):
 
 
 def sense_one(arena, agent_id=0):
-    """One agent's row of the sense pass and its Collect search: (nearest
-    distances, nearest target IDs, seen mask)."""
-    nearest_d, seen, dist = arena._sense_all()
+    """One agent's row of the first sense pass, which senses every agent,
+    and its Collect search: (nearest distances, nearest target IDs, seen
+    mask)."""
+    dist, sensed = arena._sense_all()
+    assert sensed == slice(None) and len(dist) == len(arena.agents)
     nearest_tid = [tid for _, tid in search_all(arena, dist, agent_id)]
-    return nearest_d[agent_id].tolist(), nearest_tid, int(seen[agent_id])
+    return arena._near[agent_id].tolist(), nearest_tid, int(arena._seen[agent_id])
 
 
 def test_sense_radius_boundary_inclusive(make_config):
@@ -134,7 +136,8 @@ def test_sense_empty_perception(make_config):
 
 def test_ignorant_robot_sees_unknown(make_config):
     arena = layout(make_config, targets=[(Color.RED, 2, 0)], agents=[(I, 0, 0), (M, 1, 0)])
-    _, seen, _ = arena._sense_all()
+    arena._sense_all()
+    seen = arena._seen
     unknown = seen & ~arena.knowledge.known
     assert unknown.tolist() == [1 << Color.RED, 0]
     assert INTENT_TABLE[arena.knowledge.known, seen].tolist() == [_QUERY, Color.RED]
@@ -163,45 +166,71 @@ def brute_force_sense(arena, agent):
     return {color: sorted(entries) for color, entries in found.items()}
 
 
-def assert_search_matches_brute_force(arena, dist):
-    """For every agent and every color with a live target, the Collect
-    search on the agent's row of ``dist`` finds the brute-force nearest
-    distance and ID, and finds it beyond the radius exactly when no live
-    target of that color is within it."""
+def sensed_ids(arena, sensed):
+    """The agent IDs of the rows of a sense pass's distance matrix."""
+    return np.arange(len(arena.agents))[sensed].tolist()
+
+
+def assert_search_matches_brute_force(arena, dist, ids):
+    """For every agent ``ids[row]`` sensed in row ``row`` of ``dist``, and
+    every color with a live target, the Collect search on that row finds the
+    brute-force nearest distance and ID, and finds it beyond the radius
+    exactly when no live target of that color is within it."""
     radius = arena.config.sense_radius
-    for agent in arena.agents:
-        reference = brute_force_sense(arena, agent)
-        for color, found in zip(COLORS, search_all(arena, dist, agent.id)):
+    for row, agent_id in enumerate(ids):
+        reference = brute_force_sense(arena, arena.agents[agent_id])
+        for color, found in zip(COLORS, search_all(arena, dist, row)):
             live = reference[color]
             assert found == (live[0][:2] if live else (_FAR, -1))
             assert (found[0] <= radius) == any(d <= radius for d, _, _, _ in live)
 
 
-def assert_sense_matches_brute_force(arena):
-    """Every agent's distance and seen bit for every color, and its Collect
-    search for every color with a live target, equal the brute-force scan.
-    Returns the sense pass's distance matrix."""
+def assert_view_matches_brute_force(arena):
+    """Every agent's kept distance and seen bit for every color equal the
+    brute-force scan."""
     radius = arena.config.sense_radius
-    nearest_d, seen, dist = arena._sense_all()
-    assert nearest_d.shape == (len(arena.agents), 4)
+    assert arena._near.shape == (len(arena.agents), 4)
     for agent in arena.agents:
         reference = brute_force_sense(arena, agent)
         for color in COLORS:
             live = reference[color]
-            sees = bool(seen[agent.id] >> color & 1)
+            sees = bool(arena._seen[agent.id] >> color & 1)
             assert sees == any(d <= radius for d, _, _, _ in live)
-            assert nearest_d[agent.id, color] == (live[0][0] if live else _FAR)
-    assert_search_matches_brute_force(arena, dist)
-    return dist
+            assert arena._near[agent.id, color] == (live[0][0] if live else _FAR)
+
+
+def unpark_all(arena):
+    """Make the next sense pass sense every agent."""
+    arena._parked = np.zeros(len(arena.agents), bool)
+
+
+def assert_sense_matches_brute_force(arena):
+    """After a sense pass, every agent's distance and seen bit for every
+    color, and the Collect search of every sensed agent for every color with
+    a live target, equal the brute-force scan. Returns the pass's distance
+    matrix and the IDs of its rows."""
+    dist, sensed = arena._sense_all()
+    ids = sensed_ids(arena, sensed)
+    assert len(dist) == len(ids)
+    assert_view_matches_brute_force(arena)
+    assert_search_matches_brute_force(arena, dist, ids)
+    return dist, ids
 
 
 def test_batch_and_single_sense_agree(make_config):
     arena = Arena(make_config(), seed=77)
+    kept = 0
     for _ in range(40):  # a few captures happen, so dead targets are left out
-        dist = assert_sense_matches_brute_force(arena)
+        dist, ids = assert_sense_matches_brute_force(arena)
+        kept += len(arena.agents) - len(ids)
         assert dist.dtype == arena._x.dtype == arena._live_x.dtype == np.int16
+        # Sensing every agent again reproduces the kept view, and the
+        # Collect search of every agent.
+        unpark_all(arena)
+        assert len(assert_sense_matches_brute_force(arena)[1]) == len(arena.agents)
         arena.step()
     assert arena.capture_total > 0
+    assert kept > 0  # some passes kept rows
 
 
 def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
@@ -213,11 +242,11 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
         targets=[(Color.RED, 5, 5), (Color.RED, 8, 5), (Color.RED, 2, 5), (Color.BLUE, 5, 6)],
         agents=[(M, 5, 5), (M, 6, 5), (I, 4, 4)],
     )
-    nearest_d, _, dist = arena._sense_all()
+    dist, sensed = arena._sense_all()
     assert [arena._nearest(dist[i], Color.RED)[0] for i in range(3)] == [0, 0, 0]
-    arena._execute_intent(np.array([0]), np.array([Color.RED]), nearest_d, dist)
+    arena._execute_intent(np.array([0]), np.array([Color.RED]), dist, sensed)
     assert arena.capture_counts[Color.RED] == 1 and len(arena._live_ids) == 4
-    assert_search_matches_brute_force(arena, dist)
+    assert_search_matches_brute_force(arena, dist, sensed_ids(arena, sensed))
     assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
 
 
@@ -237,10 +266,12 @@ def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype
         agents=[(M, 0, 0), (I, end, 0), (M, end // 2, 0), (I, 1, 0)],
         grid=(width, 1), sense_radius=radius,
     )
-    assert assert_sense_matches_brute_force(arena).max() == end
+    assert assert_sense_matches_brute_force(arena)[0].max() == end
     for _ in range(3):
         arena.step()
-        assert assert_sense_matches_brute_force(arena).dtype == dtype
+        assert assert_sense_matches_brute_force(arena)[0].dtype == dtype
+        unpark_all(arena)
+        assert assert_sense_matches_brute_force(arena)[0].dtype == dtype
 
 
 # --- stepping ------------------------------------------------------------------
@@ -491,13 +522,21 @@ def test_event_lines_round_trip(make_config):
 # --- batched Collect against the per-agent reference ---------------------------
 
 class PerAgentCollectArena(Arena):
-    """The Collect phase as it ran before it was batched: each Collect agent,
-    in ID order, searches its own sense row for the nearest live target of
-    its color (lowest ID on ties), searching again without the targets that
-    lower IDs took earlier in the step; it takes a target under it, steps
-    toward one within the sense radius, or stands still."""
+    """The Collect phase as it ran before it was batched, on a sense pass
+    that senses every agent every step, as it did before agents kept their
+    view: each Collect agent, in ID order, searches its own sense row for the
+    nearest live target of its color (lowest ID on ties), searching again
+    without the targets that lower IDs took earlier in the step; it takes a
+    target under it, steps toward one within the sense radius, or stands
+    still."""
 
-    def _execute_intent(self, rows, colors, nearest_d, dist):
+    def _sense_all(self):
+        unpark_all(self)
+        dist, sensed = super()._sense_all()
+        assert sensed == slice(None)
+        return dist, sensed
+
+    def _execute_intent(self, rows, colors, dist, sensed):
         for i, color in zip(rows.tolist(), colors.tolist()):
             s, e = self._seg[color]
             row = dist[i, s:e]
@@ -558,6 +597,51 @@ def test_batched_collect_matches_the_per_agent_reference(board, seed):
         assert batched._alive.tolist() == reference._alive.tolist()
         assert batched.event_lines() == reference.event_lines()
     assert reference.alive_count == batched.alive_count
+
+
+# --- the kept view against a fresh scan ----------------------------------------
+
+class ViewCheckingArena(Arena):
+    """After every sense pass, checks that every agent's kept view equals a
+    brute-force scan of the live targets, and that every agent whose intent
+    is Collect was sensed in the pass."""
+
+    kept = 0  # rows kept, summed over the passes
+
+    def _sense_all(self):
+        dist, sensed = super()._sense_all()
+        ids = sensed_ids(self, sensed)
+        self.kept += len(self.agents) - len(ids)
+        assert_view_matches_brute_force(self)
+        collectors = (INTENT_TABLE[self.knowledge.known, self._seen] < _QUERY).nonzero()[0]
+        assert set(collectors.tolist()) <= set(ids), f"t={self.t}"
+        return dist, sensed
+
+
+def expiries_and_evictions(events):
+    """(expiries, capacity evictions) in an event log: an eviction is the
+    Forget that a delivery to the same agent follows at once."""
+    evictions = sum(1 for a, b in zip(events, events[1:])
+                    if a.kind == ev.FORGET and b.kind == ev.DELIVERY
+                    and (a.t, a.agent) == (b.t, b.agent))
+    return sum(r.kind == ev.FORGET for r in events) - evictions, evictions
+
+
+def test_kept_view_equals_a_fresh_scan_every_step(make_config):
+    config = make_config(memory_size=1, capacity_policy=CapacityPolicy.EVICT_OLDEST)
+    arena = ViewCheckingArena(config, seed=8)
+    collect_all_steps(arena)
+    assert arena.capture_total > 0 and arena.deliveries > 0
+    assert min(expiries_and_evictions(arena.events)) > 0
+    assert arena.kept > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(board=crowded_boards(), seed=st.integers(0, 2**16))
+def test_kept_view_equals_a_fresh_scan_on_crowded_boards(board, seed):
+    config, targets, agents = board
+    arena = ViewCheckingArena.from_layout(config, targets, agents, seed)
+    collect_all_steps(arena)
 
 
 # --- intent table and array mirrors ------------------------------------------

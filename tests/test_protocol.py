@@ -142,7 +142,7 @@ def test_batch_emission_matches_emit_query_per_agent(rows, now, query_cooldown, 
     intents = INTENT_TABLE[batch.knowledge.known, seen]
 
     batch.t = now
-    pending = batch._emit_queries(intents, seen, nearest_d)
+    pending = batch._emit_queries(intents == _QUERY, seen, nearest_d)
 
     expected = []
     for agent in single.agents:
