@@ -52,9 +52,16 @@ ascending ID, which the next step passes to
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
 then agents by ID; a cell index v maps to x = v % width, y = v // width),
-then one draw per exploring agent per iteration, in agent-ID order. The
-draws of a step are taken as one batch (:meth:`SplitMix64.below_many`,
-sliced off the generator's block of precomputed words): an
+then one draw per exploring agent per iteration, in agent-ID order. Every
+draw is taken in batches (:meth:`SplitMix64.below_many`, sliced off the
+generator's block of precomputed words), which give the same words in the
+same order as one ``below`` call per draw, without a Python call per draw.
+An attempt places a target unless an earlier attempt drew its cell: that
+attempt either placed a target there or was itself turned away by one. So
+the placed cells are the first draws of each cell, in draw order. With k
+targets left, a batch of k attempts never draws past the last target, since
+each of them takes at least one more attempt. The agents take one batch
+after the targets, and each step the explorers take one. An
 interior agent picks one of the 8 Moore moves (``% 8``), an agent on the
 edge one of the in-bounds moves, kept in ``_MOORE`` order.
 """
@@ -138,6 +145,8 @@ class RobotType(Enum):
 
 # Order of the robot-count tuple in scenario configs.
 ROBOT_ORDER = tuple(RobotType)
+# Innate known mask of each robot type, in ROBOT_ORDER.
+_INNATE = np.array([sum(1 << c for c in t.innate_colors) for t in ROBOT_ORDER], np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,34 +228,26 @@ class Arena:
     def __init__(self, config: "ScenarioConfig", seed: int):
         self._start(config, seed)
         width, height = config.grid
+        cells = width * height
         total_targets = config.targets_per_color * len(COLORS)
-        if total_targets > width * height:
+        if total_targets > cells:
             raise SetupError(
                 f"{total_targets} targets do not fit on a {width}x{height} grid"
             )
-        cells = width * height
-        occupied: set[tuple[int, int]] = set()
-        cat_color: list[Color] = []
-        cat_x: list[int] = []
-        cat_y: list[int] = []
-        for color in COLORS:
-            for _ in range(config.targets_per_color):
-                while True:
-                    v = self.rng.below(cells)
-                    cell = (v % width, v // width)
-                    if cell not in occupied:
-                        break
-                occupied.add(cell)
-                cat_color.append(color)
-                cat_x.append(cell[0])
-                cat_y.append(cell[1])
-
-        agents = []
-        for robot_type, count in zip(ROBOT_ORDER, config.robot_counts):
-            for _ in range(count):
-                v = self.rng.below(cells)
-                agents.append((robot_type, v % width, v // width))
-        self._finish_init(cat_color, cat_x, cat_y, agents)
+        # The first draw of each cell places the next target on it (module
+        # docstring). Every target left takes at least one more draw, so a
+        # batch of that many never draws past the last placing draw.
+        placed: dict[int, None] = {}
+        while len(placed) < total_targets:
+            batch = self.rng.below_many(np.full(total_targets - len(placed), cells))
+            placed.update(dict.fromkeys(batch.tolist()))
+        at = np.fromiter(placed, np.int64, total_targets)
+        types = np.repeat(np.arange(len(ROBOT_ORDER)), config.robot_counts)
+        spots = self.rng.below_many(np.full(len(types), cells))
+        self._finish_init(
+            np.repeat(np.arange(len(COLORS)), config.targets_per_color),
+            at % width, at // width, types, spots % width, spots // width,
+        )
 
     @classmethod
     def from_layout(
@@ -271,14 +272,12 @@ class Arena:
             if (x, y) in cells:
                 raise SetupError(f"two targets share cell {(x, y)}")
             cells.add((x, y))
-        agents = list(agents)
+        agents = [(ROBOT_ORDER.index(robot_type), x, y) for robot_type, x, y in agents]
         for _, x, y in agents:
             if not (0 <= x < width and 0 <= y < height):
                 raise SetupError(f"agent at {(x, y)} is out of bounds")
-        arena._finish_init(
-            [c for c, _, _ in spec], [x for _, x, _ in spec], [y for _, _, y in spec],
-            agents,
-        )
+        arena._finish_init(*np.array(spec, np.int64).reshape(-1, 3).T,
+                           *np.array(agents, np.int64).reshape(-1, 3).T)
         return arena
 
     def _start(self, config: "ScenarioConfig", seed: int) -> None:
@@ -286,7 +285,11 @@ class Arena:
         self.width, self.height = config.grid
         self.rng = SplitMix64(seed)
 
-    def _finish_init(self, cat_color, cat_x, cat_y, agents) -> None:
+    def _finish_init(self, cat_color: np.ndarray, cat_x: np.ndarray, cat_y: np.ndarray,
+                     types: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        """Set up the trial from its placement: the target catalog (color,
+        x and y of each target ID, color-major) and each agent's type (its
+        index in ROBOT_ORDER), x and y."""
         n_targets = len(cat_color)
         # Positions and distances use the narrowest signed dtype that holds
         # the largest coordinate difference; every distance is at most span,
@@ -294,12 +297,14 @@ class Arena:
         span = max(self.width, self.height) - 1
         dtype = next(t for t in (np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
-        self._cat_color, self._cat_x, self._cat_y = cat_color, cat_x, cat_y
+        self._cat_color = cat_color.astype(np.int8)
+        self._cat_x, self._cat_y = cat_x.astype(dtype), cat_y.astype(dtype)
         self._alive = np.ones(n_targets, bool)
         self._live_ids = np.arange(n_targets)
-        self._live_x = np.array(cat_x, dtype=dtype)
-        self._live_y = np.array(cat_y, dtype=dtype)
-        self._live_color = np.array([int(c) for c in cat_color], dtype=np.int8)
+        # The live arrays start as the catalog: _compact replaces them and
+        # nothing writes into them.
+        self._live_x, self._live_y = self._cat_x, self._cat_y
+        self._live_color = self._cat_color
         self._reseg()
         # The kept view (see _sense_all), created by the first sense; the
         # agents left out of the next sense, and the targets captured since
@@ -309,20 +314,16 @@ class Arena:
         # Scratch for the agents x live-targets sense matrices, reused every
         # step: fresh matrices of that size cost more than the arithmetic.
         # np.empty maps pages only as the first sense writes them.
-        size = len(agents) * n_targets
+        size = len(types) * n_targets
         self._sense_buf = (np.empty(size, dtype), np.empty(size, dtype))
 
-        self._x = np.array([x for _, x, _ in agents], dtype=dtype)
-        self._y = np.array([y for _, _, y in agents], dtype=dtype)
-        self._cooldown = np.zeros(len(agents), np.int64)
-        self.knowledge = Knowledge(
-            [sum(1 << c for c in robot_type.innate_colors) for robot_type, _, _ in agents],
-            self.config.memory_size,
-        )
+        self._x, self._y = x.astype(dtype), y.astype(dtype)
+        self._cooldown = np.zeros(len(types), np.int64)
+        self.knowledge = Knowledge(_INNATE[types], self.config.memory_size)
         self.agents = [
-            AgentState(i, robot_type, KnowledgeStore(table=self.knowledge, row=i),
+            AgentState(i, ROBOT_ORDER[t], KnowledgeStore(table=self.knowledge, row=i),
                        self._x, self._y, self._cooldown)
-            for i, (robot_type, _, _) in enumerate(agents)
+            for i, t in enumerate(types.tolist())
         ]
         # Edge class of each column and row (see _moves_by_class).
         xs = np.arange(self.width)
@@ -355,13 +356,16 @@ class Arena:
     def target(self, target_id: int) -> Target:
         return Target(
             target_id,
-            self._cat_color[target_id],
-            (self._cat_x[target_id], self._cat_y[target_id]),
+            COLORS[self._cat_color[target_id]],
+            (int(self._cat_x[target_id]), int(self._cat_y[target_id])),
             bool(self._alive[target_id]),
         )
 
     def targets(self) -> list[Target]:
-        return [self.target(i) for i in range(len(self._cat_color))]
+        return list(map(Target, range(len(self._cat_color)),
+                        [COLORS[c] for c in self._cat_color.tolist()],
+                        zip(self._cat_x.tolist(), self._cat_y.tolist()),
+                        self._alive.tolist()))
 
     def event_lines(self) -> list[str]:
         return [record.line() for record in self.events]
@@ -385,10 +389,9 @@ class Arena:
         rows = slice(None)
         if parked is not None and parked.any():
             if captured:  # captures x agents, so numpy loops over the long axis
-                tx = np.array([self._cat_x[t] for t in captured], self._x.dtype)
-                ty = np.array([self._cat_y[t] for t in captured], self._y.dtype)
+                tx, ty = self._cat_x[captured], self._cat_y[captured]
                 d = np.maximum(np.abs(tx[:, None] - self._x), np.abs(ty[:, None] - self._y))
-                near = self._near.T[[self._cat_color[t] for t in captured]]
+                near = self._near.T[self._cat_color[captured]]
                 parked &= ~(d == near).any(axis=0)
             rows = (~parked).nonzero()[0]
         captured.clear()
@@ -540,7 +543,7 @@ class Arena:
         return np.array((askers, protocol.query_colors(unknown, nearest_d[askers]))).T
 
     def _capture(self, target_id: int, agent_id: int) -> None:
-        color = self._cat_color[target_id]
+        color = COLORS[self._cat_color[target_id]]
         self._alive[target_id] = False
         self._captured.append(target_id)
         self.alive_count -= 1

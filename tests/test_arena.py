@@ -16,6 +16,7 @@ from ephemera.arena import (
 from ephemera.bt import COLORS, Color, known_colors
 from ephemera.experiment import ScenarioConfig, get_scenario, run_scenario, run_trial
 from ephemera.knowledge import CapacityPolicy
+from ephemera.rng import SplitMix64
 
 I, M = RobotType.IGNORANT, RobotType.MASTER
 
@@ -34,7 +35,7 @@ def test_init_places_table_counts():
     assert per_color == [25, 25, 25, 25]
     assert len(arena.agents) == 50
     types = [a.robot_type for a in arena.agents]
-    assert types.count(I) == 45 and types.count(M) == 45 is False or types.count(M) == 5
+    assert types.count(I) == 45 and types.count(M) == 5
     assert [a.id for a in arena.agents] == list(range(50))
     # I robots first (IDs 0..44), then masters.
     assert all(t is I for t in types[:45]) and all(t is M for t in types[45:])
@@ -64,6 +65,80 @@ def test_init_zero_targets_is_valid(make_config):
     arena = Arena(make_config(targets_per_color=0), seed=1)
     assert arena.alive_count == 0
     assert arena.targets() == []
+
+
+def per_attempt_placement(config, seed):
+    """Placement as one ``below`` call per attempt, the loop that the batched
+    draws of ``Arena.__init__`` replace: each target in color-major order
+    redraws until it hits a free cell, then each agent takes one draw.
+    Returns the targets as (color, x, y), the agents as (type, x, y) and the
+    stream after the last draw."""
+    width, height = config.grid
+    cells = width * height
+    rng = SplitMix64(seed)
+    occupied, targets = set(), []
+    for color in COLORS:
+        for _ in range(config.targets_per_color):
+            while True:
+                v = rng.below(cells)
+                if (v % width, v // width) not in occupied:
+                    break
+            occupied.add((v % width, v // width))
+            targets.append((color, v % width, v // width))
+    agents = []
+    for robot_type, count in zip(ROBOT_ORDER, config.robot_counts):
+        for _ in range(count):
+            v = rng.below(cells)
+            agents.append((robot_type, v % width, v // width))
+    return targets, agents, rng
+
+
+@st.composite
+def placement_configs(draw):
+    """Boards from one cell to 1 x N corridors and rectangles, with no
+    targets, a random count, or a quarter of the cells per color (every cell
+    when four divides their number), and any mix of robot types."""
+    shape = draw(st.sampled_from(["corridor", "column", "grid"]))
+    n = draw(st.integers(1, 40))
+    grid = {"corridor": (1, n), "column": (n, 1), "grid": (n, draw(st.integers(1, 40)))}[shape]
+    cells = grid[0] * grid[1]
+    per_color = draw(st.sampled_from([0, cells // 4, draw(st.integers(0, cells // 4))]))
+    robots = draw(st.tuples(*[st.integers(0, 5)] * 6).filter(any))
+    return ScenarioConfig(name="place", grid=grid, targets_per_color=per_color,
+                          robot_counts=robots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=placement_configs(), seed=st.integers(0, (1 << 64) - 1))
+@example(config=ScenarioConfig(name="none", grid=(1, 1), targets_per_color=0,
+                               robot_counts=(1, 0, 0, 0, 0, 0)), seed=0)
+@example(config=ScenarioConfig(name="full", grid=(4, 4), targets_per_color=4,
+                               robot_counts=(1, 1, 1, 1, 1, 1)), seed=3)
+@example(config=ScenarioConfig(name="corridor", grid=(1, 8), targets_per_color=2,
+                               robot_counts=(2, 1, 0, 0, 0, 0)), seed=5)
+@example(config=ScenarioConfig(name="robots", grid=(9, 7), targets_per_color=0,
+                               robot_counts=(3, 2, 1, 1, 1, 1)), seed=7)
+def test_init_places_as_the_per_attempt_loop(config, seed):
+    targets, agents, rng = per_attempt_placement(config, seed)
+    arena = Arena(config, seed)
+    assert [(t.id, t.color, *t.pos, t.alive) for t in arena.targets()] == [
+        (i, color, x, y, True) for i, (color, x, y) in enumerate(targets)]
+    assert all(type(t.color) is Color and type(t.pos[0]) is int for t in arena.targets())
+    assert [(a.robot_type, *a.pos) for a in arena.agents] == agents
+    assert arena.knowledge.known.tolist() == [
+        sum(1 << c for c in robot_type.innate_colors) for robot_type, _, _ in agents]
+    assert [arena.rng.next_u64() for _ in range(3)] == [rng.next_u64() for _ in range(3)]
+
+
+def test_init_raises_before_any_draw_when_targets_exceed_cells(make_config, monkeypatch):
+    def no_draws(self, *args):
+        raise AssertionError("drew before rejecting the layout")
+
+    for name in ("below", "below_many", "next_u64"):
+        monkeypatch.setattr(SplitMix64, name, no_draws)
+    for grid, per_color in (((3, 3), 3), ((1, 7), 2), ((1, 1), 1)):
+        with pytest.raises(SetupError, match="do not fit"):
+            Arena(make_config(grid=grid, targets_per_color=per_color), seed=1)
 
 
 def test_robot_types_set_innate_stores(make_config):
