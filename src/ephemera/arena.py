@@ -19,19 +19,20 @@ row-major order (agent ID, then color): the order of the Forget events.
 Sensing keeps every agent's view across steps: ``_near``, its distance to
 the nearest live target of each color, and ``_seen``, the mask of colors
 within the sense radius. A step senses only the rows that can have changed,
-in one numpy pass over those agents x live targets: Chebyshev distances in
-the narrowest signed dtype that holds the board's largest coordinate
-difference (int16 up to 32768 cells on a side), one ``np.minimum.reduceat``
-over the color segments for the nearest distance per agent and color, and
-from it the seen mask. The live targets are ordered by ID within each color
-segment. The first sense takes every agent; after it, an agent that stood in
-the Query intent last step keeps its row unless it learned in this step's
-resolve (it may collect now) or a target captured since lay at exactly its
-kept nearest distance of that color. The kept rows are exact, not
-approximate: a Query agent does not move and targets only disappear, so its
-nearest distance of a color changes only when a target at that distance is
-captured. Every Collect agent is among the sensed rows: a kept row's agent
-was in Query and learned nothing, so it sees no color it knows.
+in one numpy pass over those agents x live targets: Chebyshev distances,
+in two matrices allocated by the step, in the narrowest signed dtype that
+holds the board's largest coordinate difference (int16 up to 32768 cells on
+a side), one ``np.minimum.reduceat`` over the color segments for the nearest
+distance per agent and color, and from it the seen mask. The live targets
+are ordered by ID within each color segment. The first sense takes every
+agent; after it, an agent that stood in the Query intent last step keeps its
+row unless it learned in this step's resolve (it may collect now) or a
+target captured since lay at exactly its kept nearest distance of that
+color. The kept rows are exact, not approximate: a Query agent does not
+move and targets only disappear, so its nearest distance of a color changes
+only when a target at that distance is captured. Every Collect agent is
+among the sensed rows: a kept row's agent was in Query and learned nothing,
+so it sees no color it knows.
 
 Every agent tree is the canonical tree of its known colors, so
 ``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
@@ -41,13 +42,12 @@ built by ticking the 16 trees, so the behavior-tree semantics stay the
 source of truth.
 
 Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
-rows of the sense matrix: none has moved since the sense pass, and the
-live-target arrays are compacted only at the end of the step. A capture
-records the target's ID for the next sense. Query agents
-past their cooldown emit their queries as one batch
-(:meth:`Arena._emit_queries`): an m x 2 array of (querier, color) rows in
-ascending ID, which the next step passes to
-:func:`protocol.resolve_and_deliver`.
+rows of the step's sense matrix: none has moved since the sense pass, and
+the live-target arrays are compacted only at the end of the step. A capture
+records the target's ID for the next sense. Query agents past their
+cooldown emit their queries as one batch (:meth:`Arena._emit_queries`): an
+m x 2 array of (querier, color) rows in ascending ID, which the next step
+passes to :func:`protocol.resolve_and_deliver`.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
@@ -79,7 +79,7 @@ from . import events as ev
 from . import metrics, protocol
 from .bt import COLORS, Blackboard, Collect, Color, Query, Selector, assemble_agent_tree, tick
 from .bt import prune  # noqa: F401  (bench/tracing.py patches arena.prune)
-from .knowledge import Knowledge, KnowledgeStore
+from .knowledge import COLORS_OF, Knowledge, KnowledgeStore
 from .rng import SplitMix64
 
 if TYPE_CHECKING:
@@ -205,13 +205,12 @@ def _intent_code(intent) -> int:
 def _build_trees_and_intents() -> tuple[tuple[Selector, ...], np.ndarray]:
     """The canonical tree of every known mask, and the intent it posts
     against every seen mask."""
-    colors = [tuple(c for c in COLORS if known >> c & 1) for known in range(16)]
-    trees = tuple(map(assemble_agent_tree, colors))
+    trees = tuple(map(assemble_agent_tree, COLORS_OF))
     table = np.zeros((16, 16), np.int8)
     for known, tree in enumerate(trees):
         for seen in range(16):
             view = SimpleNamespace(sees=lambda color: bool(seen >> color & 1))
-            bb = Blackboard(view, colors[known])
+            bb = Blackboard(view, COLORS_OF[known])
             tick(tree, bb)
             table[known, seen] = _intent_code(bb.intent)
     return trees, table
@@ -304,18 +303,12 @@ class Arena:
         # The live arrays start as the catalog: _compact replaces them and
         # nothing writes into them.
         self._live_x, self._live_y = self._cat_x, self._cat_y
-        self._live_color = self._cat_color
         self._reseg()
         # The kept view (see _sense_all), created by the first sense; the
         # agents left out of the next sense, and the targets captured since
         # the last one.
         self._near = self._seen = self._parked = None
         self._captured: list[int] = []
-        # Scratch for the agents x live-targets sense matrices, reused every
-        # step: fresh matrices of that size cost more than the arithmetic.
-        # np.empty maps pages only as the first sense writes them.
-        size = len(types) * n_targets
-        self._sense_buf = (np.empty(size, dtype), np.empty(size, dtype))
 
         self._x, self._y = x.astype(dtype), y.astype(dtype)
         self._cooldown = np.zeros(len(types), np.int64)
@@ -342,7 +335,7 @@ class Arena:
         self.queries_sent = self.deliveries = self.forgets = self.rejects_full = 0
 
     def _reseg(self) -> None:
-        bounds = np.searchsorted(self._live_color, (0, 1, 2, 3, 4)).tolist()
+        bounds = np.searchsorted(self._cat_color[self._live_ids], (0, 1, 2, 3, 4)).tolist()
         self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
         self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
         self._starts = [bounds[c] for c in self._present]
@@ -381,9 +374,9 @@ class Arena:
         Senses every agent not parked, after un-parking each parked agent
         for which a target captured since the last sense lay at its kept
         nearest distance of that color (module docstring). Returns the
-        sensed rows x live-targets distance matrix, which :meth:`_nearest`
-        reads and the next sense overwrites, and the sensed agent IDs: a
-        full slice when no agent was parked, else their ascending array.
+        sensed rows x live-targets distance matrix, this step's own, which
+        :meth:`_execute_intent` reads, and the sensed agent IDs: a full slice
+        when no agent was parked, else their ascending array.
         """
         parked, captured = self._parked, self._captured
         rows = slice(None)
@@ -396,13 +389,10 @@ class Arena:
             rows = (~parked).nonzero()[0]
         captured.clear()
         x, y = self._x[rows], self._y[rows]
-        shape = (len(x), len(self._live_ids))
-        size = shape[0] * shape[1]
-        dist = self._sense_buf[0][:size].reshape(shape)
-        dy = self._sense_buf[1][:size].reshape(shape)
-        np.subtract(x[:, None], self._live_x, out=dist)
+        # In place: np.abs(a - b) would allocate a third matrix.
+        dist = np.subtract(x[:, None], self._live_x)
         np.abs(dist, out=dist)
-        np.subtract(y[:, None], self._live_y, out=dy)
+        dy = np.subtract(y[:, None], self._live_y)
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
         nearest_d = np.minimum.reduceat(dist, self._starts, axis=1)
@@ -556,5 +546,4 @@ class Arena:
         self._live_ids = self._live_ids[keep]
         self._live_x = self._live_x[keep]
         self._live_y = self._live_y[keep]
-        self._live_color = self._live_color[keep]
         self._reseg()

@@ -172,7 +172,11 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: no such config file")
     kwargs: dict = {}
     key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not {exc.encoding} at byte offset {exc.start}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -154,7 +154,10 @@ def write_aggregate_csv(rows: Sequence[AggregateRow], path) -> None:
 
 def read_aggregate_csv(path) -> list[AggregateRow]:
     path = Path(path)
-    text = path.read_text(encoding="ascii")
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {exc.encoding} at byte offset {exc.start}") from None
     lines = text.splitlines()
     if not lines or lines[0] != AGGREGATE_HEADER:
         raise ValueError(f"{path}: not an aggregate CSV (bad header)")

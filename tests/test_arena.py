@@ -2,6 +2,7 @@ import dataclasses
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -717,6 +718,23 @@ def test_kept_view_equals_a_fresh_scan_on_crowded_boards(board, seed):
     config, targets, agents = board
     arena = ViewCheckingArena.from_layout(config, targets, agents, seed)
     collect_all_steps(arena)
+
+
+def test_crowded_arena_holds_no_agents_by_targets_state(make_config):
+    """The sense matrices belong to the step: a 400-agent, 2000-target arena
+    holds less than one byte per (agent, target) pair once built and after
+    a step that senses every agent."""
+    config = make_config(grid=(300, 300), targets_per_color=500, robot_counts=(395, 5, 0, 0, 0, 0))
+    bound = 400 * 2000
+    tracemalloc.start()
+    try:
+        arena = Arena(config, seed=1)
+        built = tracemalloc.get_traced_memory()[0]
+        arena.step()
+        stepped = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built < bound and stepped < bound, (built, stepped)
 
 
 # --- intent table and array mirrors ------------------------------------------

@@ -129,6 +129,14 @@ def test_run_bad_config_is_runtime_error(tmp_path, capsys):
     assert "memory_duration" in capsys.readouterr().err
 
 
+def test_run_undecodable_config_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"name=tiny\ngrid=30,30\ncaf\xe9=1\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "offset 24" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["run", "--scenario", "BL", "--frobnicate"]) == 1
     assert "error" in capsys.readouterr().err
@@ -197,6 +205,14 @@ def test_plot_rejects_non_aggregate_csv(tmp_path, capsys):
     bad.write_text("t,who,knows\n")
     assert main(["plot", "--out", str(tmp_path / "p.svg"), str(bad)]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+def test_plot_rejects_undecodable_csv(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,mean_knowledge_pct\xe9\n")
+    assert main(["plot", "--out", str(tmp_path / "p.svg"), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "offset 20" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
