@@ -16,23 +16,29 @@ query cooldown, and the skills (:class:`Knowledge`), of which
 ``AgentState.store`` is a view. Expiry is one search of ``expires_at``, in
 row-major order (agent ID, then color): the order of the Forget events.
 
+Every target keeps its catalog column (color-major, by ID within a color)
+for the arena's life, so the color segments are fixed at init and are the
+same for every trial of a scenario. A capture moves only the target's
+sensing x (``_sense_x``) off the board to -(span + 1), span being the longer
+side less one: farther than every target on the board and out of sight.
+
 Sensing keeps every agent's view across steps: ``_near``, its distance to
-the nearest live target of each color, and ``_seen``, the mask of colors
+the nearest live target of each color (_FAR for a color with no target,
+beyond span once all are captured), and ``_seen``, the mask of colors
 within the sense radius. A step senses only the rows that can have changed,
-in one numpy pass over those agents x live targets: Chebyshev distances,
-in two matrices allocated by the step, in the narrowest signed dtype that
-holds the board's largest coordinate difference (int16 up to 32768 cells on
-a side), one ``np.minimum.reduceat`` over the color segments for the nearest
-distance per agent and color, and from it the seen mask. The live targets
-are ordered by ID within each color segment. The first sense takes every
-agent; after it, an agent that stood in the Query intent last step keeps its
-row unless it learned in this step's resolve (it may collect now) or a
-target captured since lay at exactly its kept nearest distance of that
-color. The kept rows are exact, not approximate: a Query agent does not
-move and targets only disappear, so its nearest distance of a color changes
-only when a target at that distance is captured. Every Collect agent is
-among the sensed rows: a kept row's agent was in Query and learned nothing,
-so it sees no color it knows.
+in one numpy pass over those agents x targets: Chebyshev distances, in two
+matrices allocated by the step, in the narrowest signed dtype that holds
+the largest difference, 2 * span + 1 (int16 up to 16384 cells on a side),
+then one ``np.minimum.reduceat`` over the color segments for the nearest
+distance per agent and color, and from it the seen mask. The first sense
+takes every agent; after it, an agent that stood in the Query intent last
+step keeps its row unless it learned in this step's resolve (it may collect
+now) or a target captured since lay at exactly its kept nearest distance of
+that color. The kept rows are exact, not approximate: a Query agent does
+not move and targets only disappear, so its nearest distance of a color
+changes only when a target at that distance is captured. Every Collect agent
+is among the sensed rows: a kept row's agent was in Query and learned
+nothing, so it sees no color it knows.
 
 Every agent tree is the canonical tree of its known colors, so
 ``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
@@ -42,12 +48,13 @@ built by ticking the 16 trees, so the behavior-tree semantics stay the
 source of truth.
 
 Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
-rows of the step's sense matrix: none has moved since the sense pass, and
-the live-target arrays are compacted only at the end of the step. A capture
-records the target's ID for the next sense. Query agents past their
-cooldown emit their queries as one batch (:meth:`Arena._emit_queries`): an
-m x 2 array of (querier, color) rows in ascending ID, which the next step
-passes to :func:`protocol.resolve_and_deliver`.
+rows of the step's sense matrix: none has moved since the sense pass. A
+target captured in the batch still reads its on-board distance there, so a
+second search skips it by its alive flag. A capture records the target's ID
+for the next sense. Query agents past their cooldown emit their queries as
+one batch (:meth:`Arena._emit_queries`): an m x 2 array of (querier, color)
+rows in ascending ID, which the next step passes to
+:func:`protocol.resolve_and_deliver`.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
@@ -85,7 +92,7 @@ from .rng import SplitMix64
 if TYPE_CHECKING:
     from .experiment import ScenarioConfig
 
-# Distance reported for a color with no live target: beyond every board.
+# Distance of a color with no target (no live one, in _nearest): beyond any board.
 # An int64 scalar, so that np.where over a narrow row widens rather than wraps.
 _FAR = np.int64(np.iinfo(np.int64).max)
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -291,19 +298,20 @@ class Arena:
         index in ROBOT_ORDER), x and y."""
         n_targets = len(cat_color)
         # Positions and distances use the narrowest signed dtype that holds
-        # the largest coordinate difference; every distance is at most span,
-        # so a larger radius sees the same as span does.
+        # the largest difference: 2 * span + 1, from an agent to a captured
+        # target's off-board sensing x. Every on-board distance is at most
+        # span, so a larger radius sees the same as span does.
         span = max(self.width, self.height) - 1
-        dtype = next(t for t in (np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if 2 * span + 1 <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
         self._cat_color = cat_color.astype(np.int8)
         self._cat_x, self._cat_y = cat_x.astype(dtype), cat_y.astype(dtype)
+        self._sense_x = self._cat_x.copy()  # _capture moves a target off the board
         self._alive = np.ones(n_targets, bool)
-        self._live_ids = np.arange(n_targets)
-        # The live arrays start as the catalog: _compact replaces them and
-        # nothing writes into them.
-        self._live_x, self._live_y = self._cat_x, self._cat_y
-        self._reseg()
+        bounds = np.searchsorted(self._cat_color, (0, 1, 2, 3, 4)).tolist()
+        self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
+        self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
+        self._starts = [bounds[c] for c in self._present]
         # The kept view (see _sense_all), created by the first sense; the
         # agents left out of the next sense, and the targets captured since
         # the last one.
@@ -334,12 +342,6 @@ class Arena:
         self.alive_count = n_targets
         self.queries_sent = self.deliveries = self.forgets = self.rejects_full = 0
 
-    def _reseg(self) -> None:
-        bounds = np.searchsorted(self._cat_color[self._live_ids], (0, 1, 2, 3, 4)).tolist()
-        self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
-        self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
-        self._starts = [bounds[c] for c in self._present]
-
     # --- queries about state ------------------------------------------------
 
     @property
@@ -368,15 +370,18 @@ class Arena:
     def _sense_all(self) -> tuple[np.ndarray, slice | np.ndarray]:
         """Bring every agent's view up to date: ``_near``, the agents x 4
         distances to the nearest live target of each color (_FAR for a color
-        with no live target), and ``_seen``, the mask of the colors with a
-        target within the sense radius.
+        with no target, beyond span for one whose targets are all captured),
+        and ``_seen``, the mask of the colors with a target within the sense
+        radius.
 
         Senses every agent not parked, after un-parking each parked agent
         for which a target captured since the last sense lay at its kept
         nearest distance of that color (module docstring). Returns the
-        sensed rows x live-targets distance matrix, this step's own, which
-        :meth:`_execute_intent` reads, and the sensed agent IDs: a full slice
-        when no agent was parked, else their ascending array.
+        sensed rows x targets distance matrix, this step's own, which
+        :meth:`_execute_intent` reads: its column is the target ID, and a
+        captured target reads its off-board distance. Also returns the
+        sensed agent IDs: a full slice when no agent was parked, else their
+        ascending array.
         """
         parked, captured = self._parked, self._captured
         rows = slice(None)
@@ -390,9 +395,9 @@ class Arena:
         captured.clear()
         x, y = self._x[rows], self._y[rows]
         # In place: np.abs(a - b) would allocate a third matrix.
-        dist = np.subtract(x[:, None], self._live_x)
+        dist = np.subtract(x[:, None], self._sense_x)
         np.abs(dist, out=dist)
-        dy = np.subtract(y[:, None], self._live_y)
+        dy = np.subtract(y[:, None], self._cat_y)
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
         nearest_d = np.minimum.reduceat(dist, self._starts, axis=1)
@@ -408,11 +413,12 @@ class Arena:
         return dist, rows
 
     def _nearest(self, dist_row: np.ndarray, color: int) -> tuple[int, int]:
-        """Live-array index and distance of the nearest target of ``color``
-        not captured this step, on an agent's row of the sense matrix, ties
-        to the lowest ID. The color must have a target in the live arrays."""
+        """ID and distance of the nearest live target of ``color`` on an
+        agent's row of the sense matrix, ties to the lowest ID, skipping the
+        targets captured since the sense; _FAR when none of the color is
+        live. The color must have a target."""
         s, e = self._seg[color]
-        row = np.where(self._alive[self._live_ids[s:e]], dist_row[s:e], _FAR)
+        row = np.where(self._alive[s:e], dist_row[s:e], _FAR)
         j = int(row.argmin())  # first minimum = lowest target ID
         return s + j, int(row[j])
 
@@ -468,8 +474,6 @@ class Arena:
         self._parked = querying = intents == _QUERY
         self.pending = self._emit_queries(querying, seen, nearest_d)
         self.queries_sent += len(self.pending)
-        if len(self._live_ids) != self.alive_count:
-            self._compact()
 
         # Phase 6: snapshot on the grid.
         if now % cfg.snapshot_interval == 0:
@@ -488,24 +492,25 @@ class Arena:
         :meth:`_sense_all` returns them; an agent that was not sensed raises
         RuntimeError): each takes the nearest live target of its color (ties
         to the lowest ID) if it lies under it, the lowest ID winning a
-        contested target, or steps toward it. Only an agent whose target a
-        lower ID took searches again, and never finds a target under it: no
-        two targets share a cell."""
+        contested target, or steps toward it. A column of ``dist`` is the
+        target ID, and an agent's nearest target is on the board, since it
+        sees the color. Only an agent whose target a lower ID took searches
+        again, and never finds a target under it: no two targets share a
+        cell."""
         at = rows  # each agent's row of dist
         if not isinstance(sensed, slice):
             at = np.searchsorted(sensed, rows)
             if not np.array_equal(sensed.take(at, mode="clip"), rows):
                 raise RuntimeError(f"t={self.t}: a Collect agent was not sensed")
         d = self._near[rows, colors]
-        k = np.empty(len(rows), np.intp)  # live index of each row's target
+        k = np.empty(len(rows), np.intp)  # ID of each row's target
         for c in set(colors.tolist()):
             s, e = self._seg[c]
             of_c = colors == c
             k[of_c] = dist[at[of_c], s:e].argmin(axis=1) + s  # first minimum = lowest ID
         if not d.all():
             taken = set()  # in ID order, so by lower IDs at each row
-            tids = self._live_ids[k].tolist()
-            for p, i, t, dt in zip(range(len(k)), rows.tolist(), tids, d.tolist()):
+            for p, i, t, dt in zip(range(len(k)), rows.tolist(), k.tolist(), d.tolist()):
                 if t in taken:
                     k[p], dt = self._nearest(dist[at[p]], int(colors[p]))
                     d[p] = dt if dt <= self._radius else 0
@@ -514,8 +519,8 @@ class Arena:
                     self._capture(t, i)
         step = d > 0
         movers, toward = rows[step], k[step]
-        self._x[movers] += np.sign(self._live_x[toward] - self._x[movers])
-        self._y[movers] += np.sign(self._live_y[toward] - self._y[movers])
+        self._x[movers] += np.sign(self._cat_x[toward] - self._x[movers])
+        self._y[movers] += np.sign(self._cat_y[toward] - self._y[movers])
 
     def _emit_queries(self, querying: np.ndarray, seen: np.ndarray,
                       nearest_d: np.ndarray) -> np.ndarray:
@@ -535,15 +540,8 @@ class Arena:
     def _capture(self, target_id: int, agent_id: int) -> None:
         color = COLORS[self._cat_color[target_id]]
         self._alive[target_id] = False
+        self._sense_x[target_id] = -max(self.width, self.height)  # -(span + 1)
         self._captured.append(target_id)
         self.alive_count -= 1
         self.capture_counts[color] += 1
         self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent_id, color))
-
-    def _compact(self) -> None:
-        """Drop the targets captured this step from the live arrays."""
-        keep = self._alive[self._live_ids]
-        self._live_ids = self._live_ids[keep]
-        self._live_x = self._live_x[keep]
-        self._live_y = self._live_y[keep]
-        self._reseg()

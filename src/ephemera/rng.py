@@ -64,7 +64,7 @@ class SplitMix64:
         """Uniform-ish integer in [0, n): one draw, modulo reduction."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        # next_u64 inlined; this is the hot call of the simulation loop.
+        # next_u64 inlined.
         self._block = _NO_WORDS
         s = self._state = (self._state + _GOLDEN) & MASK64
         z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64

@@ -167,14 +167,15 @@ def layout(make_config, targets, agents, **cfg):
 def search_all(arena, dist, row):
     """Per color, (distance, ID) of the nearest live target as the Collect
     search finds it on row ``row`` of ``dist``; (_FAR, -1) for a color with
-    no live target."""
+    no live target, where the search of a placed color reads _FAR too."""
     found = []
     for color in COLORS:
         s, e = arena._seg[color]
-        if arena._alive[arena._live_ids[s:e]].any():
+        if arena._alive[s:e].any():
             k, d = arena._nearest(dist[row], color)
-            found.append((d, int(arena._live_ids[k])))
+            found.append((d, k))
         else:
+            assert s == e or arena._nearest(dist[row], color)[1] == _FAR
             found.append((_FAR, -1))
     return found
 
@@ -263,8 +264,11 @@ def assert_search_matches_brute_force(arena, dist, ids):
 
 def assert_view_matches_brute_force(arena):
     """Every agent's kept distance and seen bit for every color equal the
-    brute-force scan."""
+    brute-force scan. A color whose targets are all captured reads beyond
+    every distance on the board; a color with no target reads _FAR."""
     radius = arena.config.sense_radius
+    span = max(arena.width, arena.height) - 1
+    placed = {target.color for target in arena.targets()}
     assert arena._near.shape == (len(arena.agents), 4)
     for agent in arena.agents:
         reference = brute_force_sense(arena, agent)
@@ -272,7 +276,13 @@ def assert_view_matches_brute_force(arena):
             live = reference[color]
             sees = bool(arena._seen[agent.id] >> color & 1)
             assert sees == any(d <= radius for d, _, _, _ in live)
-            assert arena._near[agent.id, color] == (live[0][0] if live else _FAR)
+            near = arena._near[agent.id, color]
+            if live:
+                assert near == live[0][0]
+            elif color in placed:
+                assert span < near < _FAR
+            else:
+                assert near == _FAR
 
 
 def unpark_all(arena):
@@ -296,10 +306,11 @@ def assert_sense_matches_brute_force(arena):
 def test_batch_and_single_sense_agree(make_config):
     arena = Arena(make_config(), seed=77)
     kept = 0
-    for _ in range(40):  # a few captures happen, so dead targets are left out
+    for _ in range(40):  # a few captures happen, so captured targets read off the board
         dist, ids = assert_sense_matches_brute_force(arena)
         kept += len(arena.agents) - len(ids)
-        assert dist.dtype == arena._x.dtype == arena._live_x.dtype == np.int16
+        assert dist.dtype == arena._x.dtype == arena._sense_x.dtype == np.int16
+        assert dist.shape[1] == len(arena.targets())  # a column per target ID
         # Sensing every agent again reproduces the kept view, and the
         # Collect search of every agent.
         unpark_all(arena)
@@ -321,28 +332,58 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
     dist, sensed = arena._sense_all()
     assert [arena._nearest(dist[i], Color.RED)[0] for i in range(3)] == [0, 0, 0]
     arena._execute_intent(np.array([0]), np.array([Color.RED]), dist, sensed)
-    assert arena.capture_counts[Color.RED] == 1 and len(arena._live_ids) == 4
+    assert arena.capture_counts[Color.RED] == 1
+    assert arena._alive.tolist() == [False, True, True, True]
+    assert dist[0, 0] == 0  # red 0 still reads its cell in this step's matrix
     assert_search_matches_brute_force(arena, dist, sensed_ids(arena, sensed))
     assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
 
 
-@pytest.mark.parametrize("width, dtype", [(32767, np.int16), (32768, np.int16),
-                                          (32769, np.int32), (40000, np.int32)])
+def test_a_captured_target_keeps_its_id_color_and_cell(make_config):
+    """Capture clears only the alive flag that ``target()`` and ``targets()``
+    report: the ID, color and placed cell stay, step after step."""
+    arena = layout(
+        make_config,
+        targets=[(Color.BLUE, 3, 4), (Color.RED, 0, 0), (Color.RED, 6, 2), (Color.GREEN, 9, 0)],
+        agents=[(M, 0, 0), (M, 6, 2), (I, 20, 20)],
+    )
+    placed = arena.targets()
+    assert [(t.id, t.color, t.pos) for t in placed] == [
+        (0, Color.RED, (0, 0)), (1, Color.RED, (6, 2)), (2, Color.GREEN, (9, 0)),
+        (3, Color.BLUE, (3, 4))]
+    arena.step()
+    assert arena.capture_counts[Color.RED] == 2
+    assert arena.targets() == [dataclasses.replace(t, alive=t.id > 1) for t in placed]
+    collect_all_steps(arena)
+    assert arena.alive_count == 0
+    assert arena.targets() == [dataclasses.replace(t, alive=False) for t in placed]
+    assert [arena.target(i) for i in range(len(placed))] == arena.targets()
+
+
+@pytest.mark.parametrize("width, dtype", [(16383, np.int16), (16384, np.int16),
+                                          (16385, np.int32), (40000, np.int32)])
 @pytest.mark.parametrize("radius", [4, 100_000, 1 << 40])
 def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype, radius):
     """Agents and targets at both ends of a width x 1 corridor, so distances
-    reach width - 1; green and yellow have no target at all. A radius beyond
-    the board sees every present color and still no absent one."""
+    reach width - 1; green and yellow have no target at all. The masters at
+    both ends take the reds under them in the first step, so an agent at the
+    far end then senses the off-board distance 2 * (width - 1) + 1. A radius
+    beyond the board sees every present color and still no absent one."""
     end = width - 1
     arena = layout(
         make_config,
         targets=[(Color.RED, 0, 0), (Color.RED, end, 0), (Color.BLUE, 1, 0),
                  (Color.BLUE, end - 1, 0), (Color.RED, end // 2 - 3, 0),
                  (Color.RED, end // 2 + 3, 0)],
-        agents=[(M, 0, 0), (I, end, 0), (M, end // 2, 0), (I, 1, 0)],
+        agents=[(M, 0, 0), (I, end, 0), (M, end // 2, 0), (I, 1, 0), (M, end, 0)],
         grid=(width, 1), sense_radius=radius,
     )
     assert assert_sense_matches_brute_force(arena)[0].max() == end
+    arena.step()
+    assert [target.alive for target in arena.targets()[:2]] == [False, False]
+    unpark_all(arena)
+    dist = assert_sense_matches_brute_force(arena)[0]
+    assert dist.dtype == dtype and dist.max() == 2 * end + 1
     for _ in range(3):
         arena.step()
         assert assert_sense_matches_brute_force(arena)[0].dtype == dtype
@@ -617,17 +658,17 @@ class PerAgentCollectArena(Arena):
             s, e = self._seg[color]
             row = dist[i, s:e]
             j = int(row.argmin())
-            if not self._alive[self._live_ids[s + j]]:
-                row = np.where(self._alive[self._live_ids[s:e]], row, _FAR)
+            if not self._alive[s + j]:
+                row = np.where(self._alive[s:e], row, _FAR)
                 j = int(row.argmin())
-            k, distance = s + j, int(row[j])
+            k, distance = s + j, int(row[j])  # k is the target ID
             if distance > self._radius:
                 continue
             if distance == 0:
-                self._capture(int(self._live_ids[k]), i)
+                self._capture(k, i)
                 continue
-            dx = int(self._live_x[k]) - int(self._x[i])
-            dy = int(self._live_y[k]) - int(self._y[i])
+            dx = int(self._cat_x[k]) - int(self._x[i])
+            dy = int(self._cat_y[k]) - int(self._y[i])
             self._x[i] += (dx > 0) - (dx < 0)
             self._y[i] += (dy > 0) - (dy < 0)
 
