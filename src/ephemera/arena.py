@@ -8,8 +8,9 @@ ascending ID order inside every phase:
 2. expire learned skills,
 3. sense,
 4. look up every agent's intent; Query intents may emit a query,
-5. execute intents (collect / move / stand),
-6. record a metrics snapshot on the snapshot grid.
+5. execute intents (collect / move / stand).
+
+Stepping a :attr:`Arena.finished` trial raises; the caller records snapshots.
 
 Per-agent state lives in arrays indexed by agent ID: x, y, the end of the
 query cooldown, and the skills (:class:`Knowledge`), of which
@@ -83,7 +84,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import events as ev
-from . import metrics, protocol
+from . import protocol
 from .bt import COLORS, Blackboard, Collect, Color, Query, Selector, assemble_agent_tree, tick
 from .bt import prune  # noqa: F401  (bench/tracing.py patches arena.prune)
 from .knowledge import COLORS_OF, Knowledge, KnowledgeStore
@@ -279,6 +280,8 @@ class Arena:
                 raise SetupError(f"two targets share cell {(x, y)}")
             cells.add((x, y))
         agents = [(ROBOT_ORDER.index(robot_type), x, y) for robot_type, x, y in agents]
+        if not agents:
+            raise SetupError("at least one robot is required")
         for _, x, y in agents:
             if not (0 <= x < width and 0 <= y < height):
                 raise SetupError(f"agent at {(x, y)} is out of bounds")
@@ -333,16 +336,19 @@ class Arena:
         self._y_class = ((ys > 0) | ((ys < self.height - 1) << 1)) << 2
 
         self.t = 0
-        self.trial = 0
         self.pending = _NO_QUERIES  # (querier, color) rows, ascending querier
         self.events: list[ev.EventRecord] = []
-        self.snapshots: list[metrics.MetricsSnapshot] = []
         self.capture_counts = [0, 0, 0, 0]
         self.initial_total = n_targets
         self.alive_count = n_targets
         self.queries_sent = self.deliveries = self.forgets = self.rejects_full = 0
 
     # --- queries about state ------------------------------------------------
+
+    @property
+    def finished(self) -> bool:
+        """The trial's end: the iteration cap is reached or no target is left."""
+        return self.t >= self.config.max_iterations or self.alive_count == 0
 
     @property
     def capture_total(self) -> int:
@@ -425,9 +431,9 @@ class Arena:
     # --- stepping -------------------------------------------------------------
 
     def step(self) -> None:
-        cfg = self.config
-        if self.t >= cfg.max_iterations or self.alive_count == 0:
+        if self.finished:
             raise RuntimeError("trial is finished")
+        cfg = self.config
         self.t = now = self.t + 1
         agents = self.agents
 
@@ -474,10 +480,6 @@ class Arena:
         self._parked = querying = intents == _QUERY
         self.pending = self._emit_queries(querying, seen, nearest_d)
         self.queries_sent += len(self.pending)
-
-        # Phase 6: snapshot on the grid.
-        if now % cfg.snapshot_interval == 0:
-            self.snapshots.append(metrics.snapshot(self, self.trial))
 
         if self.capture_total + self.alive_count != self.initial_total:
             raise ConservationError(

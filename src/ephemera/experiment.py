@@ -10,7 +10,6 @@ query_cooldown=25, snapshot_interval=100, trials=10, base_seed=42.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 from . import metrics
 from .arena import Arena
 from .events import EventRecord
-from .knowledge import CapacityPolicy
+from .knowledge import NEVER, CapacityPolicy
 from .metrics import AggregateRow, MetricsSnapshot
 from .rng import mix_seed
 
@@ -81,6 +80,10 @@ def _validate(cfg: ScenarioConfig) -> None:
     _require(cfg.sense_radius >= 0, "sense_radius must be >= 0", "sense_radius")
     _require(cfg.comm_radius >= 0, "comm_radius must be >= 0", "comm_radius")
     _require(cfg.query_cooldown >= 0, "query_cooldown must be >= 0", "query_cooldown")
+    # A learned skill's expiry and a cooldown's end are iterations in int64 arrays.
+    for field in ("memory_duration", "query_cooldown"):
+        _require(cfg.max_iterations + getattr(cfg, field) < int(NEVER),
+                 f"max_iterations + {field} must be below {NEVER}", field)
     _require(cfg.snapshot_interval >= 1, "snapshot_interval must be >= 1", "snapshot_interval")
     _require(cfg.trials >= 1, "trials must be >= 1", "trials")
 
@@ -187,6 +190,8 @@ def load_config(path) -> ScenarioConfig:
         entry = _PARSERS.get(key)
         if entry is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {key_lines[key]}")
         field, convert = entry
         try:
             kwargs[field] = convert(value)
@@ -218,20 +223,18 @@ class TrialResult:
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialResult:
-    """One seeded trial: init, step to the iteration cap or until all targets
-    are collected, then pad snapshots so every trial covers the full grid."""
+    """One seeded trial: step the arena until it is finished, recording a
+    snapshot at t=0 and at every later time of the snapshot grid. A row due
+    after an early finish repeats the final state at its own time."""
     seed = mix_seed(config.base_seed, trial_index)
     arena = Arena(config, seed)
-    arena.trial = trial_index
-    arena.snapshots.append(metrics.snapshot(arena, trial_index))
-    while arena.t < config.max_iterations and arena.alive_count > 0:
+    snaps = []
+    for t in config.snapshot_grid():
+        while arena.t < t and not arena.finished:
+            arena.step()
+        snaps.append(metrics.snapshot(arena, trial_index, t))
+    while not arena.finished:
         arena.step()
-    snaps = list(arena.snapshots)
-    grid = list(config.snapshot_grid())
-    if len(snaps) < len(grid):
-        final = metrics.snapshot(arena, trial_index)
-        for t in grid[len(snaps):]:
-            snaps.append(dataclasses.replace(final, t=t))
     return TrialResult(
         trial=trial_index,
         seed=seed,

@@ -60,13 +60,14 @@ def knowledge_percent(group: KnowledgeCensus) -> float:
     return (group.r_k + group.g_k + group.y_k + group.b_k) * 100 / group.max_possible
 
 
-def snapshot(arena, trial: int) -> MetricsSnapshot:
-    """Freeze the arena's observable state at this instant."""
+def snapshot(arena, trial: int, t: int) -> MetricsSnapshot:
+    """Freeze the arena's observable state as the row of time ``t``: the
+    arena's clock, or a later grid time when the trial finished early."""
     known = arena.knowledge.known  # knowledge_percent of their census, by popcount
     counts = arena.capture_counts
     return MetricsSnapshot(
         trial=trial,
-        t=arena.t,
+        t=t,
         knowledge_percent=int(POPCOUNT[known].sum()) * 100 / (len(known) * len(COLORS)),
         captured_total=sum(counts),
         captured_red=counts[Color.RED],
@@ -118,8 +119,8 @@ class AggregateRow:
 def aggregate_trials(per_trial: Sequence[Sequence[MetricsSnapshot]]) -> list[AggregateRow]:
     """Mean/min/max of knowledge and capture totals per snapshot index.
 
-    All trials must share the snapshot grid (early-finish padding guarantees
-    this for harness-produced series).
+    All trials must share the snapshot grid (``run_trial`` records a row at
+    every grid time, early finish or not).
     """
     if not per_trial:
         raise ValueError("aggregate_trials needs at least one trial")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ephemera.experiment import ScenarioConfig, get_scenario, run_trials
@@ -6,12 +8,13 @@ from ephemera.experiment import ScenarioConfig, get_scenario, run_trials
 @pytest.fixture(scope="session")
 def scenario_cache():
     """Lazily computed full 10-trial runs of the builtin scenarios, shared by
-    the acceptance criteria so each scenario is simulated once per session."""
+    the acceptance criteria so each scenario is simulated once per session,
+    on every core (the output is the same at any job count)."""
     cache: dict[str, list] = {}
 
     def get(name: str):
         if name not in cache:
-            cache[name] = run_trials(get_scenario(name))
+            cache[name] = run_trials(get_scenario(name), jobs=os.cpu_count() or 1)
         return cache[name]
 
     return get

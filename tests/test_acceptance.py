@@ -137,7 +137,7 @@ def test_criterion_07_conservation_and_monotonicity(scenario_cache):
         # stepped trial, and check counter monotonicity over all cached runs.
         cfg = get_scenario("T2K")
         arena = Arena(cfg, seed=123)
-        while arena.t < 400 and arena.alive_count > 0:
+        while not arena.finished and arena.t < 400:
             arena.step()
             assert arena.capture_total + arena.alive_count == 100
         for name in ("BL", "NL", *T_CASES, "M1", "M2", "M3", "M4"):
@@ -228,7 +228,7 @@ def test_criterion_09_oracle_equivalence(scenario_cache, tmp_path):
             sampled.add(rng.below(200) + 1)
         arena = Arena(get_scenario("T1K"), seed=99)
         compared = 0
-        while arena.t < arena.config.max_iterations and arena.alive_count > 0:
+        while not arena.finished:
             arena.step()
             boundary, rem = divmod(arena.t, arena.config.snapshot_interval)
             if rem == 0 and boundary in sampled:

@@ -17,13 +17,13 @@ from ephemera.arena import (
 from ephemera.bt import COLORS, Color, known_colors
 from ephemera.experiment import ScenarioConfig, get_scenario, run_scenario, run_trial
 from ephemera.knowledge import CapacityPolicy
-from ephemera.rng import SplitMix64
+from ephemera.rng import SplitMix64, mix_seed
 
 I, M = RobotType.IGNORANT, RobotType.MASTER
 
 
 def collect_all_steps(arena, limit=10_000):
-    while arena.t < arena.config.max_iterations and arena.alive_count > 0 and arena.t < limit:
+    while not arena.finished and arena.t < limit:
         arena.step()
 
 
@@ -60,6 +60,11 @@ def test_init_same_seed_identical():
 def test_init_infeasible_targets(make_config):
     with pytest.raises(SetupError):
         Arena(make_config(grid=(3, 3), targets_per_color=3), seed=1)
+
+
+def test_layout_without_agents_is_a_setup_error(make_config):
+    with pytest.raises(SetupError, match="at least one robot"):
+        Arena.from_layout(make_config(), [(Color.RED, 1, 1)], [])
 
 
 def test_init_zero_targets_is_valid(make_config):
@@ -570,7 +575,7 @@ def test_conservation_check_survives_optimize_flag():
 def test_movement_legality_and_conservation(make_config):
     arena = Arena(make_config(max_iterations=200), seed=21)
     initial = arena.initial_total
-    while arena.t < 200 and arena.alive_count > 0:
+    while not arena.finished:
         before = [(a.x, a.y) for a in arena.agents]
         arena.step()
         for agent, (px, py) in zip(arena.agents, before):
@@ -584,7 +589,7 @@ def test_movement_legality_and_conservation(make_config):
 
 def test_store_tree_coherence_every_iteration(make_config):
     arena = Arena(make_config(memory_duration=12, max_iterations=150), seed=23)
-    while arena.t < 150 and arena.alive_count > 0:
+    while not arena.finished:
         arena.step()
         for agent in arena.agents:
             assert known_colors(agent.tree) == agent.store.known_colors()
@@ -593,7 +598,7 @@ def test_store_tree_coherence_every_iteration(make_config):
 def test_no_spontaneous_knowledge_audit(make_config):
     arena = Arena(make_config(memory_duration=15, max_iterations=200), seed=29)
     known = {a.id: set(a.store.known_colors()) for a in arena.agents}
-    while arena.t < 200 and arena.alive_count > 0:
+    while not arena.finished:
         arena.step()
         now = arena.t
         events_now = [r for r in arena.events if r.t == now]
@@ -617,15 +622,9 @@ def test_no_spontaneous_knowledge_audit(make_config):
 
 def test_identical_runs_identical_logs(make_config):
     cfg = make_config(max_iterations=120)
-    logs = []
-    snaps = []
-    for _ in range(2):
-        arena = Arena(cfg, seed=31)
-        collect_all_steps(arena)
-        logs.append(arena.event_lines())
-        snaps.append(arena.snapshots)
-    assert logs[0] == logs[1]
-    assert snaps[0] == snaps[1]
+    first, second = run_trial(cfg, 0), run_trial(cfg, 0)
+    assert [r.line() for r in first.events] == [r.line() for r in second.events]
+    assert first.snapshots == second.snapshots
 
 
 def test_event_lines_round_trip(make_config):
@@ -705,7 +704,7 @@ def test_batched_collect_matches_the_per_agent_reference(board, seed):
     config, targets, agents = board
     batched = Arena.from_layout(config, targets, agents, seed)
     reference = PerAgentCollectArena.from_layout(config, targets, agents, seed)
-    while batched.t < config.max_iterations and batched.alive_count > 0:
+    while not batched.finished:
         batched.step()
         reference.step()
         assert batched._x.tolist() == reference._x.tolist()
@@ -839,7 +838,7 @@ def assert_knowledge_arrays_coherent(arena):
 @given(config=small_configs(), seed=st.integers(0, (1 << 64) - 1))
 def test_step_invariants_on_random_configs(config, seed):
     arena = Arena(config, seed)
-    while arena.t < config.max_iterations and arena.alive_count > 0:
+    while not arena.finished:
         before = [agent.pos for agent in arena.agents]
         arena.step()
         assert arena.capture_total + arena.alive_count == arena.initial_total
@@ -893,6 +892,21 @@ def test_event_log_replay_reproduces_snapshots(config, trial):
                 snap.captured_blue] == captures
         assert (snap.deliveries, snap.forgets, snap.rejects_full) == (
             counts[ev.DELIVERY], counts[ev.FORGET], counts[ev.REJECT])
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs(), trial=st.integers(0, 1000))
+@example(config=dataclasses.replace(crowded_memory(CapacityPolicy.EVICT_OLDEST), max_iterations=14),
+         trial=0)  # captures at t=11..14, after the last snapshot time
+def test_run_trial_ends_where_the_arena_does(config, trial):
+    """run_trial steps to the end of the trial, also past the last snapshot
+    time when the cap is off the snapshot grid."""
+    result = run_trial(config, trial)
+    arena = Arena(config, mix_seed(config.base_seed, trial))
+    while not arena.finished:
+        arena.step()
+    assert result.end_t == arena.t
+    assert [r.line() for r in result.events] == arena.event_lines()
 
 
 @settings(max_examples=8, deadline=None)

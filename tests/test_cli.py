@@ -129,6 +129,16 @@ def test_run_bad_config_is_runtime_error(tmp_path, capsys):
     assert "memory_duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["memory_duration", "query_cooldown"])
+def test_run_config_past_int64_is_runtime_error(tmp_path, tiny_config, capsys, key):
+    lines = MINI_CFG.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key}="))
+    lines[lineno - 1] = f"{key}=9223372036854775807"
+    tiny_config.write_text("\n".join(lines))
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+    assert f"{tiny_config}:{lineno}: max_iterations + {key}" in capsys.readouterr().err
+
+
 def test_run_undecodable_config_names_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"name=tiny\ngrid=30,30\ncaf\xe9=1\n")

@@ -10,7 +10,7 @@ from ephemera.experiment import (
     run_trial,
     run_trials,
 )
-from ephemera.knowledge import CapacityPolicy
+from ephemera.knowledge import NEVER, CapacityPolicy
 from ephemera.rng import mix_seed
 
 
@@ -118,6 +118,12 @@ def test_bad_value_reports_line(tmp_path):
         load_config(write(tmp_path, "trials=ten\n"))
 
 
+def test_repeated_key_names_both_lines(tmp_path):
+    path = write(tmp_path, "grid=20,20\nname=Z\ngrid=30,30\n")
+    with pytest.raises(ConfigError, match=r"scenario\.cfg:3: key 'grid' repeats line 1"):
+        load_config(path)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="no such config"):
         load_config("/nonexistent/path.cfg")
@@ -130,6 +136,21 @@ def test_programmatic_validation():
         ScenarioConfig(name="bad", robot_counts=(0, 0, 0, 0, 0, 0))
     with pytest.raises(ConfigError):
         ScenarioConfig(name="")
+
+
+@pytest.mark.parametrize("key", ["memory_duration", "query_cooldown"])
+def test_iteration_sums_must_stay_below_never(tmp_path, make_config, key):
+    # Learned expiries and cooldown ends are iterations held in int64 arrays.
+    largest = int(NEVER) - 60 - 1
+    result = run_trial(make_config(max_iterations=60, **{key: largest}), 0)
+    assert result.end_t == 60 and result.snapshots[-1].deliveries > 0
+    with pytest.raises(ConfigError) as info:
+        make_config(max_iterations=60, **{key: largest + 1})
+    assert info.value.field == key
+    path = write(tmp_path, f"max_iterations=60\n{key}={int(NEVER)}\n")
+    with pytest.raises(ConfigError, match=rf"scenario\.cfg:2: max_iterations \+ {key}") as info:
+        load_config(path)
+    assert info.value.field == key
 
 
 @pytest.mark.parametrize("name", ["../x", "a/b", "/tmp/x", "..", "a\\b"])

@@ -48,13 +48,16 @@ def scenario_digests(config, out_dir, monkeypatch) -> tuple[str, str]:
 
 def layout_digests(config, targets, agents, seed, out_dir) -> tuple[str, str]:
     """Step an explicitly laid-out arena to the end and digest its snapshot
-    CSV and events."""
+    CSV and events. The rows are t=0 and the grid times the arena reached:
+    unlike run_trial, an early finish (corridor clears at t=74) adds none."""
     arena = Arena.from_layout(config, targets, agents, seed=seed)
-    arena.snapshots.append(metrics.snapshot(arena, 0))
-    while arena.t < config.max_iterations and arena.alive_count > 0:
+    snaps = [metrics.snapshot(arena, 0, 0)]
+    while not arena.finished:
         arena.step()
+        if arena.t % config.snapshot_interval == 0:
+            snaps.append(metrics.snapshot(arena, 0, arena.t))
     out_dir.mkdir()
-    metrics.write_csv(arena.snapshots, out_dir / "layout.csv")
+    metrics.write_csv(snaps, out_dir / "layout.csv")
     h = hashlib.sha256()
     h.update("".join(line + "\n" for line in arena.event_lines()).encode())
     return csv_digest(out_dir), h.hexdigest()

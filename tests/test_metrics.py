@@ -50,9 +50,9 @@ def test_percent_rejects_empty_world():
 
 def test_snapshot_of_fresh_arenas():
     baseline = Arena(get_scenario("BL"), seed=1)
-    assert snapshot(baseline, 0).knowledge_percent == 100.0
+    assert snapshot(baseline, 0, 0).knowledge_percent == 100.0
     ephemeral = Arena(get_scenario("T5K"), seed=1)
-    assert snapshot(ephemeral, 0).knowledge_percent == 10.0
+    assert snapshot(ephemeral, 0, 0).knowledge_percent == 10.0
 
 
 # --- per-trial CSV ------------------------------------------------------------------
