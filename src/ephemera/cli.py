@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -74,7 +75,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_plot(args)
-    except (ConfigError, SetupError, ValueError, OSError) as exc:
+    # BrokenProcessPool: a --jobs worker died mid-trial, as under the OOM killer.
+    except (ConfigError, SetupError, ValueError, OSError, BrokenProcessPool) as exc:
         print(f"ephemera: error: {exc}", file=sys.stderr)
         return 2
 
@@ -101,7 +103,7 @@ def _cmd_run(args) -> int:
             return 1
     else:
         config = load_config(args.config)
-    if args.out is None:
+    if not args.out:  # unset, or set to the empty string
         print("ephemera: error: no output directory (--out or EPHEMERA_OUT)", file=sys.stderr)
         return 1
     overrides = {}

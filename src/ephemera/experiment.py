@@ -250,22 +250,37 @@ def run_scenario(config: ScenarioConfig, out_dir, jobs: int = 1) -> list[Aggrega
     plus the aggregate CSV, and return the aggregate rows.
 
     Output is byte-identical regardless of ``jobs``: trials are independent
-    and results are written in trial order.
+    and results are written in trial order. A worker returns only its
+    trial's snapshot rows; the event log stays in the worker.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_trials(config, jobs)
-    for result in results:
-        metrics.write_csv(result.snapshots, out / f"{config.name}_trial{result.trial:02d}.csv")
-    rows = metrics.aggregate_trials([r.snapshots for r in results])
+    per_trial = _map_trials(_trial_snapshots, config, jobs)
+    for trial, snaps in enumerate(per_trial):
+        metrics.write_csv(snaps, out / f"{config.name}_trial{trial:02d}.csv")
+    rows = metrics.aggregate_trials(per_trial)
     metrics.write_aggregate_csv(rows, out / f"{config.name}_aggregate.csv")
     return rows
 
 
 def run_trials(config: ScenarioConfig, jobs: int = 1) -> list[TrialResult]:
-    """Run every trial, in ``min(jobs, trials, cpu count)`` processes."""
+    """Run every trial, in ``min(jobs, trials, cpu count)`` processes, and
+    return the full results, event logs included, in trial order."""
+    return _map_trials(run_trial, config, jobs)
+
+
+def _trial_snapshots(config: ScenarioConfig, trial_index: int) -> tuple[MetricsSnapshot, ...]:
+    # Module level, so a pool can pickle it by name. It looks up run_trial at
+    # call time, so a replaced run_trial still sees every trial, workers too.
+    return run_trial(config, trial_index).snapshots
+
+
+def _map_trials(fn, config: ScenarioConfig, jobs: int) -> list:
+    """``fn(config, i)`` for every trial ``i``, in trial order, across
+    ``min(jobs, trials, cpu count)`` worker processes, or in this process
+    when that is one."""
     workers = min(jobs, config.trials, os.cpu_count() or 1)
     if workers <= 1:
-        return [run_trial(config, i) for i in range(config.trials)]
+        return [fn(config, i) for i in range(config.trials)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, repeat(config), range(config.trials)))
+        return list(pool.map(fn, repeat(config), range(config.trials)))

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -74,6 +75,51 @@ def test_run_without_output_dir_is_usage_error(tiny_config, monkeypatch, capsys)
     monkeypatch.delenv("EPHEMERA_OUT", raising=False)
     assert main(["run", "--config", str(tiny_config)]) == 1
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["--out", "EPHEMERA_OUT"])
+def test_run_with_empty_output_dir_is_usage_error(tmp_path, tiny_config, monkeypatch, capsys,
+                                                  spelling):
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if spelling == "--out":
+        monkeypatch.delenv("EPHEMERA_OUT", raising=False)
+        argv = ["run", "--config", str(tiny_config), "--out", ""]
+    else:
+        monkeypatch.setenv("EPHEMERA_OUT", "")
+        argv = ["run", "--config", str(tiny_config)]
+    assert main(argv) == 1
+    assert "no output directory" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+class DeadWorkerPool:
+    """Stands in for ProcessPoolExecutor when a worker dies mid-trial."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+def test_run_dead_worker_is_runtime_error(tmp_path, tiny_config, monkeypatch, capsys):
+    from ephemera import experiment
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", DeadWorkerPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    argv = ["run", "--config", str(tiny_config), "--out", str(tmp_path / "o"), "--jobs", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ephemera: error: ") and "terminated abruptly" in err[0]
 
 
 def test_run_unknown_scenario_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import pickle
+
 import pytest
 
+from ephemera.bt import Color
+from ephemera.events import EventRecord
 from ephemera.experiment import (
     ConfigError,
     ScenarioConfig,
+    TrialResult,
     builtin_scenarios,
     get_scenario,
     load_config,
@@ -11,6 +16,7 @@ from ephemera.experiment import (
     run_trials,
 )
 from ephemera.knowledge import NEVER, CapacityPolicy
+from ephemera.metrics import MetricsSnapshot
 from ephemera.rng import mix_seed
 
 
@@ -255,13 +261,23 @@ def test_parallel_and_serial_runs_identical(tmp_path, make_config):
 
 def test_run_trials_parallel_equals_serial(make_config):
     cfg = make_config(trials=3, max_iterations=120)
-    assert run_trials(cfg, jobs=1) == run_trials(cfg, jobs=2)
+    serial, parallel = run_trials(cfg, jobs=1), run_trials(cfg, jobs=2)
+    assert serial == parallel
+    # == holds between a plain tuple and a NamedTuple, so also check that the
+    # events come back as records and read the same lines.
+    events = [r for result in parallel for r in result.events]
+    assert events
+    assert all(type(r) is EventRecord and isinstance(r.color, Color) for r in events)
+    assert [[r.line() for r in result.events] for result in parallel] == \
+        [[r.line() for r in result.events] for result in serial]
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and what each
+    worker would send back, runs in process."""
 
     sizes: list = []
+    yielded: list = []
 
     def __init__(self, max_workers):
         RecordingPool.sizes.append(max_workers)
@@ -273,7 +289,25 @@ class RecordingPool:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        for item in map(fn, *iterables):
+            RecordingPool.yielded.append(item)
+            yield pickle.loads(pickle.dumps(item))
+
+
+def test_run_scenario_workers_send_back_only_snapshots(monkeypatch, tmp_path, make_config):
+    from ephemera import experiment
+
+    RecordingPool.sizes, RecordingPool.yielded = [], []
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    cfg = make_config(trials=3, max_iterations=120)
+    run_scenario(cfg, tmp_path, jobs=2)
+    assert RecordingPool.sizes == [2]
+    assert len(RecordingPool.yielded) == 3
+    for trial, item in enumerate(RecordingPool.yielded):
+        assert not isinstance(item, TrialResult)
+        assert type(item) is tuple and all(type(s) is MetricsSnapshot for s in item)
+        assert item == run_trial(cfg, trial).snapshots
 
 
 @pytest.mark.parametrize("jobs, trials, cpus, expected", [
