@@ -43,7 +43,6 @@ from .experiment import (
 from .knowledge import (
     CapacityPolicy,
     KnowledgeCensus,
-    KnowledgeEntry,
     KnowledgeStore,
     LearnOutcome,
     LearnResult,
@@ -60,7 +59,7 @@ from .metrics import (
     write_csv,
 )
 from .plot import PlotSeries, render_plot
-from .protocol import Delivery, ProtocolError, QueryMessage, emit_query, resolve_and_deliver
+from .protocol import ProtocolError, emit_query, resolve_and_deliver
 from .rng import SplitMix64, mix_seed
 
 __version__ = "0.1.0"

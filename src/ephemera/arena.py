@@ -26,20 +26,21 @@ side less one: farther than every target on the board and out of sight.
 Sensing keeps every agent's view across steps: ``_near``, its distance to
 the nearest live target of each color (_FAR for a color with no target,
 beyond span once all are captured), and ``_seen``, the mask of colors
-within the sense radius. A step senses only the rows that can have changed,
-in one numpy pass over those agents x targets: Chebyshev distances, in two
-matrices allocated by the step, in the narrowest signed dtype that holds
-the largest difference, 2 * span + 1 (int16 up to 16384 cells on a side),
-then one ``np.minimum.reduceat`` over the color segments for the nearest
-distance per agent and color, and from it the seen mask. The first sense
-takes every agent; after it, an agent that stood in the Query intent last
-step keeps its row unless it learned in this step's resolve (it may collect
-now) or a target captured since lay at exactly its kept nearest distance of
-that color. The kept rows are exact, not approximate: a Query agent does
-not move and targets only disappear, so its nearest distance of a color
-changes only when a target at that distance is captured. Every Collect agent
-is among the sensed rows: a kept row's agent was in Query and learned
-nothing, so it sees no color it knows.
+within the sense radius. Both exist from construction, with no agent
+parked. A step senses only the rows that can have changed, in one numpy
+pass over those agents x targets: Chebyshev distances, in two matrices
+allocated by the step, in the narrowest signed dtype that holds the largest
+difference, 2 * span + 1 (int16 up to 16384 cells on a side), then one
+``np.minimum.reduceat`` over the color segments for the nearest distance
+per agent and color, and from it the seen mask. The first sense takes every
+agent and fills in the whole view; after it, an agent that stood in the
+Query intent last step keeps its row unless it learned in this step's
+resolve (it may collect now) or a target captured since lay at exactly its
+kept nearest distance of that color. The kept rows are exact, not
+approximate: a Query agent does not move and targets only disappear, so its
+nearest distance of a color changes only when a target at that distance is
+captured. Every Collect agent is among the sensed rows: a kept row's agent
+was in Query and learned nothing, so it sees no color it knows.
 
 Every agent tree is the canonical tree of its known colors, so
 ``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
@@ -133,7 +134,8 @@ class SetupError(ValueError):
 
 
 class ConservationError(RuntimeError):
-    """Captured plus alive targets no longer add up to the initial count."""
+    """Captured plus alive targets no longer add up to the initial count, or
+    the alive count is not the number of targets left on the board."""
 
 
 class RobotType(Enum):
@@ -315,13 +317,14 @@ class Arena:
         self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
         self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
         self._starts = [bounds[c] for c in self._present]
-        # The kept view (see _sense_all), created by the first sense; the
-        # agents left out of the next sense, and the targets captured since
-        # the last one.
-        self._near = self._seen = self._parked = None
-        self._captured: list[int] = []
-
         self._x, self._y = x.astype(dtype), y.astype(dtype)
+        # The kept view (see _sense_all), which the first sense fills in for
+        # every agent; the agents left out of the next sense, and the targets
+        # captured since the last one.
+        self._near = np.zeros((len(types), 4), np.int64)
+        self._seen = np.zeros(len(types), np.uint8)
+        self._parked = np.zeros(len(types), bool)
+        self._captured: list[int] = []
         self._cooldown = np.zeros(len(types), np.int64)
         self.knowledge = Knowledge(_INNATE[types], self.config.memory_size)
         self.agents = [
@@ -391,7 +394,7 @@ class Arena:
         """
         parked, captured = self._parked, self._captured
         rows = slice(None)
-        if parked is not None and parked.any():
+        if parked.any():
             if captured:  # captures x agents, so numpy loops over the long axis
                 tx, ty = self._cat_x[captured], self._cat_y[captured]
                 d = np.maximum(np.abs(tx[:, None] - self._x), np.abs(ty[:, None] - self._y))
@@ -410,9 +413,6 @@ class Arena:
         if len(self._present) < 4:  # widen to all 4 colors, _FAR for the absent
             nearest_d, present = np.full((len(x), 4), _FAR, np.int64), nearest_d
             nearest_d[:, self._present] = present
-        if self._near is None:
-            self._near = np.empty((len(x), 4), np.int64)
-            self._seen = np.empty(len(x), np.uint8)
         self._near[rows] = nearest_d
         self._seen[rows] = np.packbits(nearest_d <= self._radius, axis=1,
                                        bitorder="little")[:, 0]
@@ -447,7 +447,7 @@ class Arena:
                 self._x, self._y, self.knowledge.known,
             )
             if delivered:  # a learner may collect now, so it is sensed
-                self._parked[[d.querier for d in delivered]] = False
+                self._parked[[q for q, _ in delivered]] = False
             kinds = [record.kind for record in self.events[mark:]]
             self.deliveries += kinds.count(ev.DELIVERY)
             self.rejects_full += kinds.count(ev.REJECT)
@@ -486,6 +486,11 @@ class Arena:
                 f"t={now}: {self.capture_total} captured + {self.alive_count} alive "
                 f"!= {self.initial_total} placed"
             )
+        if self._captured and self.alive_count != np.count_nonzero(self._alive):
+            raise ConservationError(
+                f"t={now}: {self.alive_count} counted alive, "
+                f"{np.count_nonzero(self._alive)} on the board"
+            )
 
     def _execute_intent(self, rows: np.ndarray, colors: np.ndarray,
                         dist: np.ndarray, sensed: slice | np.ndarray) -> None:
@@ -511,13 +516,12 @@ class Arena:
             of_c = colors == c
             k[of_c] = dist[at[of_c], s:e].argmin(axis=1) + s  # first minimum = lowest ID
         if not d.all():
-            taken = set()  # in ID order, so by lower IDs at each row
+            # In ID order, so _captured holds the targets lower IDs took.
             for p, i, t, dt in zip(range(len(k)), rows.tolist(), k.tolist(), d.tolist()):
-                if t in taken:
+                if t in self._captured:
                     k[p], dt = self._nearest(dist[at[p]], int(colors[p]))
                     d[p] = dt if dt <= self._radius else 0
                 elif dt == 0:
-                    taken.add(t)
                     self._capture(t, i)
         step = d > 0
         movers, toward = rows[step], k[step]

@@ -251,11 +251,13 @@ def run_scenario(config: ScenarioConfig, out_dir, jobs: int = 1) -> list[Aggrega
 
     Output is byte-identical regardless of ``jobs``: trials are independent
     and results are written in trial order. A worker returns only its
-    trial's snapshot rows; the event log stays in the worker.
+    trial's snapshot rows; the event log stays in the worker. ``out_dir``
+    is created only once every trial has run, so a run that fails leaves no
+    directory behind.
     """
+    per_trial = _map_trials(_trial_snapshots, config, jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    per_trial = _map_trials(_trial_snapshots, config, jobs)
     for trial, snaps in enumerate(per_trial):
         metrics.write_csv(snaps, out / f"{config.name}_trial{trial:02d}.csv")
     rows = metrics.aggregate_trials(per_trial)

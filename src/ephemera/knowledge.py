@@ -41,17 +41,6 @@ class LearnResult(NamedTuple):
     victim: Optional[Color] = None  # set only when outcome is EVICTED
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeEntry:
-    color: Color
-    learned_at: Optional[int] = None  # None marks an innate entry
-    expires_at: Optional[int] = None  # None never expires
-
-    @property
-    def innate(self) -> bool:
-        return self.learned_at is None
-
-
 class Knowledge:
     """The skills of agents ``0..n-1``, each holding at most ``capacity``
     learned ones (None = unlimited); innate skills never expire or leave."""
@@ -92,14 +81,6 @@ class KnowledgeStore:
                  table: Optional[Knowledge] = None, row: int = 0):
         self.table, self.row = table or Knowledge([sum(1 << c for c in {*innate})], capacity), row
 
-    @property
-    def entries(self) -> dict[Color, KnowledgeEntry]:
-        """One entry per known color, in canonical order."""
-        learned = self.table.learned_at[self.row].tolist()
-        expires = self.table.expires_at[self.row].tolist()
-        return {c: KnowledgeEntry(c) if learned[c] == NEVER
-                else KnowledgeEntry(c, learned[c], expires[c]) for c in self.known_colors()}
-
     def knows(self, color: Color) -> bool:
         return bool(self.known_mask() >> color & 1)
 
@@ -109,9 +90,6 @@ class KnowledgeStore:
     def known_mask(self) -> int:
         """The known colors as a 4-bit mask, bit ``c`` for color ``c``."""
         return int(self.table.known[self.row])
-
-    def learned_count(self) -> int:
-        return (self.known_mask() & ~int(self.table.innate[self.row])).bit_count()
 
     def learn(self, color: Color, now: int, duration: int,
               policy: CapacityPolicy = CapacityPolicy.REJECT_WHEN_FULL) -> LearnResult:

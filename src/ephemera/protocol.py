@@ -11,13 +11,14 @@ positions and knowledge holding then; answering never mutates the responder.
 A step's queries travel as one array of (querier, color) rows, in ascending
 querier ID, from emission to :func:`resolve_and_deliver`; :func:`query_colors`
 is the rule for the color a querier asks about, for a batch of agents and
-for :func:`emit_query`'s one.
+for :func:`emit_query`'s one. A query is a ``(querier, color)`` pair and an
+answered one a ``(querier, responder)`` pair; what a delivery taught is in
+the querier's knowledge arrays and in the event log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,20 +26,6 @@ from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
 from .knowledge import CapacityPolicy, LearnOutcome
-
-
-@dataclass(frozen=True, slots=True)
-class QueryMessage:
-    querier: int
-    color: Color
-    emitted_at: int
-
-
-class Delivery(NamedTuple):
-    querier: int
-    responder: int
-    payload: str  # serialized skill subtree, canonical grammar
-    delivered_at: int
 
 
 # Bound on comm_radius in the numpy search, above any grid distance.
@@ -80,13 +67,15 @@ def query_colors(unknown: np.ndarray, nearest_d: np.ndarray) -> np.ndarray:
 
 
 def emit_query(agent, nearest_d, seen: int, now: int,
-               query_cooldown: int) -> Optional[QueryMessage]:
+               query_cooldown: int) -> Optional[tuple[int, Color]]:
     """Broadcast a question for the nearest seen color the agent does not know.
 
     ``nearest_d`` holds the distance to the nearest target of each color and
     ``seen`` the mask of the colors within the sense radius (bit c for color
-    c). Returns None while the agent's cooldown is running or when it sees no
-    unknown color. The color is :func:`query_colors`' for this one agent.
+    c). Returns the query as a ``(querier, color)`` pair, one row of the
+    array :meth:`Arena.step` emits, and restarts the cooldown; returns None
+    while the cooldown is running or when the agent sees no unknown color.
+    The color is :func:`query_colors`' for this one agent.
     """
     if now < agent.cooldown_until:
         return None
@@ -95,7 +84,7 @@ def emit_query(agent, nearest_d, seen: int, now: int,
         return None
     color = COLORS[int(query_colors(np.array([unknown]), np.array([nearest_d]))[0])]
     agent.cooldown_until = now + query_cooldown
-    return QueryMessage(agent.id, color, now)
+    return agent.id, color
 
 
 def merge_payload(
@@ -148,7 +137,7 @@ def resolve_and_deliver(
     xs: np.ndarray,
     ys: np.ndarray,
     known: np.ndarray,
-) -> list[Delivery]:
+) -> list[tuple[int, int]]:
     """Resolve last iteration's queries in ascending querier ID.
 
     ``pending`` is an m x 2 integer array of (querier, color) rows, one per
@@ -157,8 +146,10 @@ def resolve_and_deliver(
     For each query the nearest agent within ``comm_radius`` (Chebyshev) that
     currently knows the color answers (ties to the lowest ID); the querier
     merges the answer immediately, so a skill learned here can answer a later
-    query in the same pass. Queries with no responder lapse. Returns one :class:`Delivery` per
-    answered query, whether the querier kept the skill or rejected it.
+    query in the same pass. Queries with no responder lapse. Returns one
+    ``(querier, responder)`` pair per answered query, in ascending querier
+    ID, whether the querier kept the skill or rejected it; the payload went
+    through :func:`merge_payload`, which logged the outcome.
 
     ``xs``, ``ys`` and ``known`` are the agents' positions and known-color
     masks as numpy arrays indexed by ID, the positions in an integer dtype
@@ -166,7 +157,7 @@ def resolve_and_deliver(
     place as queriers learn or evict, if it is not already the array their
     stores write.
     """
-    deliveries: list[Delivery] = []
+    deliveries: list[tuple[int, int]] = []
     if not len(pending):
         return deliveries
     queriers, colors = pending.T
@@ -199,7 +190,7 @@ def resolve_and_deliver(
         payload = _PAYLOADS[color]
         old = int(known[q])
         merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
-        deliveries.append(Delivery(q, best_id, payload, now))
+        deliveries.append((q, best_id))
         mask = querier.store.known_mask()
         if mask == old:
             continue

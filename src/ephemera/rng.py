@@ -64,12 +64,7 @@ class SplitMix64:
         """Uniform-ish integer in [0, n): one draw, modulo reduction."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        # next_u64 inlined.
-        self._block = _NO_WORDS
-        s = self._state = (self._state + _GOLDEN) & MASK64
-        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return (z ^ (z >> 31)) % n
+        return self.next_u64() % n
 
     def below_many(self, ns) -> np.ndarray:
         """One ``below(n)`` draw per entry of ``ns``, in order, as int64.

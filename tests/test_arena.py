@@ -555,21 +555,48 @@ def test_conservation_violation_raises_named_error(make_config):
         arena.step()
 
 
+class DoubleCaptureArena(Arena):
+    """Counts every capture twice: captured plus alive still adds up to the
+    targets placed, but more targets are left on the board than counted."""
+
+    def _capture(self, target_id, agent_id):
+        super()._capture(target_id, agent_id)
+        super()._capture(target_id, agent_id)
+
+
+def test_double_capture_raises_conservation_error(make_config):
+    arena = DoubleCaptureArena(make_config(max_iterations=200), seed=3)
+    with pytest.raises(ConservationError, match="on the board"):
+        while not arena.finished:
+            arena.step()
+
+
 def test_conservation_check_survives_optimize_flag():
-    # Under `python -O` a bare assert would be stripped; the check must stay.
+    # Under `python -O` a bare assert would be stripped; both checks must stay.
     code = (
         "from ephemera.arena import Arena, ConservationError\n"
         "from ephemera.experiment import ScenarioConfig\n"
-        "arena = Arena(ScenarioConfig(name='x', grid=(20, 20), targets_per_color=2), 1)\n"
+        "class DoubleCaptureArena(Arena):\n"
+        "    def _capture(self, target_id, agent_id):\n"
+        "        super()._capture(target_id, agent_id)\n"
+        "        super()._capture(target_id, agent_id)\n"
+        "config = ScenarioConfig(name='x', grid=(20, 20), targets_per_color=2)\n"
+        "arena = Arena(config, 1)\n"
         "arena.alive_count += 1\n"
         "try:\n"
         "    arena.step()\n"
         "except ConservationError:\n"
         "    print('raised')\n"
+        "arena = DoubleCaptureArena(config, 1)\n"
+        "try:\n"
+        "    while not arena.finished:\n"
+        "        arena.step()\n"
+        "except ConservationError:\n"
+        "    print('raised')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 def test_movement_legality_and_conservation(make_config):

@@ -120,6 +120,7 @@ def test_run_dead_worker_is_runtime_error(tmp_path, tiny_config, monkeypatch, ca
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("ephemera: error: ") and "terminated abruptly" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_unknown_scenario_is_usage_error(tmp_path, capsys):

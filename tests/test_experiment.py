@@ -237,6 +237,20 @@ def test_run_scenario_writes_trials_plus_one_files(tmp_path, make_config):
     assert len(rows) == len(list(cfg.snapshot_grid()))
 
 
+def test_failed_run_leaves_no_output_dir(monkeypatch, tmp_path, make_config):
+    from ephemera import experiment
+
+    def failing_trial(config, trial_index):
+        if trial_index == 1:
+            raise RuntimeError("trial 1 failed")
+        return run_trial(config, trial_index)
+
+    monkeypatch.setattr(experiment, "run_trial", failing_trial)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_scenario(make_config(trials=3, max_iterations=50), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_single_trial_aggregate_equals_trial(tmp_path, make_config):
     cfg = make_config(trials=1, max_iterations=100)
     rows = run_scenario(cfg, tmp_path)

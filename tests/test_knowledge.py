@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from ephemera import events as ev
 from ephemera.bt import COLORS, Color
 from ephemera.knowledge import (
+    COLORS_OF,
     NEVER,
     CapacityPolicy,
     Knowledge,
-    KnowledgeEntry,
     KnowledgeStore,
     LearnOutcome,
-    LearnResult,
     census,
 )
 from ephemera.protocol import _PAYLOADS, merge_payload
@@ -27,19 +26,30 @@ def m_store(capacity=None):
     return KnowledgeStore(COLORS, capacity=capacity)
 
 
+def row_state(store):
+    """The store's row: its known mask, and learned_at and expires_at per color."""
+    row = store.row
+    return (store.known_mask(), store.table.learned_at[row].tolist(),
+            store.table.expires_at[row].tolist())
+
+
+def learned_count(store):
+    return (store.known_mask() & ~int(store.table.innate[store.row])).bit_count()
+
+
 def test_learn_merges_with_expiry():
     store = KnowledgeStore(capacity=4)
     result = store.learn(Color.RED, now=100, duration=1000)
     assert result.outcome is LearnOutcome.MERGED
-    assert store.entries[Color.RED].expires_at == 1100
+    assert store.table.expires_at[store.row, Color.RED] == 1100
     assert store.knows(Color.RED)
 
 
 def test_learn_on_innate_is_noop():
     store = m_store()
-    before = dict(store.entries)
+    before = row_state(store)
     assert store.learn(Color.RED, now=5, duration=10).outcome is LearnOutcome.ALREADY_INNATE
-    assert store.entries == before
+    assert row_state(store) == before
 
 
 def test_reject_when_full_is_default():
@@ -71,7 +81,7 @@ def test_evict_tie_breaks_on_canonical_color():
 
 def test_innate_exempt_from_capacity_and_eviction():
     store = m_store(capacity=1)
-    assert store.learned_count() == 0
+    assert learned_count(store) == 0
     result = store.learn(Color.RED, now=1, duration=5, policy=EVICT)
     assert result.outcome is LearnOutcome.ALREADY_INNATE
     assert store.forget_expired(10**9) == []
@@ -83,9 +93,8 @@ def test_refresh_restamps_expiry():
     store.learn(Color.RED, now=10, duration=100)
     result = store.learn(Color.RED, now=50, duration=100)
     assert result.outcome is LearnOutcome.REFRESHED
-    entry = store.entries[Color.RED]
-    assert entry.learned_at == 50
-    assert entry.expires_at == 150
+    assert store.table.learned_at[store.row, Color.RED] == 50
+    assert store.table.expires_at[store.row, Color.RED] == 150
 
 
 def test_refresh_never_decreases_expiry_when_time_moves_forward():
@@ -96,7 +105,7 @@ def test_refresh_never_decreases_expiry_when_time_moves_forward():
     for _ in range(200):
         now += rng.below(40)
         store.learn(Color.RED, now=now, duration=64)
-        new_expiry = store.entries[Color.RED].expires_at
+        new_expiry = store.table.expires_at[store.row, Color.RED]
         assert new_expiry >= expiry
         expiry = new_expiry
 
@@ -193,7 +202,7 @@ def test_store_matches_reference_model(capacity, policy):
             assert result.outcome.value == expected_outcome
             assert result.victim == (expected_victim and Color(expected_victim))
         assert store.known_colors() == model.known()
-        assert store.learned_count() <= (capacity or 4)
+        assert learned_count(store) <= (capacity or 4)
 
 
 # --- census ---------------------------------------------------------------------
@@ -242,47 +251,17 @@ def test_census_matches_brute_force_scan():
 
 # --- the population arrays against a dict store per agent ---------------------------
 
-class DictStore:
-    """One agent's skills as a dict of entries, the layout the arrays
-    replaced: the reference model of the arrays."""
-
-    def __init__(self, innate, capacity):
-        self.capacity = capacity
-        self.entries = {c: KnowledgeEntry(c) for c in sorted(set(innate))}
-
-    def learn(self, color, now, duration, policy):
-        entry = self.entries.get(color)
-        if entry is not None and entry.innate:
-            return LearnResult(LearnOutcome.ALREADY_INNATE)
-        learned = [e for e in self.entries.values() if not e.innate]
-        result = LearnResult(LearnOutcome.REFRESHED if entry else LearnOutcome.MERGED)
-        if entry is None and self.capacity is not None and len(learned) >= self.capacity:
-            if policy is REJECT:
-                return LearnResult(LearnOutcome.REJECTED_FULL)
-            victim = min(learned, key=lambda e: (e.learned_at, e.color)).color
-            del self.entries[victim]
-            result = LearnResult(LearnOutcome.EVICTED, victim)
-        self.entries[color] = KnowledgeEntry(color, now, now + duration)
-        return result
-
-    def forget_expired(self, now):
-        removed = sorted(c for c, e in self.entries.items()
-                         if e.expires_at is not None and e.expires_at <= now)
-        for color in removed:
-            del self.entries[color]
-        return removed
-
-
 def merge_into_model(model, agent, responder, color, now, duration, policy, log):
-    """merge_payload's event contract on the reference model."""
-    result = model.learn(color, now, duration, policy)
-    if result.outcome is LearnOutcome.REJECTED_FULL:
+    """merge_payload's event contract on the reference model; returns the
+    evicted color or None."""
+    outcome, victim = model.learn(color, now, duration, policy)
+    if outcome == "rejected_full":
         log.append(ev.EventRecord(now, ev.REJECT, agent, color, responder))
-        return result
-    if result.victim is not None:
-        log.append(ev.EventRecord(now, ev.FORGET, agent, result.victim))
+        return None
+    if victim is not None:
+        log.append(ev.EventRecord(now, ev.FORGET, agent, victim))
     log.append(ev.EventRecord(now, ev.DELIVERY, agent, color, responder))
-    return result
+    return victim
 
 
 iterations = st.lists(
@@ -312,7 +291,7 @@ def test_knowledge_arrays_match_a_dict_store_per_agent(innate, capacity, policy,
     table = Knowledge(innate, capacity)
     agents = [SimpleNamespace(id=i, store=KnowledgeStore(table=table, row=i))
               for i in range(len(innate))]
-    models = [DictStore([c for c in COLORS if mask >> c & 1], capacity) for mask in innate]
+    models = [ModelStore(COLORS_OF[mask], capacity) for mask in innate]
     now = 0
     for gap, deliveries in steps:
         now += gap
@@ -320,23 +299,21 @@ def test_knowledge_arrays_match_a_dict_store_per_agent(innate, capacity, policy,
         for agent, color, responder in deliveries:
             if agent >= len(agents):
                 continue
-            model_result = merge_into_model(models[agent], agent, responder, color, now,
-                                            duration, policy, expected)
+            victim = merge_into_model(models[agent], agent, responder, color, now,
+                                      duration, policy, expected)
             merge_payload(agents[agent], responder, _PAYLOADS[color], color, now, duration,
                           policy, log)
-            if model_result.victim is not None:
-                assert log[-2] == ev.EventRecord(now, ev.FORGET, agent, model_result.victim)
+            if victim is not None:
+                assert log[-2] == ev.EventRecord(now, ev.FORGET, agent, victim)
         dropped = table.expire(now)
         log.extend(ev.EventRecord(now, ev.FORGET, i, COLORS[c]) for i, c in zip(*dropped))
         for i, model in enumerate(models):
-            expected.extend(ev.EventRecord(now, ev.FORGET, i, c) for c in model.forget_expired(now))
+            expected.extend(ev.EventRecord(now, ev.FORGET, i, c) for c in model.forget(now))
         assert log == expected
         for i, (agent, model) in enumerate(zip(agents, models)):
-            assert agent.store.entries == model.entries
-            assert agent.store.known_colors() == tuple(sorted(model.entries))
-            assert table.known[i] == sum(1 << c for c in model.entries)
-            learned = {c: e for c, e in model.entries.items() if not e.innate}
+            assert agent.store.known_colors() == model.known()
+            assert table.known[i] == sum(1 << c for c in model.known())
             assert table.learned_at[i].tolist() == [
-                learned[c].learned_at if c in learned else NEVER for c in COLORS]
+                model.learned[c][0] if c in model.learned else NEVER for c in COLORS]
             assert table.expires_at[i].tolist() == [
-                learned[c].expires_at if c in learned else NEVER for c in COLORS]
+                model.learned[c][1] if c in model.learned else NEVER for c in COLORS]

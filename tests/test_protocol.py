@@ -9,14 +9,7 @@ from ephemera.arena import _QUERY, INTENT_TABLE, TREES, Arena, RobotType
 from ephemera.bt import COLORS, Color, ParseError, known_colors, make_knowledge_subtree, serialize
 from ephemera.experiment import ScenarioConfig
 from ephemera.knowledge import COLORS_OF, CapacityPolicy, KnowledgeStore, LearnOutcome, LearnResult
-from ephemera.protocol import (
-    Delivery,
-    ProtocolError,
-    QueryMessage,
-    emit_query,
-    merge_payload,
-    resolve_and_deliver,
-)
+from ephemera.protocol import ProtocolError, emit_query, merge_payload, resolve_and_deliver
 
 REJECT = CapacityPolicy.REJECT_WHEN_FULL
 EVICT = CapacityPolicy.EVICT_OLDEST
@@ -60,12 +53,20 @@ def resolve(pending, agents, **kwargs):
     return resolve_and_deliver(pending, agents, **kwargs, **mirrors(agents))
 
 
+def row_state(store):
+    """The store's row: its known mask, and learned_at and expires_at per color."""
+    row = store.row
+    return (store.known_mask(), store.table.learned_at[row].tolist(),
+            store.table.expires_at[row].tolist())
+
+
 # --- emit_query -----------------------------------------------------------------
 
 def test_emit_query_basic():
     agent = Agent(3)
     message = emit_query(agent, *sight(red=2), now=10, query_cooldown=25)
-    assert message == QueryMessage(querier=3, color=Color.RED, emitted_at=10)
+    assert message == (3, Color.RED)
+    assert type(message[1]) is Color
     assert agent.cooldown_until == 35
 
 
@@ -80,14 +81,14 @@ def test_emit_query_respects_cooldown():
 
 def test_emit_query_picks_nearest_unknown():
     agent = Agent(0, innate=(Color.RED,))
-    message = emit_query(agent, *sight(red=1, green=4, blue=3), now=1, query_cooldown=5)
-    assert message.color is Color.BLUE  # red is known; blue nearer than green
+    _, color = emit_query(agent, *sight(red=1, green=4, blue=3), now=1, query_cooldown=5)
+    assert color is Color.BLUE  # red is known; blue nearer than green
 
 
 def test_emit_query_tie_breaks_canonical():
     agent = Agent(0)
-    message = emit_query(agent, *sight(blue=2, red=2), now=1, query_cooldown=5)
-    assert message.color is Color.RED
+    _, color = emit_query(agent, *sight(blue=2, red=2), now=1, query_cooldown=5)
+    assert color is Color.RED
 
 
 def test_emit_query_none_when_nothing_unknown():
@@ -151,10 +152,10 @@ def test_batch_emission_matches_emit_query_per_agent(rows, now, query_cooldown, 
         message = emit_query(agent, nearest_d[agent.id].tolist(), int(seen[agent.id]), now,
                              query_cooldown)
         if message is not None:
-            expected.append((message.querier, message.color))
+            expected.append(message)
             # The per-agent rule emit_query applied before the batch existed.
             unknown = COLORS_OF[int(seen[agent.id]) & ~known[agent.id]]
-            assert message.color == min(unknown, key=nearest_d[agent.id].tolist().__getitem__)
+            assert message[1] == min(unknown, key=nearest_d[agent.id].tolist().__getitem__)
     assert pending.shape == (len(expected), 2)
     assert pending.tolist() == [[q, int(c)] for q, c in expected]
     assert ([a.cooldown_until for a in batch.agents]
@@ -177,20 +178,14 @@ def test_delivery_payload_is_the_skill_subtree():
         queries((0, Color.RED)), agents_by_id(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
-    assert len(deliveries) == 1
-    delivery = deliveries[0]
-    assert delivery.payload == "seq(cond(SeeTarget:Red),act(Collect:Red))"
-    assert delivery.responder == 1
-    assert delivery.delivered_at == 5
+    assert deliveries == [(0, 1)]
     assert querier.store.knows(Color.RED)
+    assert querier.store.table.learned_at[0, Color.RED] == 5
     assert known_colors(querier.tree) == (Color.RED,)
     assert log == [ev.EventRecord(5, ev.DELIVERY, 0, Color.RED, 1)]
 
 
-def test_delivery_and_learn_result_keep_their_fields():
-    delivery = Delivery(0, 1, "act(Explore)", 5)
-    assert delivery._fields == ("querier", "responder", "payload", "delivered_at")
-    assert delivery == (0, 1, "act(Explore)", 5)
+def test_learn_result_keeps_its_fields():
     result = LearnResult(LearnOutcome.EVICTED, Color.RED)
     assert result._fields == ("outcome", "victim")
     assert (result.outcome.value, result.victim) == ("evicted", Color.RED)
@@ -228,7 +223,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
         queries((0, Color.RED)), agents_by_id(querier, far, near),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
-    assert deliveries[0].responder == 2
+    assert deliveries == [(0, 2)]
 
     querier = Agent(0, pos=(0, 0))
     a = Agent(1, pos=(0, 4), innate=COLORS)
@@ -237,18 +232,18 @@ def test_nearest_responder_wins_and_ties_break_low_id():
         queries((0, Color.RED)), agents_by_id(querier, a, b),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
-    assert deliveries[0].responder == 1
+    assert deliveries == [(0, 1)]
 
 
 def test_responder_store_is_never_mutated():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(1, 1), innate=COLORS)
-    before = dict(master.store.entries)
+    before = row_state(master.store)
     resolve(
         queries((0, Color.GREEN)), agents_by_id(querier, master),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
-    assert master.store.entries == before
+    assert row_state(master.store) == before
 
 
 def test_learned_knowledge_is_shareable_in_same_pass():
@@ -262,7 +257,7 @@ def test_learned_knowledge_is_shareable_in_same_pass():
         agents_by_id(first, master, second),
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
     )
-    assert [(d.querier, d.responder) for d in deliveries] == [(0, 1), (2, 0)]
+    assert deliveries == [(0, 1), (2, 0)]
     assert second.store.knows(Color.RED)
 
 
@@ -275,7 +270,7 @@ def test_one_responder_can_answer_many():
         agents_by_id(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
-    assert [d.responder for d in deliveries] == [0, 0]
+    assert deliveries == [(1, 0), (2, 0)]
 
 
 def test_full_store_rejects_and_logs():
@@ -324,7 +319,7 @@ def test_queries_resolve_in_querier_id_order():
         agents_by_id(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
-    assert [(d.querier, d.responder) for d in deliveries] == [(1, 0), (2, 1)]
+    assert deliveries == [(1, 0), (2, 1)]
 
 
 def test_queries_out_of_querier_id_order_are_refused():
@@ -398,7 +393,7 @@ def test_evicted_responder_no_longer_answers():
         agents_by_id(master, holder, asker),
         now=2, comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
     )
-    assert [(d.querier, d.responder) for d in deliveries] == [(1, 0), (2, 0)]
+    assert deliveries == [(1, 0), (2, 0)]
 
 
 def test_known_masks_are_updated_in_place():
@@ -468,8 +463,8 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
     expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)
     got = resolve(pending, agents, now=4, comm_radius=comm_radius, memory_duration=5,
                   policy=policy, event_log=log)
-    assert [(d.querier, d.responder) for d in got] == expected
+    assert got == expected
     assert log == expected_log
     for a, b in zip(agents, expected_agents):
-        assert a.store.entries == b.store.entries
+        assert row_state(a.store) == row_state(b.store)
         assert a.tree == b.tree
