@@ -42,17 +42,14 @@ from .experiment import (
 )
 from .knowledge import (
     CapacityPolicy,
-    KnowledgeCensus,
     KnowledgeStore,
     LearnOutcome,
     LearnResult,
-    census,
 )
 from .metrics import (
     AggregateRow,
     MetricsSnapshot,
     aggregate_trials,
-    knowledge_percent,
     read_aggregate_csv,
     snapshot,
     write_aggregate_csv,

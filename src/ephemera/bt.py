@@ -13,11 +13,15 @@ spaces between tokens)::
     pred   := "SeeTarget:" color | "SeeUnknownTarget"
     action := "Collect:" color | "Query" | "Explore"
     color  := "Red" | "Green" | "Yellow" | "Blue"
+
+serialize and parse read one table of the grammar's words (``_GRAMMAR``):
+a leaf is spelled by its type name, and a color by its label, the member
+name in title case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from typing import Any, Iterable, Union
 
@@ -32,18 +36,12 @@ class Color(IntEnum):
 
     @property
     def label(self) -> str:
-        return _COLOR_LABELS[self]
+        return self.name.title()
 
 
 COLORS: tuple[Color, ...] = tuple(Color)
 
-_COLOR_LABELS = {
-    Color.RED: "Red",
-    Color.GREEN: "Green",
-    Color.YELLOW: "Yellow",
-    Color.BLUE: "Blue",
-}
-_COLOR_BY_LABEL = {label: color for color, label in _COLOR_LABELS.items()}
+_COLOR_BY_LABEL = {color.label: color for color in COLORS}
 
 
 def color_from_label(label: str) -> Color:
@@ -97,9 +95,7 @@ class Action:
 
 
 @dataclass(frozen=True, slots=True)
-class Selector:
-    """Prioritized fallback: succeeds at the first child that succeeds."""
-
+class _Composite:
     children: tuple["BTNode", ...]
 
     def __post_init__(self) -> None:
@@ -109,15 +105,13 @@ class Selector:
 
 
 @dataclass(frozen=True, slots=True)
-class Sequence:
+class Selector(_Composite):
+    """Prioritized fallback: succeeds at the first child that succeeds."""
+
+
+@dataclass(frozen=True, slots=True)
+class Sequence(_Composite):
     """Runs children in order: fails at the first child that fails."""
-
-    children: tuple["BTNode", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("composite node needs at least one child")
 
 
 BTNode = Union[Selector, Sequence, Condition, Action]
@@ -180,36 +174,29 @@ def tick(node: BTNode, bb: Blackboard) -> TickStatus:
 
 # --- serialization ----------------------------------------------------------
 
+# The grammar's words: each node word, its node type, and the leaf types a
+# leaf node wraps, by type name. A leaf with a color field is written
+# "Name:Color".
+_GRAMMAR = {
+    word: (node_type, {leaf.__name__: leaf for leaf in leaves})
+    for word, node_type, *leaves in (
+        ("sel", Selector),
+        ("seq", Sequence),
+        ("cond", Condition, SeeTarget, SeeUnknownTarget),
+        ("act", Action, Collect, Query, Explore),
+    )
+}
+_WORD_OF = {node_type: word for word, (node_type, _) in _GRAMMAR.items()}
+
+
 def serialize(node: BTNode) -> str:
     """Canonical text form: no whitespace, children comma-separated."""
-    parts: list[str] = []
-    _write(node, parts)
-    return "".join(parts)
-
-
-def _write(node: BTNode, out: list[str]) -> None:
-    kind = type(node)
-    if kind is Selector or kind is Sequence:
-        out.append("sel(" if kind is Selector else "seq(")
-        for i, child in enumerate(node.children):
-            if i:
-                out.append(",")
-            _write(child, out)
-        out.append(")")
-    elif kind is Condition:
-        pred = node.pred
-        if type(pred) is SeeTarget:
-            out.append(f"cond(SeeTarget:{pred.color.label})")
-        else:
-            out.append("cond(SeeUnknownTarget)")
-    else:
-        action = node.kind
-        if type(action) is Collect:
-            out.append(f"act(Collect:{action.color.label})")
-        elif type(action) is Query:
-            out.append("act(Query)")
-        else:
-            out.append("act(Explore)")
+    word = _WORD_OF[type(node)]
+    if isinstance(node, _Composite):
+        return f"{word}({','.join(map(serialize, node.children))})"
+    leaf = node.pred if type(node) is Condition else node.kind
+    name = type(leaf).__name__
+    return f"{word}({name}:{leaf.color.label})" if fields(leaf) else f"{word}({name})"
 
 
 class ParseError(ValueError):
@@ -253,54 +240,33 @@ class _Parser:
 
     def parse_node(self) -> BTNode:
         word, start = self.read_word()
-        if word in ("sel", "seq"):
-            self.expect("(", "unbalanced parentheses")
+        if word not in _GRAMMAR:
+            raise ParseError("unknown token", start)
+        node_type, leaves = _GRAMMAR[word]
+        self.expect("(", "unbalanced parentheses")
+        if issubclass(node_type, _Composite):
             if self.peek() == ")":
                 raise ParseError("empty child list", self.pos)
             children = [self.parse_node()]
             while self.peek() == ",":
                 self.pos += 1
                 children.append(self.parse_node())
-            self.expect(")", "unbalanced parentheses")
-            return Selector(tuple(children)) if word == "sel" else Sequence(tuple(children))
-        if word == "cond":
-            self.expect("(", "unbalanced parentheses")
-            pred = self.parse_pred()
-            self.expect(")", "unbalanced parentheses")
-            return Condition(pred)
-        if word == "act":
-            self.expect("(", "unbalanced parentheses")
-            action = self.parse_action()
-            self.expect(")", "unbalanced parentheses")
-            return Action(action)
-        raise ParseError("unknown token", start)
-
-    def parse_pred(self) -> Predicate:
-        word, start = self.read_word()
-        if word == "SeeTarget":
-            self.expect(":", "expected ':' after SeeTarget")
-            return SeeTarget(self.read_color())
-        if word == "SeeUnknownTarget":
-            return SeeUnknownTarget()
-        raise ParseError("unknown token", start)
-
-    def parse_action(self) -> ActionKind:
-        word, start = self.read_word()
-        if word == "Collect":
-            self.expect(":", "expected ':' after Collect")
-            return Collect(self.read_color())
-        if word == "Query":
-            return Query()
-        if word == "Explore":
-            return Explore()
-        raise ParseError("unknown token", start)
-
-    def read_color(self) -> Color:
-        word, start = self.read_word()
-        color = _COLOR_BY_LABEL.get(word)
-        if color is None:
-            raise ParseError("unknown color name", start)
-        return color
+            node = node_type(tuple(children))
+        else:
+            name, start = self.read_word()
+            leaf = leaves.get(name)
+            if leaf is None:
+                raise ParseError("unknown token", start)
+            if fields(leaf):
+                self.expect(":", f"expected ':' after {name}")
+                label, start = self.read_word()
+                if label not in _COLOR_BY_LABEL:
+                    raise ParseError("unknown color name", start)
+                node = node_type(leaf(_COLOR_BY_LABEL[label]))
+            else:
+                node = node_type(leaf())
+        self.expect(")", "unbalanced parentheses")
+        return node
 
 
 def parse(text: str) -> BTNode:
@@ -337,17 +303,8 @@ class CanonicalTreeError(ValueError):
 
 
 def _skill_color(node: BTNode) -> Color | None:
-    if (
-        type(node) is Sequence
-        and len(node.children) == 2
-        and type(node.children[0]) is Condition
-        and type(node.children[0].pred) is SeeTarget
-        and type(node.children[1]) is Action
-        and type(node.children[1].kind) is Collect
-        and node.children[0].pred.color is node.children[1].kind.color
-    ):
-        return node.children[0].pred.color
-    return None
+    """The color ``c`` with ``node == make_knowledge_subtree(c)``, or None."""
+    return next((c for c in COLORS if node == make_knowledge_subtree(c)), None)
 
 
 def known_colors(root: BTNode) -> tuple[Color, ...]:

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import metrics
 from .arena import Arena
@@ -253,15 +253,23 @@ def run_scenario(config: ScenarioConfig, out_dir, jobs: int = 1) -> list[Aggrega
     and results are written in trial order. A worker returns only its
     trial's snapshot rows; the event log stays in the worker. ``out_dir``
     is created only once every trial has run, so a run that fails leaves no
-    directory behind.
+    directory behind. Then the scenario's trial CSVs that an earlier run
+    left in ``out_dir`` for a trial index of ``config.trials`` or more are
+    removed, so the files there match the aggregate.
     """
     per_trial = _map_trials(_trial_snapshots, config, jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    prefix = f"{config.name}_trial"
     for trial, snaps in enumerate(per_trial):
-        metrics.write_csv(snaps, out / f"{config.name}_trial{trial:02d}.csv")
+        metrics.write_csv(snaps, out / f"{prefix}{trial:02d}.csv")
     rows = metrics.aggregate_trials(per_trial)
     metrics.write_aggregate_csv(rows, out / f"{config.name}_aggregate.csv")
+    for path in out.iterdir():
+        digits = path.name.removeprefix(prefix).removesuffix(".csv")
+        if (digits.isdecimal() and int(digits) >= config.trials
+                and path.name == f"{prefix}{int(digits):02d}.csv"):
+            path.unlink()
     return rows
 
 

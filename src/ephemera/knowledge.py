@@ -8,7 +8,6 @@ updated by every write to the row. A :class:`KnowledgeStore` views one row."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -127,29 +126,3 @@ class KnowledgeStore:
         """Drop learned entries with expires_at <= now; returns them in
         canonical color order. Innate entries are untouched."""
         return [COLORS[c] for c in self.table.expire(now, self.row, self.row + 1)[1]]
-
-
-@dataclass(frozen=True, slots=True)
-class KnowledgeCensus:
-    """Per-color counts of agents that hold the skill."""
-
-    r_k: int
-    g_k: int
-    y_k: int
-    b_k: int
-    max_possible: int
-
-    def count(self, color: Color) -> int:
-        return (self.r_k, self.g_k, self.y_k, self.b_k)[color]
-
-    @property
-    def total(self) -> int:
-        return self.r_k + self.g_k + self.y_k + self.b_k
-
-
-def census(stores: Iterable[KnowledgeStore]) -> KnowledgeCensus:
-    masks = [store.known_mask() for store in stores]
-    if not masks:
-        raise ValueError("census requires at least one store")
-    counts = [sum(mask >> c & 1 for mask in masks) for c in COLORS]
-    return KnowledgeCensus(*counts, max_possible=len(masks) * len(COLORS))

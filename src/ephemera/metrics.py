@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bt import COLORS, Color
-from .knowledge import POPCOUNT, KnowledgeCensus
+from .knowledge import POPCOUNT
 
 CSV_HEADER = "trial,t,knowledge_pct,cap_total,cap_r,cap_g,cap_y,cap_b,queries,deliveries,forgets,rejects"
 AGGREGATE_HEADER = "t,mean_knowledge_pct,min,max,mean_cap_total,min,max"
@@ -49,21 +49,15 @@ class MetricsSnapshot:
         )
 
 
-def knowledge_percent(group: KnowledgeCensus) -> float:
-    """Sum of per-color knower counts over the maximum possible, times 100.
-
-    Multiplies before dividing so grid-exact values (10.0, 100.0) come out
-    exact in floating point.
-    """
-    if group.max_possible <= 0:
-        raise ValueError("max_possible must be positive")
-    return (group.r_k + group.g_k + group.y_k + group.b_k) * 100 / group.max_possible
-
-
 def snapshot(arena, trial: int, t: int) -> MetricsSnapshot:
     """Freeze the arena's observable state as the row of time ``t``: the
-    arena's clock, or a later grid time when the trial finished early."""
-    known = arena.knowledge.known  # knowledge_percent of their census, by popcount
+    arena's clock, or a later grid time when the trial finished early.
+
+    ``knowledge_percent`` is Eq. 1, group knowledge: the number of (agent,
+    color) skills held over agents x colors, times 100. It multiplies
+    before dividing, so grid-exact values (10.0, 100.0) come out exact.
+    """
+    known = arena.knowledge.known
     counts = arena.capture_counts
     return MetricsSnapshot(
         trial=trial,

@@ -16,8 +16,8 @@ from ephemera import events as ev
 from ephemera.arena import Arena
 from ephemera.bt import COLORS, Color, known_colors
 from ephemera.experiment import builtin_scenarios, get_scenario
-from ephemera.knowledge import CapacityPolicy, KnowledgeStore, LearnOutcome, census
-from ephemera.metrics import knowledge_percent, write_csv
+from ephemera.knowledge import CapacityPolicy, KnowledgeStore, LearnOutcome
+from ephemera.metrics import snapshot, write_csv
 from ephemera.rng import SplitMix64
 
 T_CASES = ("T1K", "T2K", "T5K", "T10K", "T20K")
@@ -48,8 +48,7 @@ def test_criterion_01_eq1_exactness(scenario_cache):
     with criterion(1, "Eq. 1 exactness"):
         for name in ("T1K", "T20K", "M1", "NL"):
             arena = Arena(get_scenario(name), seed=1)
-            group = census([a.store for a in arena.agents])
-            assert knowledge_percent(group) == 10.0  # exact, not approximate
+            assert snapshot(arena, 0, 0).knowledge_percent == 10.0  # exact, not approximate
         for result in scenario_cache("BL"):
             assert all(s.knowledge_percent == 100.0 for s in result.snapshots)
 
@@ -209,7 +208,7 @@ def _replay_percent(config, event_lines, snapshot_ts):
 
 @pytest.mark.slow
 def test_criterion_09_oracle_equivalence(scenario_cache, tmp_path):
-    with criterion(9, "event-log replay and census oracles"):
+    with criterion(9, "event-log replay and Eq. 1 oracles"):
         cfg = get_scenario("T5K")
         for result in scenario_cache("T5K")[:3]:
             csv_path = tmp_path / f"trial{result.trial}.csv"
@@ -221,7 +220,8 @@ def test_criterion_09_oracle_equivalence(scenario_cache, tmp_path):
             replayed = _replay_percent(cfg, lines, ts)
             assert [f"{p:.4f}" for p in replayed] == csv_percents
 
-        # Census vs brute-force scan at 20 seeded-random snapshot boundaries.
+        # snapshot's Eq. 1 vs a brute-force per-color count over the stores,
+        # at 20 seeded-random snapshot boundaries.
         rng = SplitMix64(2718)
         sampled = set()
         while len(sampled) < 20:
@@ -233,12 +233,9 @@ def test_criterion_09_oracle_equivalence(scenario_cache, tmp_path):
             boundary, rem = divmod(arena.t, arena.config.snapshot_interval)
             if rem == 0 and boundary in sampled:
                 stores = [a.store for a in arena.agents]
-                group = census(stores)
-                brute = [
-                    sum(1 for s in stores if s.knows(c)) for c in COLORS
-                ]
-                assert [group.r_k, group.g_k, group.y_k, group.b_k] == brute
-                assert knowledge_percent(group) == sum(brute) * 100 / (len(stores) * 4)
+                brute = [sum(1 for s in stores if s.knows(c)) for c in COLORS]
+                percent = snapshot(arena, 0, arena.t).knowledge_percent
+                assert percent == sum(brute) * 100 / (len(stores) * 4)
                 compared += 1
         assert compared == 20
 

@@ -135,6 +135,35 @@ def test_round_trip_on_random_trees():
         assert serialize(parse(text)) == text
 
 
+def spaced(text: str, rng: SplitMix64) -> str:
+    """``text`` with 0-2 ASCII spaces before and after every punctuation
+    mark, and at both ends."""
+    def pad():
+        return " " * rng.below(3)
+
+    out = [pad()]
+    for char in text:
+        out.append(f"{pad()}{char}{pad()}" if char in "(),:" else char)
+    out.append(pad())
+    return "".join(out)
+
+
+def test_parse_ignores_spaces_at_every_token_boundary():
+    rng = SplitMix64(77)
+    for _ in range(300):
+        tree = random_tree(rng)
+        assert parse(spaced(serialize(tree), rng)) == tree
+
+
+def test_every_proper_prefix_is_a_parse_error():
+    rng = SplitMix64(78)
+    for _ in range(200):
+        text = serialize(random_tree(rng))
+        for end in range(len(text)):
+            with pytest.raises(ParseError):
+                parse(text[:end])
+
+
 # --- tick ---------------------------------------------------------------------
 
 def test_condition_sees_target():
@@ -300,6 +329,23 @@ def test_graft_prune_set_laws():
         Selector((
             Sequence((Condition(SeeTarget(Color.BLUE)), Action(Collect(Color.BLUE)))),
             Sequence((Condition(SeeTarget(Color.RED)), Action(Collect(Color.RED)))),
+            Sequence((Condition(SeeUnknownTarget()), Action(Query()))),
+            Action(Explore()),
+        )),
+        # near misses of a skill subtree in a skill slot: children swapped,
+        # a third child, SeeUnknownTarget, one color twice, a Selector
+        *(
+            Selector((skill, Sequence((Condition(SeeUnknownTarget()), Action(Query()))), Action(Explore())))
+            for skill in (
+                Sequence((Action(Collect(Color.RED)), Condition(SeeTarget(Color.RED)))),
+                Sequence((Condition(SeeTarget(Color.RED)), Action(Collect(Color.RED)), Action(Explore()))),
+                Sequence((Condition(SeeUnknownTarget()), Action(Collect(Color.RED)))),
+                Selector((Condition(SeeTarget(Color.RED)), Action(Collect(Color.RED)))),
+            )
+        ),
+        Selector((
+            make_knowledge_subtree(Color.RED),
+            make_knowledge_subtree(Color.RED),
             Sequence((Condition(SeeUnknownTarget()), Action(Query()))),
             Action(Explore()),
         )),

@@ -237,6 +237,18 @@ def test_run_scenario_writes_trials_plus_one_files(tmp_path, make_config):
     assert len(rows) == len(list(cfg.snapshot_grid()))
 
 
+def test_rerun_with_fewer_trials_removes_stale_trial_files(tmp_path, make_config):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("other_trial05.csv", "notes.txt", "mini_trial1.csv"):
+        (out / name).write_text("kept\n")
+    run_scenario(make_config(trials=3, max_iterations=100), out)
+    run_scenario(make_config(trials=1, max_iterations=100), out)
+    files = sorted(p.name for p in out.iterdir())
+    assert files == ["mini_aggregate.csv", "mini_trial00.csv", "mini_trial1.csv",
+                     "notes.txt", "other_trial05.csv"]
+
+
 def test_failed_run_leaves_no_output_dir(monkeypatch, tmp_path, make_config):
     from ephemera import experiment
 

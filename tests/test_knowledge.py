@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ephemera import events as ev
+from ephemera.arena import Arena
 from ephemera.bt import COLORS, Color
+from ephemera.experiment import ScenarioConfig
 from ephemera.knowledge import (
     COLORS_OF,
     NEVER,
@@ -13,8 +15,8 @@ from ephemera.knowledge import (
     Knowledge,
     KnowledgeStore,
     LearnOutcome,
-    census,
 )
+from ephemera.metrics import snapshot
 from ephemera.protocol import _PAYLOADS, merge_payload
 from ephemera.rng import SplitMix64
 
@@ -205,48 +207,26 @@ def test_store_matches_reference_model(capacity, policy):
         assert learned_count(store) <= (capacity or 4)
 
 
-# --- census ---------------------------------------------------------------------
-
-def test_census_table_one_start():
-    stores = [KnowledgeStore() for _ in range(45)] + [m_store() for _ in range(5)]
-    result = census(stores)
-    assert (result.r_k, result.g_k, result.y_k, result.b_k) == (5, 5, 5, 5)
-    assert result.max_possible == 200
-
-
-def test_census_all_masters():
-    result = census([m_store() for _ in range(50)])
-    assert (result.r_k, result.g_k, result.y_k, result.b_k) == (50, 50, 50, 50)
-
-
-def test_census_all_ignorant():
-    result = census([KnowledgeStore() for _ in range(3)])
-    assert result.total == 0
-    assert result.max_possible == 12
-
-
-def test_census_requires_stores():
-    with pytest.raises(ValueError):
-        census([])
-
+# --- Eq. 1 -----------------------------------------------------------------------
 
 def test_census_matches_brute_force_scan():
+    """snapshot's Eq. 1 equals a brute-force count of the (agent, color)
+    skills the stores hold, while learned skills expire."""
+    arena = Arena(ScenarioConfig("mix", robot_counts=(10, 5, 7, 6, 6, 6)), seed=303)
+    stores = [agent.store for agent in arena.agents]
     rng = SplitMix64(303)
-    stores = []
-    for _ in range(40):
-        store = KnowledgeStore(
-            [COLORS[i] for i in range(4) if rng.below(2)],
-            capacity=None,
-        )
+    for store in stores:
         for c in COLORS:
             if rng.below(3) == 0:
                 store.learn(c, now=rng.below(100), duration=1 + rng.below(50))
-        store.forget_expired(rng.below(120))
-        stores.append(store)
-    result = census(stores)
-    for color in COLORS:
-        assert result.count(color) == sum(1 for s in stores if s.knows(color))
-    assert result.max_possible == len(stores) * 4
+    counts = []
+    for now in range(0, 180, 20):
+        arena.knowledge.expire(now)
+        brute = sum(1 for s in stores for c in COLORS if s.knows(c))
+        assert snapshot(arena, 0, now).knowledge_percent == brute * 100 / (len(stores) * 4)
+        counts.append(brute)
+    innate = sum(int(s.table.innate[s.row]).bit_count() for s in stores)
+    assert counts[0] > counts[-1] == innate
 
 
 # --- the population arrays against a dict store per agent ---------------------------

@@ -3,14 +3,12 @@ import os
 import pytest
 
 from ephemera.arena import Arena
-from ephemera.experiment import get_scenario, run_trial
-from ephemera.knowledge import KnowledgeCensus
+from ephemera.experiment import ScenarioConfig, get_scenario, run_trial
 from ephemera.metrics import (
     AGGREGATE_HEADER,
     CSV_HEADER,
     MetricsSnapshot,
     aggregate_trials,
-    knowledge_percent,
     read_aggregate_csv,
     snapshot,
     write_aggregate_csv,
@@ -31,28 +29,13 @@ def snap(trial=0, t=0, know=10.0, cap=0, **kw):
 
 # --- the percentage ---------------------------------------------------------------
 
-def test_percent_table_start_is_exactly_ten():
-    assert knowledge_percent(KnowledgeCensus(5, 5, 5, 5, 200)) == 10.0
-
-
-def test_percent_baseline_is_exactly_hundred():
-    assert knowledge_percent(KnowledgeCensus(50, 50, 50, 50, 200)) == 100.0
-
-
-def test_percent_zero():
-    assert knowledge_percent(KnowledgeCensus(0, 0, 0, 0, 200)) == 0.0
-
-
-def test_percent_rejects_empty_world():
-    with pytest.raises(ValueError):
-        knowledge_percent(KnowledgeCensus(0, 0, 0, 0, 0))
-
-
 def test_snapshot_of_fresh_arenas():
     baseline = Arena(get_scenario("BL"), seed=1)
     assert snapshot(baseline, 0, 0).knowledge_percent == 100.0
     ephemeral = Arena(get_scenario("T5K"), seed=1)
     assert snapshot(ephemeral, 0, 0).knowledge_percent == 10.0
+    ignorant = Arena(ScenarioConfig("I", robot_counts=(50, 0, 0, 0, 0, 0)), seed=1)
+    assert snapshot(ignorant, 0, 0).knowledge_percent == 0.0
 
 
 # --- per-trial CSV ------------------------------------------------------------------
