@@ -42,6 +42,7 @@ from .experiment import (
 )
 from .knowledge import (
     CapacityPolicy,
+    Knowledge,
     KnowledgeStore,
     LearnOutcome,
     LearnResult,

@@ -13,8 +13,11 @@ ascending ID order inside every phase:
 Stepping a :attr:`Arena.finished` trial raises; the caller records snapshots.
 
 Per-agent state lives in arrays indexed by agent ID: x, y, the end of the
-query cooldown, and the skills (:class:`Knowledge`), of which
-``AgentState.store`` is a view. Expiry is one search of ``expires_at``, in
+query cooldown, and the skills (:class:`Knowledge`). The step reads and
+writes only these arrays: resolve learns through :meth:`Knowledge.learn`.
+:attr:`Arena.agents`, one :class:`AgentState` view per agent (its
+``store`` a view of the agent's row), is built on first access, for
+callers outside the step. Expiry is one search of ``expires_at``, in
 row-major order (agent ID, then color): the order of the Forget events.
 
 Every target keeps its catalog column (color-major, by ID within a color)
@@ -79,6 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
@@ -327,11 +331,7 @@ class Arena:
         self._captured: list[int] = []
         self._cooldown = np.zeros(len(types), np.int64)
         self.knowledge = Knowledge(_INNATE[types], self.config.memory_size)
-        self.agents = [
-            AgentState(i, ROBOT_ORDER[t], KnowledgeStore(table=self.knowledge, row=i),
-                       self._x, self._y, self._cooldown)
-            for i, t in enumerate(types.tolist())
-        ]
+        self._types = types
         # Edge class of each column and row (see _moves_by_class).
         xs = np.arange(self.width)
         ys = np.arange(self.height)
@@ -347,6 +347,16 @@ class Arena:
         self.queries_sent = self.deliveries = self.forgets = self.rejects_full = 0
 
     # --- queries about state ------------------------------------------------
+
+    @cached_property
+    def agents(self) -> list[AgentState]:
+        """One view per agent, by ID, built on first access; the step reads
+        the arrays and never these."""
+        return [
+            AgentState(i, ROBOT_ORDER[t], KnowledgeStore(table=self.knowledge, row=i),
+                       self._x, self._y, self._cooldown)
+            for i, t in enumerate(self._types.tolist())
+        ]
 
     @property
     def finished(self) -> bool:
@@ -435,16 +445,14 @@ class Arena:
             raise RuntimeError("trial is finished")
         cfg = self.config
         self.t = now = self.t + 1
-        agents = self.agents
 
         # Phase 1: resolve queries emitted at now-1 (before forgetting, so an
         # entry expiring this iteration can still answer).
         if len(self.pending) and cfg.learning_enabled:
             mark = len(self.events)
             delivered = protocol.resolve_and_deliver(
-                self.pending, agents, now, cfg.comm_radius,
-                cfg.memory_duration, cfg.capacity_policy, self.events,
-                self._x, self._y, self.knowledge.known,
+                self.pending, self.knowledge, now, cfg.comm_radius,
+                cfg.memory_duration, cfg.capacity_policy, self.events, self._x, self._y,
             )
             if delivered:  # a learner may collect now, so it is sensed
                 self._parked[[q for q, _ in delivered]] = False

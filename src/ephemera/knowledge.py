@@ -4,7 +4,8 @@ skills, expiry, and a capacity bound on learned skills per agent.
 Per agent, :class:`Knowledge` holds the 4-bit innate mask, ``learned_at``
 and ``expires_at`` per color (``NEVER`` for an absent or innate color), and
 the known mask (bit c for color c): the innate plus the learned colors,
-updated by every write to the row. A :class:`KnowledgeStore` views one row."""
+updated by every write to the row. The learn rule and expiry are methods of
+:class:`Knowledge`; a :class:`KnowledgeStore` views one row."""
 
 from __future__ import annotations
 
@@ -56,6 +57,43 @@ class Knowledge:
         self.expires_at = self.learned_at.copy()
         self.next_expiry = NEVER  # at most the smallest expires_at
 
+    def __len__(self) -> int:
+        """The number of agents."""
+        return len(self.known)
+
+    def learn(self, row: int, color: Color, now: int, duration: int,
+              policy: CapacityPolicy) -> tuple[LearnOutcome, Optional[Color], int]:
+        """Merge one skill taught to agent ``row``; a full row rejects or
+        evicts per ``policy``. Returns the outcome, the evicted color (None
+        unless the outcome is EVICTED) and the row's new known mask. The
+        eviction victim is the learned color with the smallest
+        ``learned_at``, ties to the canonical color order."""
+        if duration < 1:
+            raise ValueError("duration must be >= 1")
+        bit, innate, known = 1 << color, self.innate.item(row), self.known.item(row)
+        if innate & bit:
+            return LearnOutcome.ALREADY_INNATE, None, known
+        learned, victim = known & ~innate, None
+        if learned & bit:
+            # Re-learning restamps the entry so expires_at stays learned_at + duration.
+            outcome = LearnOutcome.REFRESHED
+        elif self.capacity is None or learned.bit_count() < self.capacity:
+            outcome = LearnOutcome.MERGED
+        elif policy is CapacityPolicy.REJECT_WHEN_FULL:
+            return LearnOutcome.REJECTED_FULL, None, known
+        else:
+            # Innate and absent colors hold NEVER: the first minimum is the
+            # oldest learned color.
+            outcome, times = LearnOutcome.EVICTED, self.learned_at[row].tolist()
+            victim = COLORS[times.index(min(times))]
+            self.learned_at[row, victim] = self.expires_at[row, victim] = NEVER
+            known &= ~(1 << victim)
+        self.learned_at[row, color] = now
+        self.expires_at[row, color] = now + duration
+        self.next_expiry = min(self.next_expiry, now + duration)
+        self.known[row] = known = known | bit
+        return outcome, victim, known
+
     def expire(self, now: int, first: int = 0, stop: Optional[int] = None) -> tuple[list, list]:
         """Drop the learned skills of agents ``first..stop-1`` with
         ``expires_at <= now``; returns their agent IDs and colors, in
@@ -92,34 +130,8 @@ class KnowledgeStore:
 
     def learn(self, color: Color, now: int, duration: int,
               policy: CapacityPolicy = CapacityPolicy.REJECT_WHEN_FULL) -> LearnResult:
-        """Merge one taught skill; full stores reject or evict per policy.
-        The eviction victim is the learned color with the smallest
-        ``learned_at``, ties to the canonical color order."""
-        if duration < 1:
-            raise ValueError("duration must be >= 1")
-        table, row, bit = self.table, self.row, 1 << color
-        innate, known = int(table.innate[row]), int(table.known[row])
-        learned, victim = known & ~innate, None
-        if innate & bit:
-            return LearnResult(LearnOutcome.ALREADY_INNATE)
-        if learned & bit:
-            # Re-learning restamps the entry so expires_at stays learned_at + duration.
-            outcome = LearnOutcome.REFRESHED
-        elif table.capacity is None or learned.bit_count() < table.capacity:
-            outcome = LearnOutcome.MERGED
-        elif policy is CapacityPolicy.REJECT_WHEN_FULL:
-            return LearnResult(LearnOutcome.REJECTED_FULL)
-        else:
-            # Innate and absent colors hold NEVER: the first minimum is the
-            # oldest learned color.
-            outcome, times = LearnOutcome.EVICTED, table.learned_at[row].tolist()
-            victim = COLORS[times.index(min(times))]
-            table.learned_at[row, victim] = table.expires_at[row, victim] = NEVER
-            known &= ~(1 << victim)
-        table.learned_at[row, color] = now
-        table.expires_at[row, color] = now + duration
-        table.next_expiry = min(table.next_expiry, now + duration)
-        table.known[row] = known | bit
+        """Merge one taught skill, by :meth:`Knowledge.learn`'s rule."""
+        outcome, victim, _ = self.table.learn(self.row, color, now, duration, policy)
         return LearnResult(outcome, victim)
 
     def forget_expired(self, now: int) -> list[Color]:

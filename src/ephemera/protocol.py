@@ -1,10 +1,13 @@
 """Query/respond/deliver: an agent that cannot handle a visible target
 broadcasts a color question; the nearest in-range knower answers with the
-serialized skill subtree; the querier checks it and learns the color.
+serialized skill subtree; the querier learns the color.
 
 The payload of each color is serialized once, at import, and must parse
 back to its skill subtree or the import fails, so the grammar is checked in
-every run without a codec round-trip per delivery.
+every run without a codec round-trip per delivery. A responder always sends
+its color's payload, so :func:`resolve_and_deliver` learns the asked color
+without re-reading it; :func:`merge_payload`, the querier side for one
+agent, checks the payload it is handed.
 
 Queries emitted at iteration t are resolved at the start of t+1 against the
 positions and knowledge holding then; answering never mutates the responder.
@@ -12,12 +15,15 @@ A step's queries travel as one array of (querier, color) rows, in ascending
 querier ID, from emission to :func:`resolve_and_deliver`; :func:`query_colors`
 is the rule for the color a querier asks about, for a batch of agents and
 for :func:`emit_query`'s one. A query is a ``(querier, color)`` pair and an
-answered one a ``(querier, responder)`` pair; what a delivery taught is in
-the querier's knowledge arrays and in the event log.
+answered one a ``(querier, responder)`` pair. Resolve works on the
+population's knowledge arrays (:class:`Knowledge`), with no per-agent
+object: what a delivery taught is in the querier's row and in the event
+log, which resolve and :func:`merge_payload` write with one helper.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
@@ -25,7 +31,7 @@ import numpy as np
 from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
-from .knowledge import CapacityPolicy, LearnOutcome
+from .knowledge import COLORS_OF, CapacityPolicy, Knowledge, LearnOutcome
 
 
 # Bound on comm_radius in the numpy search, above any grid distance.
@@ -107,13 +113,20 @@ def merge_payload(
         raise ProtocolError(
             f"payload {payload!r} is not the skill subtree for {expected_color.label}"
         )
-    result = querier.store.learn(expected_color, now, memory_duration, policy)
-    if result.outcome is LearnOutcome.REJECTED_FULL:
-        event_log.append(ev.EventRecord(now, ev.REJECT, querier.id, expected_color, responder_id))
+    outcome, victim = querier.store.learn(expected_color, now, memory_duration, policy)
+    _log_learn(event_log, now, querier.id, expected_color, responder_id, outcome, victim)
+
+
+def _log_learn(event_log: list[ev.EventRecord], now: int, querier: int, color: Color,
+               responder: int, outcome: LearnOutcome, victim: Optional[Color]) -> None:
+    """Log a delivery's outcome: Reject when the store was full, else a
+    Forget of the evicted color, if any, then Delivery."""
+    if outcome is LearnOutcome.REJECTED_FULL:
+        event_log.append(ev.EventRecord(now, ev.REJECT, querier, color, responder))
         return
-    if result.victim is not None:
-        event_log.append(ev.EventRecord(now, ev.FORGET, querier.id, result.victim))
-    event_log.append(ev.EventRecord(now, ev.DELIVERY, querier.id, expected_color, responder_id))
+    if victim is not None:
+        event_log.append(ev.EventRecord(now, ev.FORGET, querier, victim))
+    event_log.append(ev.EventRecord(now, ev.DELIVERY, querier, color, responder))
 
 
 def _nearest_knower(xs, ys, known, q: int, color: int, lapse: int) -> tuple[int, int]:
@@ -128,7 +141,7 @@ def _nearest_knower(xs, ys, known, q: int, color: int, lapse: int) -> tuple[int,
 
 def resolve_and_deliver(
     pending: np.ndarray,
-    agents,
+    knowledge: Knowledge,
     now: int,
     comm_radius: int,
     memory_duration: int,
@@ -136,26 +149,24 @@ def resolve_and_deliver(
     event_log: list[ev.EventRecord],
     xs: np.ndarray,
     ys: np.ndarray,
-    known: np.ndarray,
 ) -> list[tuple[int, int]]:
     """Resolve last iteration's queries in ascending querier ID.
 
     ``pending`` is an m x 2 integer array of (querier, color) rows, one per
     query, in ascending querier ID, as :meth:`Arena.step` emits them; rows
-    out of that order raise ValueError. ``agents`` is indexed by agent ID.
-    For each query the nearest agent within ``comm_radius`` (Chebyshev) that
-    currently knows the color answers (ties to the lowest ID); the querier
-    merges the answer immediately, so a skill learned here can answer a later
-    query in the same pass. Queries with no responder lapse. Returns one
-    ``(querier, responder)`` pair per answered query, in ascending querier
-    ID, whether the querier kept the skill or rejected it; the payload went
-    through :func:`merge_payload`, which logged the outcome.
+    out of that order raise ValueError. ``knowledge`` holds the skills of
+    the agents, by ID. For each query the nearest agent within
+    ``comm_radius`` (Chebyshev) that currently knows the color answers (ties
+    to the lowest ID); the querier learns the color at once
+    (:meth:`Knowledge.learn`), so a skill learned here can answer a later
+    query in the same pass. Queries with no responder lapse. Each outcome is
+    logged as :func:`merge_payload` logs it: Forget of an evicted color and
+    Delivery, or Reject. Returns one ``(querier, responder)`` pair per
+    answered query, in ascending querier ID, whether the querier kept the
+    skill or rejected it.
 
-    ``xs``, ``ys`` and ``known`` are the agents' positions and known-color
-    masks as numpy arrays indexed by ID, the positions in an integer dtype
-    that holds the difference of any two of them; ``known`` is updated in
-    place as queriers learn or evict, if it is not already the array their
-    stores write.
+    ``xs`` and ``ys`` are the agents' positions as numpy arrays indexed by
+    ID, in an integer dtype that holds the difference of any two of them.
     """
     deliveries: list[tuple[int, int]] = []
     if not len(pending):
@@ -164,13 +175,15 @@ def resolve_and_deliver(
     qs = queriers.tolist()
     if qs != sorted(qs):
         raise ValueError("resolve_and_deliver() needs the queries in ascending querier ID")
+    known = knowledge.known
     knowers = np.flatnonzero(known)  # only they can answer, until one learns
     if knowers.size == 0:
         return deliveries
     # Distances from `lapse` up are out of reach.
     lapse = min(comm_radius, _MAX_REACH) + 1
-    # Every query's answer from the knowledge at the start of the pass, as
-    # (distance, responder); kept current below as queriers learn or evict.
+    # Every query's answer from the knowledge at the start of the pass: the
+    # responder's distance and ID, kept current below as queriers learn or
+    # evict.
     qx, qy = xs[queriers], ys[queriers]
     dist = np.maximum(np.abs(xs[knowers] - qx[:, None]), np.abs(ys[knowers] - qy[:, None]))
     can_answer = _MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
@@ -179,29 +192,36 @@ def resolve_and_deliver(
     if best.min() >= lapse:  # no query is answered, so no one learns
         return deliveries
     first = reach.argmin(axis=1)  # first minimum = lowest ID
-    answers = list(zip(best.tolist(), knowers[first].tolist()))
+    dists, ids = best.tolist(), knowers[first].tolist()
     cs = colors.tolist()
     qx, qy = qx.tolist(), qy.tolist()
-    for r, (best_d, best_id) in enumerate(answers):
-        if best_d >= lapse:
+    # The queries of each color, by position in the pass.
+    of_color = ([], [], [], [])
+    for s, c in enumerate(cs):
+        of_color[c].append(s)
+    learn = knowledge.learn
+    for r, q in enumerate(qs):
+        if dists[r] >= lapse:
             continue
-        q, color = qs[r], COLORS[cs[r]]
-        querier = agents[q]
-        payload = _PAYLOADS[color]
-        old = int(known[q])
-        merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
-        deliveries.append((q, best_id))
-        mask = querier.store.known_mask()
+        color = COLORS[cs[r]]
+        old = known.item(q)
+        outcome, victim, mask = learn(q, color, now, memory_duration, policy)
+        _log_learn(event_log, now, q, color, ids[r], outcome, victim)
+        deliveries.append((q, ids[r]))
         if mask == old:
             continue
-        known[q] = mask
         # Only a color q gained or lost can change a later query's answer.
-        changed = mask ^ old
-        for s in [s for s in range(r + 1, len(qs)) if changed >> cs[s] & 1]:
-            if mask >> cs[s] & 1:  # q learned the color, so it can answer
-                if qs[s] != q:
-                    d = max(abs(qx[r] - qx[s]), abs(qy[r] - qy[s]))
-                    answers[s] = min(answers[s], (d, q))
-            elif answers[s][1] == q:  # q forgot the color it was to answer with
-                answers[s] = _nearest_knower(xs, ys, known, qs[s], cs[s], lapse)
+        for c in COLORS_OF[mask ^ old]:
+            later = of_color[c][bisect_right(of_color[c], r):]
+            if mask >> c & 1:  # q learned the color, so it can answer
+                x, y = qx[r], qy[r]
+                for s in later:
+                    d = max(abs(x - qx[s]), abs(y - qy[s]))
+                    # Nearer, or as near with a lower ID.
+                    if (d < dists[s] or d == dists[s] and q < ids[s]) and qs[s] != q:
+                        dists[s], ids[s] = d, q
+            else:
+                for s in later:
+                    if ids[s] == q:  # q forgot the color it was to answer with
+                        dists[s], ids[s] = _nearest_knower(xs, ys, known, qs[s], c, lapse)
     return deliveries

@@ -1,7 +1,10 @@
 """Golden outputs: the sha256 of the CSV bytes and of the event lines of a
-fixed set of runs, pinned from the generic tree-ticking step that the
-table-driven step replaced. Any change to the simulated behaviour, the draw
-order or the CSV format changes a digest here.
+fixed set of runs. The mini, edges, corridor and cut builtin cases were
+pinned from the generic tree-ticking step that the table-driven step
+replaced; the churn cases, write-heavy runs whose every query can be
+answered, and the full builtin sweep were pinned before resolve learned on
+the knowledge arrays. Any change to the simulated behaviour, the draw order
+or the CSV format changes a digest here.
 """
 
 import dataclasses
@@ -12,7 +15,7 @@ import pytest
 from ephemera import experiment, metrics
 from ephemera.arena import Arena, RobotType
 from ephemera.bt import COLORS
-from ephemera.experiment import get_scenario
+from ephemera.experiment import builtin_scenarios, get_scenario
 from ephemera.knowledge import CapacityPolicy
 
 
@@ -31,8 +34,8 @@ def events_digest(results) -> str:
     return h.hexdigest()
 
 
-def scenario_digests(config, out_dir, monkeypatch) -> tuple[str, str]:
-    """Run the scenario as the CLI does and digest its files and events."""
+def run_recorded(config, out_dir, monkeypatch) -> list:
+    """Run the scenario as the CLI does; returns every trial's result."""
     results = []
     run_trial = experiment.run_trial
 
@@ -42,6 +45,20 @@ def scenario_digests(config, out_dir, monkeypatch) -> tuple[str, str]:
         return result
 
     monkeypatch.setattr(experiment, "run_trial", recording)
+    experiment.run_scenario(config, out_dir, jobs=1)
+    return results
+
+
+def scenario_digests(config, out_dir, monkeypatch) -> tuple[str, str]:
+    """Run the scenario as the CLI does and digest its files and events."""
+    results = run_recorded(config, out_dir, monkeypatch)
+    return csv_digest(out_dir), events_digest(results)
+
+
+def sweep_digests(config, results, out_dir, monkeypatch) -> tuple[str, str]:
+    """Write the CSVs of finished trials as ``run_scenario`` writes them and
+    digest them and the trials' events."""
+    monkeypatch.setattr(experiment, "run_trial", lambda cfg, trial_index: results[trial_index])
     experiment.run_scenario(config, out_dir, jobs=1)
     return csv_digest(out_dir), events_digest(results)
 
@@ -90,6 +107,18 @@ MINI_CASES = {
     "mini-no-learning": dict(learning_enabled=False),
 }
 
+# The skill-churn benchmark's shape: every query can be answered (comm_radius
+# spans the board, no cooldown), so most steps deliver, evict or reject.
+CHURN = dict(name="churn", grid=(60, 60), targets_per_color=200,
+             robot_counts=(48, 2, 0, 0, 0, 0), comm_radius=60, query_cooldown=0,
+             max_iterations=100, sense_radius=5, snapshot_interval=10, trials=4, base_seed=1)
+CHURN_CASES = {  # case -> (overrides, event kind, its count over the 4 trials)
+    "churn-size2-evict": (dict(memory_size=2, capacity_policy=EVICT, memory_duration=4),
+                          "Delivery", 3429),
+    "churn-size1-reject": (dict(memory_size=1, capacity_policy=REJECT, memory_duration=20),
+                           "Reject", 4356),
+}
+
 GOLDEN = {  # case -> (CSV sha256, event-lines sha256)
     "mini": (
         "68601613446f71c0f10b3fa103079897a50d93affdf88a54df557237bbd18449",
@@ -122,6 +151,61 @@ GOLDEN = {  # case -> (CSV sha256, event-lines sha256)
     "M1": (
         "aa3c9aa08bfeaadb22642721bb4e1033cfbffcf7a42fa0eb1d564a17639e2dc3",
         "261c277fd044f82e0d432f83c62da27c7e8ab615dba6197f35f416164460bb30",
+    ),
+    "churn-size2-evict": (
+        "9dd9d0a6a71d5c8a4f56fe165c348579e7d39d30fc1dba70c7f55f50b4962a5d",
+        "6108d703dc58ea394df807b3527ddc0b863e40d32e59bcd73d6a5b8ecd0c3f86",
+    ),
+    "churn-size1-reject": (
+        "155ca6273f1e999a07c1e4b3535b3c597f9714a5b7a7239cb309f48da4cd4084",
+        "dc80ca7561b46e76fee1a22d5f9125b875ec5b2a0a4826c4129978c0f0bc043a",
+    ),
+}
+
+SWEEP_GOLDEN = {  # builtin scenario, 10 trials at full length -> (CSV, event lines)
+    "BL": (
+        "96def7adde1f6ffa49eb2beb5585b5de3bac43f83ba05bb0c47eb9767d9fa577",
+        "ec8a453c828504b327b76c0cdc4a16edbb72c3d0d21088f92bc85f3611e8745c",
+    ),
+    "NL": (
+        "64ae82770da7b180ab0b1eb46eb09fafe9da5e7e7a59f36b6624ae1afba95b9c",
+        "ac73af2380e7d4de71c8a22833adac31d575c4800f516c08c465230770d0e98b",
+    ),
+    "T1K": (
+        "add89bbd031af442b6646e7c0fa15e9f88fe180ef7be3a6871242f7bfc24e640",
+        "156654091081ca10d352510cc8e04ea365bc785604fef03a079b6b37ac600414",
+    ),
+    "T2K": (
+        "f3dc806026ec80e05f95338417d3f35f5973ef05a49aa7a100c9cac39c7db644",
+        "588d3ae1f1c78789ba4ecfa23336b00c4e943e1754a9a2e048991c4fec23c492",
+    ),
+    "T5K": (
+        "a603b2bf05817e3b873cd570b4b15fc7e798d12e2ab6eb1b695de82cccb8f95b",
+        "5727629228e79b303bc77f5d8d85db81009e2ade25557c7ff45feed30aa36742",
+    ),
+    "T10K": (
+        "34c1173dbaa0b14c5150337097ed4fe19180f46857d19a478a2f07778ef15fa4",
+        "2d243eaa6e5d819f07be5766297b1b2e474e552f688058b8f9641bbfd31608a4",
+    ),
+    "T20K": (
+        "dcea5fe4c9f7bcbba9cce2c436734f2634cdb8640baa710a3f4482ebaf5fb529",
+        "b50868c550794d827a3e342cdc761bdc9dc2ba56e0e8812d78f5c8cd0a411e66",
+    ),
+    "M1": (
+        "10ad50c124afae249156b6b51398a96b3a3e78fa4add0cdf3e7ed5fde92cd6ce",
+        "54dae62e88e62181c9c877bde0cf0872657782f6f97e1aff977c2ba064c74e89",
+    ),
+    "M2": (
+        "b85ea26eee893791c396ad3fc7a2675c8b0e9cd1b3033c977f4fb183251e9b34",
+        "5c1cfc5775eb6d735c4c6ff3e57703a7d63ed473354a1f2f30f292c462a25986",
+    ),
+    "M3": (
+        "e45748002742a722cb16af03c57e214e8b8aab3611b0b8f35ca6a5bb76448c49",
+        "04154397281cc920f96cf087ac0955841d9ad8406dfe46a8f4b3925f2c79dbcd",
+    ),
+    "M4": (
+        "d316b10c524b9f560f5ace9475d1bde2c5afed7c1aa4243e8869bf72c28e1b05",
+        "b50868c550794d827a3e342cdc761bdc9dc2ba56e0e8812d78f5c8cd0a411e66",
     ),
 }
 
@@ -157,3 +241,19 @@ def test_golden_corridor(make_config, tmp_path):
 def test_golden_builtin_cut(name, tmp_path, monkeypatch):
     config = dataclasses.replace(get_scenario(name), max_iterations=1500)
     assert scenario_digests(config, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("case", sorted(CHURN_CASES))
+def test_golden_churn(case, make_config, tmp_path, monkeypatch):
+    overrides, kind, count = CHURN_CASES[case]
+    results = run_recorded(make_config(**CHURN, **overrides), tmp_path, monkeypatch)
+    assert sum(r.kind == kind for result in results for r in result.events) == count
+    assert (csv_digest(tmp_path), events_digest(results)) == GOLDEN[case]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [config.name for config in builtin_scenarios()])
+def test_golden_builtin_sweep(name, scenario_cache, tmp_path, monkeypatch):
+    results = scenario_cache(name)
+    got = sweep_digests(get_scenario(name), results, tmp_path, monkeypatch)
+    assert got == SWEEP_GOLDEN[name]

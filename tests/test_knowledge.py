@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,3 +298,38 @@ def test_knowledge_arrays_match_a_dict_store_per_agent(innate, capacity, policy,
                 model.learned[c][0] if c in model.learned else NEVER for c in COLORS]
             assert table.expires_at[i].tolist() == [
                 model.learned[c][1] if c in model.learned else NEVER for c in COLORS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    innate=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+    capacity=st.sampled_from([None, 1, 2, 3]),
+    policy=st.sampled_from([REJECT, EVICT]),
+    lessons=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3),
+                               st.integers(1, 6), st.booleans()),
+                     min_size=1, max_size=30),
+)
+def test_learn_writes_only_its_row_and_keeps_next_expiry_a_lower_bound(innate, capacity,
+                                                                       policy, lessons):
+    """Knowledge.learn on one row leaves every other row as it was, returns
+    that row's new known mask, and keeps next_expiry at most the smallest
+    expires_at; expiry sweeps between lessons recompute next_expiry."""
+    table = Knowledge(innate, capacity)
+    assert len(table) == len(innate)
+    now = 0
+    for row, color, gap, duration, sweep in lessons:
+        if row >= len(innate):
+            continue
+        now += gap
+        if sweep:
+            table.expire(now)
+        before = [a.copy() for a in (table.innate, table.known, table.learned_at,
+                                     table.expires_at)]
+        outcome, victim, mask = table.learn(row, COLORS[color], now, duration, policy)
+        others = np.arange(len(innate)) != row
+        after = (table.innate, table.known, table.learned_at, table.expires_at)
+        for new, old in zip(after, before):
+            assert np.array_equal(new[others], old[others])
+        assert mask == table.known[row]
+        assert (victim is not None) == (outcome is LearnOutcome.EVICTED)
+        assert table.next_expiry <= table.expires_at.min()

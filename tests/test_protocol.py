@@ -8,7 +8,8 @@ from ephemera import protocol
 from ephemera.arena import _QUERY, INTENT_TABLE, TREES, Arena, RobotType
 from ephemera.bt import COLORS, Color, ParseError, known_colors, make_knowledge_subtree, serialize
 from ephemera.experiment import ScenarioConfig
-from ephemera.knowledge import COLORS_OF, CapacityPolicy, KnowledgeStore, LearnOutcome, LearnResult
+from ephemera.knowledge import (COLORS_OF, CapacityPolicy, Knowledge, KnowledgeStore, LearnOutcome,
+                                LearnResult)
 from ephemera.protocol import ProtocolError, emit_query, merge_payload, resolve_and_deliver
 
 REJECT = CapacityPolicy.REJECT_WHEN_FULL
@@ -16,12 +17,15 @@ EVICT = CapacityPolicy.EVICT_OLDEST
 
 
 class Agent:
-    """Minimal stand-in satisfying the protocol's agent contract."""
+    """Minimal stand-in satisfying the protocol's agent contract. Its store
+    holds its innate colors alone until :func:`population` moves it into
+    the population's :class:`Knowledge`."""
 
-    def __init__(self, agent_id, pos=(0, 0), innate=(), capacity=None):
+    def __init__(self, agent_id, pos=(0, 0), innate=()):
         self.id = agent_id
         self.x, self.y = pos
-        self.store = KnowledgeStore(innate, capacity=capacity)
+        self.innate = sum(1 << c for c in {*innate})
+        self.store = KnowledgeStore(innate)
         self.cooldown_until = 0
 
     @property
@@ -35,13 +39,9 @@ def sight(**by_color):
     return [nearest.get(c, 1 << 20) for c in COLORS], sum(1 << c for c in nearest)
 
 
-def mirrors(agents):
-    """The position and known-mask arrays the arena keeps for ``agents``."""
-    return dict(
-        xs=np.array([a.x for a in agents]),
-        ys=np.array([a.y for a in agents]),
-        known=np.array([a.store.known_mask() for a in agents]),
-    )
+def positions(agents):
+    """The position arrays the arena keeps for ``agents``."""
+    return dict(xs=np.array([a.x for a in agents]), ys=np.array([a.y for a in agents]))
 
 
 def queries(*rows):
@@ -50,7 +50,10 @@ def queries(*rows):
 
 
 def resolve(pending, agents, **kwargs):
-    return resolve_and_deliver(pending, agents, **kwargs, **mirrors(agents))
+    """resolve_and_deliver on the one Knowledge that the agents' stores view."""
+    knowledge = agents[0].store.table
+    assert all(a.store.table is knowledge and a.store.row == a.id for a in agents)
+    return resolve_and_deliver(pending, knowledge, **kwargs, **positions(agents))
 
 
 def row_state(store):
@@ -164,9 +167,14 @@ def test_batch_emission_matches_emit_query_per_agent(rows, now, query_cooldown, 
 
 # --- resolve_and_deliver ----------------------------------------------------------
 
-def agents_by_id(*agents):
+def population(*agents, capacity=None):
+    """The agents, by ID, with one Knowledge of their innate colors built for
+    them; each agent's store becomes the view of its row."""
     out = list(agents)
     assert [a.id for a in out] == list(range(len(out)))
+    knowledge = Knowledge([a.innate for a in out], capacity)
+    for a in out:
+        a.store = KnowledgeStore(table=knowledge, row=a.id)
     return out
 
 
@@ -175,7 +183,7 @@ def test_delivery_payload_is_the_skill_subtree():
     master = Agent(1, pos=(3, 3), innate=COLORS)
     log = []
     deliveries = resolve(
-        queries((0, Color.RED)), agents_by_id(querier, master),
+        queries((0, Color.RED)), population(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     assert deliveries == [(0, 1)]
@@ -197,7 +205,7 @@ def test_out_of_range_query_lapses():
     master = Agent(1, pos=(11, 0), innate=COLORS)  # Chebyshev 11 > radius 10
     log = []
     deliveries = resolve(
-        queries((0, Color.RED)), agents_by_id(querier, master),
+        queries((0, Color.RED)), population(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     assert deliveries == []
@@ -209,7 +217,7 @@ def test_boundary_distance_is_in_range():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(10, 10), innate=COLORS)
     deliveries = resolve(
-        queries((0, Color.RED)), agents_by_id(querier, master),
+        queries((0, Color.RED)), population(querier, master),
         now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
     )
     assert len(deliveries) == 1
@@ -220,7 +228,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     far = Agent(1, pos=(5, 0), innate=COLORS)
     near = Agent(2, pos=(2, 0), innate=COLORS)
     deliveries = resolve(
-        queries((0, Color.RED)), agents_by_id(querier, far, near),
+        queries((0, Color.RED)), population(querier, far, near),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries == [(0, 2)]
@@ -229,7 +237,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     a = Agent(1, pos=(0, 4), innate=COLORS)
     b = Agent(2, pos=(4, 0), innate=COLORS)
     deliveries = resolve(
-        queries((0, Color.RED)), agents_by_id(querier, a, b),
+        queries((0, Color.RED)), population(querier, a, b),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries == [(0, 1)]
@@ -238,9 +246,10 @@ def test_nearest_responder_wins_and_ties_break_low_id():
 def test_responder_store_is_never_mutated():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(1, 1), innate=COLORS)
+    agents = population(querier, master)
     before = row_state(master.store)
     resolve(
-        queries((0, Color.GREEN)), agents_by_id(querier, master),
+        queries((0, Color.GREEN)), agents,
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert row_state(master.store) == before
@@ -254,7 +263,7 @@ def test_learned_knowledge_is_shareable_in_same_pass():
     second = Agent(2, pos=(-8, 0))
     deliveries = resolve(
         queries((0, Color.RED), (2, Color.RED)),
-        agents_by_id(first, master, second),
+        population(first, master, second),
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
     )
     assert deliveries == [(0, 1), (2, 0)]
@@ -267,22 +276,23 @@ def test_one_responder_can_answer_many():
     q2 = Agent(2, pos=(0, 1))
     deliveries = resolve(
         queries((1, Color.RED), (2, Color.BLUE)),
-        agents_by_id(master, q1, q2),
+        population(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 0)]
 
 
 def test_full_store_rejects_and_logs():
-    querier = Agent(0, pos=(0, 0), capacity=1)
+    querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(1, 0), innate=COLORS)
+    agents = population(querier, master, capacity=1)
     log = []
     resolve(
-        queries((0, Color.RED)), agents_by_id(querier, master),
+        queries((0, Color.RED)), agents,
         now=2, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     resolve(
-        queries((0, Color.GREEN)), agents_by_id(querier, master),
+        queries((0, Color.GREEN)), agents,
         now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
     )
     assert querier.store.known_colors() == (Color.RED,)
@@ -292,15 +302,16 @@ def test_full_store_rejects_and_logs():
 
 
 def test_eviction_prunes_victim_and_logs_forget():
-    querier = Agent(0, pos=(0, 0), capacity=1)
+    querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(1, 0), innate=COLORS)
+    agents = population(querier, master, capacity=1)
     log = []
     resolve(
-        queries((0, Color.RED)), agents_by_id(querier, master),
+        queries((0, Color.RED)), agents,
         now=2, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
     )
     resolve(
-        queries((0, Color.GREEN)), agents_by_id(querier, master),
+        queries((0, Color.GREEN)), agents,
         now=4, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
     )
     assert querier.store.known_colors() == (Color.GREEN,)
@@ -316,7 +327,7 @@ def test_queries_resolve_in_querier_id_order():
     q2 = Agent(2, pos=(7, 0))
     deliveries = resolve(
         queries((1, Color.RED), (2, Color.RED)),
-        agents_by_id(master, q1, q2),
+        population(master, q1, q2),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 1)]
@@ -330,7 +341,7 @@ def test_queries_out_of_querier_id_order_are_refused():
     with pytest.raises(ValueError):
         resolve(
             queries((2, Color.RED), (1, Color.RED)),
-            agents_by_id(master, q1, q2),
+            population(master, q1, q2),
             now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=log,
         )
     assert log == []
@@ -375,7 +386,7 @@ def test_knower_beyond_radius_lapses_however_far():
     querier = Agent(0, pos=(0, 0))
     far = Agent(1, pos=(25, 3), innate=COLORS)
     deliveries = resolve(
-        queries((0, Color.RED)), agents_by_id(querier, far),
+        queries((0, Color.RED)), population(querier, far),
         now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
     )
     assert deliveries == []
@@ -385,27 +396,25 @@ def test_evicted_responder_no_longer_answers():
     # Agent 1 holds a learned Red and is nearest to agent 2. Its Green query
     # comes first and evicts Red, so agent 2's Red query goes to the master.
     master = Agent(0, pos=(6, 0), innate=COLORS)
-    holder = Agent(1, pos=(1, 0), capacity=1)
-    holder.store.learn(Color.RED, 0, 100)
+    holder = Agent(1, pos=(1, 0))
     asker = Agent(2, pos=(2, 0))
+    agents = population(master, holder, asker, capacity=1)
+    holder.store.learn(Color.RED, 0, 100)
     deliveries = resolve(
-        queries((1, Color.GREEN), (2, Color.RED)),
-        agents_by_id(master, holder, asker),
+        queries((1, Color.GREEN), (2, Color.RED)), agents,
         now=2, comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 0)]
 
 
 def test_known_masks_are_updated_in_place():
-    master = Agent(0, pos=(0, 0), innate=COLORS)
-    learner = Agent(1, pos=(1, 0), innate=(Color.BLUE,), capacity=1)
-    agents = agents_by_id(master, learner)
-    xs, ys = np.array([0, 1]), np.array([0, 0])
-    known = np.array([0b1111, 0b1000])
+    knowledge = Knowledge([0b1111, 0b1000], capacity=1)
+    known = knowledge.known
     resolve_and_deliver(
-        queries((1, Color.GREEN)), agents, now=2, comm_radius=3,
-        memory_duration=10, policy=EVICT, event_log=[], xs=xs, ys=ys, known=known,
+        queries((1, Color.GREEN)), knowledge, now=2, comm_radius=3, memory_duration=10,
+        policy=EVICT, event_log=[], xs=np.array([0, 1]), ys=np.array([0, 0]),
     )
+    assert knowledge.known is known
     assert known.tolist() == [0b1111, 0b1010]
 
 
@@ -446,14 +455,11 @@ agent_specs = st.lists(
 )
 def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, policy):
     def build():
-        agents = []
-        for i, (x, y, innate, learned) in enumerate(specs):
-            agent = Agent(i, pos=(x, y), innate=[c for c in COLORS if innate >> c & 1],
-                          capacity=capacity)
-            for color in COLORS:  # learned skills can be evicted during the pass
-                if learned >> color & 1 and not innate >> color & 1:
-                    agent.store.learn(color, 0, 100, REJECT)
-            agents.append(agent)
+        agents = population(*(Agent(i, pos=(x, y), innate=COLORS_OF[innate])
+                              for i, (x, y, innate, _) in enumerate(specs)), capacity=capacity)
+        for agent, (_, _, innate, learned) in zip(agents, specs):
+            for color in COLORS_OF[learned & ~innate]:  # can be evicted during the pass
+                agent.store.learn(color, 0, 100, REJECT)
         return agents
 
     # One query per querier, as the arena emits them; colors may be known.
@@ -468,3 +474,4 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
     for a, b in zip(agents, expected_agents):
         assert row_state(a.store) == row_state(b.store)
         assert a.tree == b.tree
+    assert agents[0].store.table.next_expiry == expected_agents[0].store.table.next_expiry
