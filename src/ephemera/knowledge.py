@@ -62,17 +62,17 @@ class Knowledge:
         return len(self.known)
 
     def learn(self, row: int, color: Color, now: int, duration: int,
-              policy: CapacityPolicy) -> tuple[LearnOutcome, Optional[Color], int]:
+              policy: CapacityPolicy) -> tuple[LearnOutcome, Optional[Color]]:
         """Merge one skill taught to agent ``row``; a full row rejects or
-        evicts per ``policy``. Returns the outcome, the evicted color (None
-        unless the outcome is EVICTED) and the row's new known mask. The
-        eviction victim is the learned color with the smallest
-        ``learned_at``, ties to the canonical color order."""
+        evicts per ``policy``. Returns the outcome and the evicted color
+        (None unless the outcome is EVICTED); the row knows the color unless
+        it rejected it. The eviction victim is the learned color with the
+        smallest ``learned_at``, ties to the canonical color order."""
         if duration < 1:
             raise ValueError("duration must be >= 1")
         bit, innate, known = 1 << color, self.innate.item(row), self.known.item(row)
         if innate & bit:
-            return LearnOutcome.ALREADY_INNATE, None, known
+            return LearnOutcome.ALREADY_INNATE, None
         learned, victim = known & ~innate, None
         if learned & bit:
             # Re-learning restamps the entry so expires_at stays learned_at + duration.
@@ -80,7 +80,7 @@ class Knowledge:
         elif self.capacity is None or learned.bit_count() < self.capacity:
             outcome = LearnOutcome.MERGED
         elif policy is CapacityPolicy.REJECT_WHEN_FULL:
-            return LearnOutcome.REJECTED_FULL, None, known
+            return LearnOutcome.REJECTED_FULL, None
         else:
             # Innate and absent colors hold NEVER: the first minimum is the
             # oldest learned color.
@@ -91,8 +91,8 @@ class Knowledge:
         self.learned_at[row, color] = now
         self.expires_at[row, color] = now + duration
         self.next_expiry = min(self.next_expiry, now + duration)
-        self.known[row] = known = known | bit
-        return outcome, victim, known
+        self.known[row] = known | bit
+        return outcome, victim
 
     def expire(self, now: int, first: int = 0, stop: Optional[int] = None) -> tuple[list, list]:
         """Drop the learned skills of agents ``first..stop-1`` with
@@ -116,7 +116,11 @@ class KnowledgeStore:
 
     def __init__(self, innate: Iterable[Color] = (), capacity: Optional[int] = None,
                  table: Optional[Knowledge] = None, row: int = 0):
-        self.table, self.row = table or Knowledge([sum(1 << c for c in {*innate})], capacity), row
+        if table is None:
+            table = Knowledge([sum(1 << c for c in {*innate})], capacity)
+        if not 0 <= row < len(table):
+            raise ValueError(f"row {row} is not an agent of a {len(table)}-agent table")
+        self.table, self.row = table, row
 
     def knows(self, color: Color) -> bool:
         return bool(self.known_mask() >> color & 1)
@@ -131,8 +135,7 @@ class KnowledgeStore:
     def learn(self, color: Color, now: int, duration: int,
               policy: CapacityPolicy = CapacityPolicy.REJECT_WHEN_FULL) -> LearnResult:
         """Merge one taught skill, by :meth:`Knowledge.learn`'s rule."""
-        outcome, victim, _ = self.table.learn(self.row, color, now, duration, policy)
-        return LearnResult(outcome, victim)
+        return LearnResult(*self.table.learn(self.row, color, now, duration, policy))
 
     def forget_expired(self, now: int) -> list[Color]:
         """Drop learned entries with expires_at <= now; returns them in

@@ -9,8 +9,11 @@ its color's payload, so :func:`resolve_and_deliver` learns the asked color
 without re-reading it; :func:`merge_payload`, the querier side for one
 agent, checks the payload it is handed.
 
-Queries emitted at iteration t are resolved at the start of t+1 against the
-positions and knowledge holding then; answering never mutates the responder.
+Queries emitted at iteration t are resolved at the start of t+1, in
+querier ID order. Each query takes its answer when the pass reaches it, from
+the positions of t+1 and the knowledge holding at that point of the pass: a
+skill learned earlier in the pass can answer, and one evicted earlier cannot.
+Answering never mutates the responder.
 A step's queries travel as one array of (querier, color) rows, in ascending
 querier ID, from emission to :func:`resolve_and_deliver`; :func:`query_colors`
 is the rule for the color a querier asks about, for a batch of agents and
@@ -23,7 +26,6 @@ log, which resolve and :func:`merge_payload` write with one helper.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
@@ -31,7 +33,7 @@ import numpy as np
 from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
-from .knowledge import COLORS_OF, CapacityPolicy, Knowledge, LearnOutcome
+from .knowledge import CapacityPolicy, Knowledge, LearnOutcome
 
 
 # Bound on comm_radius in the numpy search, above any grid distance.
@@ -129,14 +131,18 @@ def _log_learn(event_log: list[ev.EventRecord], now: int, querier: int, color: C
     event_log.append(ev.EventRecord(now, ev.DELIVERY, querier, color, responder))
 
 
-def _nearest_knower(xs, ys, known, q: int, color: int, lapse: int) -> tuple[int, int]:
-    """(distance, ID) of the nearest agent other than ``q`` that knows
-    ``color``; the distance is ``lapse`` or more if none is in reach."""
-    d = np.maximum(np.abs(xs - xs[q]), np.abs(ys - ys[q]))
-    d = np.where(known & (1 << color), d, np.int64(lapse))
-    d[q] = lapse
-    best = int(d.argmin())  # first minimum = lowest ID
-    return int(d[best]), best
+def _nearest_knowers(xs, ys, known, queriers, colors, lapse):
+    """(distances, IDs) of the nearest agent other than each querier that
+    knows its color, ties to the lowest ID; a distance is ``lapse`` when no
+    knower is in reach."""
+    knowers = np.flatnonzero(known)
+    if not knowers.size:  # every query lapses
+        return np.full(len(queriers), lapse), queriers
+    dist = np.maximum(np.abs(xs[knowers] - xs[queriers][:, None]),
+                      np.abs(ys[knowers] - ys[queriers][:, None]))
+    can_answer = _MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
+    reach = np.where(can_answer, dist, np.int64(lapse))
+    return reach.min(axis=1), knowers[reach.argmin(axis=1)]  # first minimum = lowest ID
 
 
 def resolve_and_deliver(
@@ -156,14 +162,15 @@ def resolve_and_deliver(
     query, in ascending querier ID, as :meth:`Arena.step` emits them; rows
     out of that order raise ValueError. ``knowledge`` holds the skills of
     the agents, by ID. For each query the nearest agent within
-    ``comm_radius`` (Chebyshev) that currently knows the color answers (ties
-    to the lowest ID); the querier learns the color at once
-    (:meth:`Knowledge.learn`), so a skill learned here can answer a later
-    query in the same pass. Queries with no responder lapse. Each outcome is
-    logged as :func:`merge_payload` logs it: Forget of an evicted color and
-    Delivery, or Reject. Returns one ``(querier, responder)`` pair per
-    answered query, in ascending querier ID, whether the querier kept the
-    skill or rejected it.
+    ``comm_radius`` (Chebyshev) that knows the color when the pass reaches
+    the query answers (ties to the lowest ID); the querier learns the color
+    at once (:meth:`Knowledge.learn`), so a skill learned here can answer a
+    later query in the same pass, and a skill evicted here no longer
+    answers. Queries with no responder lapse. Each outcome is logged as
+    :func:`merge_payload` logs it: Forget of an evicted color and Delivery,
+    or Reject. Returns one ``(querier, responder)`` pair per answered query,
+    in ascending querier ID, whether the querier kept the skill or rejected
+    it.
 
     ``xs`` and ``ys`` are the agents' positions as numpy arrays indexed by
     ID, in an integer dtype that holds the difference of any two of them.
@@ -176,52 +183,33 @@ def resolve_and_deliver(
     if qs != sorted(qs):
         raise ValueError("resolve_and_deliver() needs the queries in ascending querier ID")
     known = knowledge.known
-    knowers = np.flatnonzero(known)  # only they can answer, until one learns
-    if knowers.size == 0:
-        return deliveries
     # Distances from `lapse` up are out of reach.
     lapse = min(comm_radius, _MAX_REACH) + 1
-    # Every query's answer from the knowledge at the start of the pass: the
-    # responder's distance and ID, kept current below as queriers learn or
-    # evict.
-    qx, qy = xs[queriers], ys[queriers]
-    dist = np.maximum(np.abs(xs[knowers] - qx[:, None]), np.abs(ys[knowers] - qy[:, None]))
-    can_answer = _MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
-    reach = np.where(can_answer, dist, np.int64(lapse))
-    best = reach.min(axis=1)
-    if best.min() >= lapse:  # no query is answered, so no one learns
+    # Each query pulls its answer when the pass reaches it: the one from the
+    # start of the pass, searched again if that responder has forgotten the
+    # color since, against the agents that learned the color earlier in the
+    # pass and still know it.
+    dists, ids = _nearest_knowers(xs, ys, known, queriers, colors, lapse)
+    if dists.min() >= lapse:  # no query is answered, so no one learns
         return deliveries
-    first = reach.argmin(axis=1)  # first minimum = lowest ID
-    dists, ids = best.tolist(), knowers[first].tolist()
-    cs = colors.tolist()
-    qx, qy = qx.tolist(), qy.tolist()
-    # The queries of each color, by position in the pass.
-    of_color = ([], [], [], [])
-    for s, c in enumerate(cs):
-        of_color[c].append(s)
+    qx, qy = xs[queriers].tolist(), ys[queriers].tolist()
+    learners = ([], [], [], [])  # (ID, x, y) of the agents that learned each color
     learn = knowledge.learn
-    for r, q in enumerate(qs):
-        if dists[r] >= lapse:
+    for q, c, x, y, d, r in zip(qs, colors.tolist(), qx, qy, dists.tolist(), ids.tolist()):
+        if d < lapse and not known.item(r) >> c & 1:  # the responder forgot the color
+            ds, rs = _nearest_knowers(xs, ys, known, np.array([q]), np.array([c]), lapse)
+            d, r = int(ds[0]), int(rs[0])
+        for p, px, py in learners[c]:
+            e = max(abs(px - x), abs(py - y))
+            # Nearer, or as near with a lower ID.
+            if (e < d or e == d and p < r) and p != q and known.item(p) >> c & 1:
+                d, r = e, p
+        if d >= lapse:
             continue
-        color = COLORS[cs[r]]
-        old = known.item(q)
-        outcome, victim, mask = learn(q, color, now, memory_duration, policy)
-        _log_learn(event_log, now, q, color, ids[r], outcome, victim)
-        deliveries.append((q, ids[r]))
-        if mask == old:
-            continue
-        # Only a color q gained or lost can change a later query's answer.
-        for c in COLORS_OF[mask ^ old]:
-            later = of_color[c][bisect_right(of_color[c], r):]
-            if mask >> c & 1:  # q learned the color, so it can answer
-                x, y = qx[r], qy[r]
-                for s in later:
-                    d = max(abs(x - qx[s]), abs(y - qy[s]))
-                    # Nearer, or as near with a lower ID.
-                    if (d < dists[s] or d == dists[s] and q < ids[s]) and qs[s] != q:
-                        dists[s], ids[s] = d, q
-            else:
-                for s in later:
-                    if ids[s] == q:  # q forgot the color it was to answer with
-                        dists[s], ids[s] = _nearest_knower(xs, ys, known, qs[s], c, lapse)
+        color = COLORS[c]
+        outcome, victim = learn(q, color, now, memory_duration, policy)
+        _log_learn(event_log, now, q, color, r, outcome, victim)
+        deliveries.append((q, r))
+        if outcome is LearnOutcome.MERGED or outcome is LearnOutcome.EVICTED:
+            learners[c].append((q, x, y))
     return deliveries

@@ -151,6 +151,18 @@ def test_knows_lifecycle():
     assert not store.knows(Color.RED)
 
 
+def test_store_views_the_table_it_is_given_and_rejects_a_row_outside_it():
+    table = Knowledge([0b0001, 0b0010])
+    store = KnowledgeStore(table=table, row=1)
+    assert store.table is table and store.known_colors() == (Color.GREEN,)
+    # An empty table is still the table asked for, not a reason to build one.
+    for table, row in ((Knowledge([]), 0), (table, 2), (table, -1)):
+        with pytest.raises(ValueError, match="row"):
+            KnowledgeStore(table=table, row=row)
+    with pytest.raises(ValueError, match="row"):
+        KnowledgeStore((Color.RED,), row=1)
+
+
 class ModelStore:
     """Brute-force reference model: a plain dict, no caching, no shortcuts."""
 
@@ -311,9 +323,11 @@ def test_knowledge_arrays_match_a_dict_store_per_agent(innate, capacity, policy,
 )
 def test_learn_writes_only_its_row_and_keeps_next_expiry_a_lower_bound(innate, capacity,
                                                                        policy, lessons):
-    """Knowledge.learn on one row leaves every other row as it was, returns
-    that row's new known mask, and keeps next_expiry at most the smallest
-    expires_at; expiry sweeps between lessons recompute next_expiry."""
+    """Knowledge.learn on one row leaves every other row as it was, keeps
+    that row's known mask equal to its innate colors plus the colors that
+    expire, teaches the color unless the row rejects it, and keeps
+    next_expiry at most the smallest expires_at; expiry sweeps between
+    lessons recompute next_expiry."""
     table = Knowledge(innate, capacity)
     assert len(table) == len(innate)
     now = 0
@@ -325,11 +339,13 @@ def test_learn_writes_only_its_row_and_keeps_next_expiry_a_lower_bound(innate, c
             table.expire(now)
         before = [a.copy() for a in (table.innate, table.known, table.learned_at,
                                      table.expires_at)]
-        outcome, victim, mask = table.learn(row, COLORS[color], now, duration, policy)
+        outcome, victim = table.learn(row, COLORS[color], now, duration, policy)
         others = np.arange(len(innate)) != row
         after = (table.innate, table.known, table.learned_at, table.expires_at)
         for new, old in zip(after, before):
             assert np.array_equal(new[others], old[others])
-        assert mask == table.known[row]
+        expiring = sum(1 << c for c in COLORS if table.expires_at[row, c] < NEVER)
+        assert table.known[row] == table.innate[row] | expiring
+        assert bool(table.known[row] >> color & 1) == (outcome is not LearnOutcome.REJECTED_FULL)
         assert (victim is not None) == (outcome is LearnOutcome.EVICTED)
         assert table.next_expiry <= table.expires_at.min()

@@ -407,6 +407,38 @@ def test_evicted_responder_no_longer_answers():
     assert deliveries == [(1, 0), (2, 0)]
 
 
+def test_learner_that_evicted_the_color_no_longer_answers():
+    # Agent 1 learns Red, then evicts it for Green; agent 2 is nearer to
+    # agent 1 than to the master, but its Red query must go to the master.
+    knowledge = Knowledge([0b1111, 0, 0], capacity=1)
+    deliveries = resolve_and_deliver(
+        queries((1, Color.RED), (1, Color.GREEN), (2, Color.RED)), knowledge, now=2,
+        comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
+        xs=np.array([8, 1, 2]), ys=np.zeros(3, np.int64),
+    )
+    assert deliveries == [(1, 0), (1, 0), (2, 0)]
+
+
+def test_learner_as_near_as_the_responder_wins_only_with_a_lower_id():
+    # Agent 2 is as near agent 1 (which learns Red from the master) as the
+    # master: the master has the lower ID.
+    master, learner, asker = population(Agent(0, pos=(0, 0), innate=COLORS),
+                                        Agent(1, pos=(4, 0)), Agent(2, pos=(2, 0)))
+    deliveries = resolve(
+        queries((1, Color.RED), (2, Color.RED)), [master, learner, asker],
+        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+    )
+    assert deliveries == [(1, 0), (2, 0)]
+    # Here the learner, agent 0, has the lower ID.
+    learner, asker, master = population(Agent(0, pos=(0, 0)), Agent(1, pos=(2, 0)),
+                                        Agent(2, pos=(4, 0), innate=COLORS))
+    deliveries = resolve(
+        queries((0, Color.RED), (1, Color.RED)), [learner, asker, master],
+        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+    )
+    assert deliveries == [(0, 2), (1, 0)]
+
+
 def test_known_masks_are_updated_in_place():
     knowledge = Knowledge([0b1111, 0b1000], capacity=1)
     known = knowledge.known
@@ -462,8 +494,9 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
                 agent.store.learn(color, 0, 100, REJECT)
         return agents
 
-    # One query per querier, as the arena emits them; colors may be known.
-    pending = queries(*sorted({q: c for q, c in asks if q < len(specs)}.items()))
+    # Queriers in ascending ID, which the arena emits once each and resolve
+    # also accepts repeated; colors may be known.
+    pending = queries(*sorted(((q, c) for q, c in asks if q < len(specs)), key=lambda a: a[0]))
     expected_agents, agents = build(), build()
     expected_log, log = [], []
     expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)
