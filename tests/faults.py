@@ -2,25 +2,23 @@
 
 Each fault is a small edit that makes the program wrong: a file, its exact
 old text (which must match once), the new text, and why the result is
-wrong. For each fault the script extracts a copy of a commit's tree with
-``git archive``, applies the edit and runs ``pytest -m "not slow"`` in the
-copy. The unchanged copy is run first and must pass. The script exits
-non-zero unless every fault fails at least one test, and prints the tests
-that caught each fault. When a change moves the code a fault edits, the
-fault's old text no longer matches and the script fails until the fault is
-aimed again.
+wrong. For each fault the script extracts a copy of the tree of ``HEAD``
+with ``git archive`` (so commit first), applies the edit and runs
+``pytest -m "not slow"`` in the copy. The unchanged copy is run first and
+must pass. The script exits non-zero unless every fault fails at least one
+test, and prints the tests that caught each fault. When a change moves the
+code a fault edits, the fault's old text no longer matches and the script
+fails until the fault is aimed again.
 
-    python tests/faults.py [--rev REV] [NAME ...]
+    python tests/faults.py
 
-``--rev`` names the commit to copy (default ``HEAD``, so commit first);
-names pick faults from the table (default all). Each run of the quick
-suite takes about half a minute on two cores. pytest does not collect this
-file (it is not ``test_*.py``), so it is not part of the suite.
+Each run of the quick suite takes about half a minute on two cores. pytest
+does not collect this file (it is not ``test_*.py``), so it is not part of
+the suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -65,9 +63,9 @@ FAULTS = (
 )
 
 
-def extract(rev: str, into: Path) -> None:
-    """Write the tree of commit ``rev`` into the directory ``into``."""
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True,
+def extract(into: Path) -> None:
+    """Write the tree of ``HEAD`` into the directory ``into``."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "HEAD"], check=True,
                              capture_output=True).stdout
     into.mkdir()
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
@@ -97,27 +95,18 @@ def failing_tests(root: Path) -> list[str]:
     return failed
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", default="HEAD")
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="faults to run (default all): " + ", ".join(f.name for f in FAULTS))
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {f.name for f in FAULTS}
-    if unknown:
-        parser.error(f"no such fault: {', '.join(sorted(unknown))}")
-    faults = [f for f in FAULTS if not args.names or f.name in args.names]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp, "base")
-        extract(args.rev, base)
+        extract(base)
         failed = failing_tests(base)
         if failed:
-            print(f"the unchanged tree of {args.rev} fails:", *failed, sep="\n  ")
+            print("the unchanged tree of HEAD fails:", *failed, sep="\n  ")
             return 1
         missed = []
-        for i, fault in enumerate(faults):
+        for i, fault in enumerate(FAULTS):
             root = Path(tmp, str(i))
-            extract(args.rev, root)
+            extract(root)
             apply(fault, root)
             caught = failing_tests(root)
             print(f"{fault.name} ({fault.path}): {fault.why}")
@@ -125,7 +114,7 @@ def main(argv=None) -> int:
                   sep="\n    ", flush=True)
             if not caught:
                 missed.append(fault.name)
-    print(f"{len(faults) - len(missed)} of {len(faults)} faults caught")
+    print(f"{len(FAULTS) - len(missed)} of {len(FAULTS)} faults caught")
     return 1 if missed else 0
 
 
