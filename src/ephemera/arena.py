@@ -20,22 +20,31 @@ writes only these arrays: resolve learns through :meth:`Knowledge.learn`.
 callers outside the step. Expiry is one search of ``expires_at``, in
 row-major order (agent ID, then color): the order of the Forget events.
 
-Every target keeps its catalog column (color-major, by ID within a color)
-for the arena's life, so the color segments are fixed at init and are the
-same for every trial of a scenario. A capture moves only the target's
-sensing x (``_sense_x``) off the board to -(span + 1), span being the longer
-side less one: farther than every target on the board and out of sight.
+Target IDs are color-major, by placement within a color. The target
+columns (``_cat_x``, ``_cat_y``, ``_sense_x``, ``_alive``) are laid out in
+four color slots of one width, the largest color count (at least 1): color
+c owns columns c * width up to (c + 1) * width, its targets first, in ID
+order (``_col`` maps an ID to its column). With equal color counts, as in
+every arena built from a config, the slots are the target IDs. A layout
+with unequal counts fills the rest of each slot with filler columns: dead
+from the start and off the board, like captured targets, and never seen by
+``target()``, ``targets()``, ``initial_total`` or the conservation checks.
+A target keeps its column for the arena's life. A capture clears its alive
+flag and moves only its sensing x (``_sense_x``) off the board to
+-(span + 1), where every filler lies, span being the longer side less one:
+farther than every target on the board and out of sight.
 
 Sensing keeps every agent's view across steps: ``_near``, its distance to
-the nearest live target of each color (_FAR for a color with no target,
-beyond span once all are captured), and ``_seen``, the mask of colors
-within the sense radius. Both exist from construction, with no agent
+the nearest live target of each color, and ``_seen``, the mask of colors
+within the sense radius. A color with no live target, whether all its
+targets are captured or it has none, reads beyond span: its slot holds
+only off-board columns. Both exist from construction, with no agent
 parked. A step senses only the rows that can have changed, in one numpy
-pass over those agents x targets: Chebyshev distances, in two matrices
+pass over those agents x columns: Chebyshev distances, in two matrices
 allocated by the step, in the narrowest signed dtype that holds the largest
 difference, 2 * span + 1 (int16 up to 16384 cells on a side), then one
-``np.minimum.reduceat`` over the color segments for the nearest distance
-per agent and color, and from it the seen mask. The first sense takes every
+``np.minimum.reduceat`` over the four slots for the nearest distance per
+agent and color, and from it the seen mask. The first sense takes every
 agent and fills in the whole view; after it, an agent that stood in the
 Query intent last step keeps its row unless it learned in this step's
 resolve (it may collect now) or a target captured since lay at exactly its
@@ -53,12 +62,14 @@ built by ticking the 16 trees, so the behavior-tree semantics stay the
 source of truth.
 
 Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
-rows of the step's sense matrix: none has moved since the sense pass. A
-target captured in the batch still reads its on-board distance there, so a
-second search skips it by its alive flag. A capture records the target's ID
-for the next sense. Query agents past their cooldown emit their queries as
-one batch (:meth:`Arena._emit_queries`): an m x 2 array of (querier, color)
-rows in ascending ID, which the next step passes to
+rows of the step's sense matrix: none has moved since the sense pass. Seen
+as agents x 4 slots x width, one gather of each agent's slot of its color
+and one argmin find every agent's target. A target captured in the batch
+still reads its on-board distance there, so a second search skips it by its
+alive flag. A capture records the target's column for the next sense.
+Query agents past their cooldown emit their queries as one batch
+(:meth:`Arena._emit_queries`): an m x 2 array of (querier, color) rows in
+ascending ID, which the next step passes to
 :func:`protocol.resolve_and_deliver`.
 
 All randomness comes from one splitmix64 stream per trial with a fixed draw
@@ -98,8 +109,9 @@ from .rng import SplitMix64
 if TYPE_CHECKING:
     from .experiment import ScenarioConfig
 
-# Distance of a color with no target (no live one, in _nearest): beyond any board.
-# An int64 scalar, so that np.where over a narrow row widens rather than wraps.
+# The distance _nearest reads for a dead column (a captured target or a
+# filler): beyond any board. An int64 scalar, so that np.where over a narrow
+# row widens rather than wraps.
 _FAR = np.int64(np.iinfo(np.int64).max)
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -273,6 +285,8 @@ class Arena:
         """Build an arena with explicit placement (tests and demos).
 
         Targets are reordered color-major; agent IDs follow the given order.
+        Unequal color counts, an absent color included, pad the color slots
+        with filler columns (module docstring).
         """
         arena = cls.__new__(cls)
         arena._start(config, seed)
@@ -308,19 +322,25 @@ class Arena:
         n_targets = len(cat_color)
         # Positions and distances use the narrowest signed dtype that holds
         # the largest difference: 2 * span + 1, from an agent to a captured
-        # target's off-board sensing x. Every on-board distance is at most
-        # span, so a larger radius sees the same as span does.
+        # target's or a filler's off-board sensing x. Every on-board distance
+        # is at most span, so a larger radius sees the same as span does.
         span = max(self.width, self.height) - 1
         dtype = next(t for t in (np.int16, np.int32, np.int64) if 2 * span + 1 <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
-        self._cat_color = cat_color.astype(np.int8)
-        self._cat_x, self._cat_y = cat_x.astype(dtype), cat_y.astype(dtype)
-        self._sense_x = self._cat_x.copy()  # _capture moves a target off the board
-        self._alive = np.ones(n_targets, bool)
-        bounds = np.searchsorted(self._cat_color, (0, 1, 2, 3, 4)).tolist()
-        self._seg = [(bounds[c], bounds[c + 1]) for c in range(4)]
-        self._present = [c for c in range(4) if bounds[c] < bounds[c + 1]]
-        self._starts = [bounds[c] for c in self._present]
+        # Four color slots of one width (module docstring): a target's column
+        # is its ID plus the fillers of the slots before its color's, so with
+        # equal color counts it is the ID itself.
+        counts = np.bincount(cat_color, minlength=4)
+        self._slot = slot = max(int(counts.max()), 1)
+        pad = slot - counts
+        self._col = col = np.arange(n_targets) + (pad.cumsum() - pad)[cat_color]
+        self._cat_x = np.zeros(4 * slot, dtype)
+        self._cat_y = np.zeros(4 * slot, dtype)
+        self._cat_x[col], self._cat_y[col] = cat_x, cat_y
+        self._sense_x = np.full(4 * slot, -(span + 1), dtype)  # _capture moves a target here
+        self._sense_x[col] = cat_x
+        self._alive = np.zeros(4 * slot, bool)
+        self._alive[col] = True
         self._x, self._y = x.astype(dtype), y.astype(dtype)
         # The kept view (see _sense_all), which the first sense fills in for
         # every agent; the agents left out of the next sense, and the targets
@@ -368,18 +388,20 @@ class Arena:
         return sum(self.capture_counts)
 
     def target(self, target_id: int) -> Target:
+        col = int(self._col[target_id])
         return Target(
             target_id,
-            COLORS[self._cat_color[target_id]],
-            (int(self._cat_x[target_id]), int(self._cat_y[target_id])),
-            bool(self._alive[target_id]),
+            COLORS[col // self._slot],
+            (int(self._cat_x[col]), int(self._cat_y[col])),
+            bool(self._alive[col]),
         )
 
     def targets(self) -> list[Target]:
-        return list(map(Target, range(len(self._cat_color)),
-                        [COLORS[c] for c in self._cat_color.tolist()],
-                        zip(self._cat_x.tolist(), self._cat_y.tolist()),
-                        self._alive.tolist()))
+        col = self._col
+        return list(map(Target, range(len(col)),
+                        [COLORS[c] for c in (col // self._slot).tolist()],
+                        zip(self._cat_x[col].tolist(), self._cat_y[col].tolist()),
+                        self._alive[col].tolist()))
 
     def event_lines(self) -> list[str]:
         return [record.line() for record in self.events]
@@ -388,17 +410,18 @@ class Arena:
 
     def _sense_all(self) -> tuple[np.ndarray, slice | np.ndarray]:
         """Bring every agent's view up to date: ``_near``, the agents x 4
-        distances to the nearest live target of each color (_FAR for a color
-        with no target, beyond span for one whose targets are all captured),
-        and ``_seen``, the mask of the colors with a target within the sense
-        radius.
+        distances to the nearest live target of each color (beyond span for
+        a color with no live target: its slot holds only captured targets
+        and fillers), and ``_seen``, the mask of the colors with a target
+        within the sense radius.
 
         Senses every agent not parked, after un-parking each parked agent
         for which a target captured since the last sense lay at its kept
         nearest distance of that color (module docstring). Returns the
-        sensed rows x targets distance matrix, this step's own, which
-        :meth:`_execute_intent` reads: its column is the target ID, and a
-        captured target reads its off-board distance. Also returns the
+        sensed rows x columns distance matrix, this step's own, which
+        :meth:`_execute_intent` reads: its columns are the four color slots,
+        and a captured target or a filler reads its off-board distance.
+        Also returns the
         sensed agent IDs: a full slice when no agent was parked, else their
         ascending array.
         """
@@ -408,7 +431,7 @@ class Arena:
             if captured:  # captures x agents, so numpy loops over the long axis
                 tx, ty = self._cat_x[captured], self._cat_y[captured]
                 d = np.maximum(np.abs(tx[:, None] - self._x), np.abs(ty[:, None] - self._y))
-                near = self._near.T[self._cat_color[captured]]
+                near = self._near.T[np.floor_divide(captured, self._slot)]
                 parked &= ~(d == near).any(axis=0)
             rows = (~parked).nonzero()[0]
         captured.clear()
@@ -419,21 +442,19 @@ class Arena:
         dy = np.subtract(y[:, None], self._cat_y)
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
-        nearest_d = np.minimum.reduceat(dist, self._starts, axis=1)
-        if len(self._present) < 4:  # widen to all 4 colors, _FAR for the absent
-            nearest_d, present = np.full((len(x), 4), _FAR, np.int64), nearest_d
-            nearest_d[:, self._present] = present
+        slot = self._slot
+        nearest_d = np.minimum.reduceat(dist, (0, slot, 2 * slot, 3 * slot), axis=1)
         self._near[rows] = nearest_d
         self._seen[rows] = np.packbits(nearest_d <= self._radius, axis=1,
                                        bitorder="little")[:, 0]
         return dist, rows
 
     def _nearest(self, dist_row: np.ndarray, color: int) -> tuple[int, int]:
-        """ID and distance of the nearest live target of ``color`` on an
+        """Column and distance of the nearest live target of ``color`` on an
         agent's row of the sense matrix, ties to the lowest ID, skipping the
-        targets captured since the sense; _FAR when none of the color is
-        live. The color must have a target."""
-        s, e = self._seg[color]
+        targets captured since the sense and the fillers; _FAR when none of
+        the color is live."""
+        s, e = color * self._slot, (color + 1) * self._slot
         row = np.where(self._alive[s:e], dist_row[s:e], _FAR)
         j = int(row.argmin())  # first minimum = lowest target ID
         return s + j, int(row[j])
@@ -507,27 +528,27 @@ class Arena:
         :meth:`_sense_all` returns them; an agent that was not sensed raises
         RuntimeError): each takes the nearest live target of its color (ties
         to the lowest ID) if it lies under it, the lowest ID winning a
-        contested target, or steps toward it. A column of ``dist`` is the
-        target ID, and an agent's nearest target is on the board, since it
-        sees the color. Only an agent whose target a lower ID took searches
-        again, and never finds a target under it: no two targets share a
-        cell."""
+        contested target, or steps toward it. One argmin over each agent's
+        slot of its color in ``dist`` finds every agent's target column; it
+        is a live target on the board, since the agent sees the color, and
+        never a filler, which lies off the board. Only an agent whose target
+        a lower ID took searches again, and never finds a target under it:
+        no two targets share a cell."""
         at = rows  # each agent's row of dist
         if not isinstance(sensed, slice):
             at = np.searchsorted(sensed, rows)
             if not np.array_equal(sensed.take(at, mode="clip"), rows):
                 raise RuntimeError(f"t={self.t}: a Collect agent was not sensed")
+        colors = colors.astype(np.intp)  # int8 * slot would wrap
         d = self._near[rows, colors]
-        k = np.empty(len(rows), np.intp)  # ID of each row's target
-        for c in set(colors.tolist()):
-            s, e = self._seg[c]
-            of_c = colors == c
-            k[of_c] = dist[at[of_c], s:e].argmin(axis=1) + s  # first minimum = lowest ID
+        slot = self._slot
+        # Column of each row's target; first minimum = lowest ID.
+        k = dist.reshape(len(dist), 4, slot)[at, colors].argmin(axis=1) + colors * slot
         if not d.all():
             # In ID order, so _captured holds the targets lower IDs took.
             for p, i, t, dt in zip(range(len(k)), rows.tolist(), k.tolist(), d.tolist()):
                 if t in self._captured:
-                    k[p], dt = self._nearest(dist[at[p]], int(colors[p]))
+                    k[p], dt = self._nearest(dist[at[p]], colors.item(p))
                     d[p] = dt if dt <= self._radius else 0
                 elif dt == 0:
                     self._capture(t, i)
@@ -551,11 +572,12 @@ class Arena:
         unknown = seen[askers] & ~self.knowledge.known[askers]
         return np.array((askers, protocol.query_colors(unknown, nearest_d[askers]))).T
 
-    def _capture(self, target_id: int, agent_id: int) -> None:
-        color = COLORS[self._cat_color[target_id]]
-        self._alive[target_id] = False
-        self._sense_x[target_id] = -max(self.width, self.height)  # -(span + 1)
-        self._captured.append(target_id)
+    def _capture(self, col: int, agent_id: int) -> None:
+        """Take the target in column ``col`` of the sense matrix."""
+        color = COLORS[col // self._slot]
+        self._alive[col] = False
+        self._sense_x[col] = -max(self.width, self.height)  # -(span + 1)
+        self._captured.append(col)
         self.alive_count -= 1
         self.capture_counts[color] += 1
         self.events.append(ev.EventRecord(self.t, ev.CAPTURE, agent_id, color))

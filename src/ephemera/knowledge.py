@@ -110,14 +110,18 @@ class Knowledge:
 
 class KnowledgeStore:
     """One agent's skills: the view of row ``row`` of ``table``, or without
-    a table, a population of one with the given innate colors."""
+    a table, a population of one with the given innate colors and capacity.
+    A table holds its own innate colors and capacity, so giving either with
+    it raises ValueError."""
 
     __slots__ = ("table", "row")
 
-    def __init__(self, innate: Iterable[Color] = (), capacity: Optional[int] = None,
+    def __init__(self, innate: Optional[Iterable[Color]] = None, capacity: Optional[int] = None,
                  table: Optional[Knowledge] = None, row: int = 0):
         if table is None:
-            table = Knowledge([sum(1 << c for c in {*innate})], capacity)
+            table = Knowledge([sum(1 << c for c in {*(innate or ())})], capacity)
+        elif innate is not None or capacity is not None:
+            raise ValueError("innate and capacity are those of the table given")
         if not 0 <= row < len(table):
             raise ValueError(f"row {row} is not an agent of a {len(table)}-agent table")
         self.table, self.row = table, row

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
+ARENA = "src/ephemera/arena.py"
 PROTOCOL = "src/ephemera/protocol.py"
 KNOWLEDGE = "src/ephemera/knowledge.py"
 
@@ -60,6 +61,16 @@ FAULTS = (
           "victim = COLORS[times.index(min(times))]",
           "victim = COLORS[len(times) - 1 - times[::-1].index(min(times))]",
           "colors learned at the same time are evicted last color first"),
+    Fault("capture-conflict-to-highest-id", ARENA,
+          "for p, i, t, dt in zip(range(len(k)), rows.tolist(), k.tolist(), d.tolist()):",
+          "for p, i, t, dt in reversed([*zip(range(len(k)), rows.tolist(), k.tolist(),"
+          " d.tolist())]):",
+          "of two Collect agents on one target, the higher ID takes it"),
+    Fault("slot-search-ties-to-higher-id", ARENA,
+          "k = dist.reshape(len(dist), 4, slot)[at, colors].argmin(axis=1) + colors * slot",
+          "k = slot - 1 - dist.reshape(len(dist), 4, slot)[at, colors][:, ::-1].argmin(axis=1)"
+          " + colors * slot",
+          "a Collect agent heads for the higher ID of two equally near targets"),
 )
 
 

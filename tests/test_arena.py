@@ -171,17 +171,15 @@ def layout(make_config, targets, agents, **cfg):
 
 def search_all(arena, dist, row):
     """Per color, (distance, ID) of the nearest live target as the Collect
-    search finds it on row ``row`` of ``dist``; (_FAR, -1) for a color with
-    no live target, where the search of a placed color reads _FAR too."""
+    search finds it on row ``row`` of ``dist``, in the color's slot of
+    columns; (_FAR, -1) where the search reads _FAR: no live target of the
+    color, only captured targets and fillers."""
+    ids = dict(zip(arena._col.tolist(), range(len(arena._col))))
     found = []
     for color in COLORS:
-        s, e = arena._seg[color]
-        if arena._alive[s:e].any():
-            k, d = arena._nearest(dist[row], color)
-            found.append((d, k))
-        else:
-            assert s == e or arena._nearest(dist[row], color)[1] == _FAR
-            found.append((_FAR, -1))
+        col, d = arena._nearest(dist[row], color)
+        assert col // arena._slot == color
+        found.append((d, ids[col]) if d != _FAR else (_FAR, -1))
     return found
 
 
@@ -269,11 +267,12 @@ def assert_search_matches_brute_force(arena, dist, ids):
 
 def assert_view_matches_brute_force(arena):
     """Every agent's kept distance and seen bit for every color equal the
-    brute-force scan. A color whose targets are all captured reads beyond
-    every distance on the board; a color with no target reads _FAR."""
+    brute-force scan. A color with no live target, whether its targets are
+    all captured or it has none, reads beyond every distance on the board
+    and within the off-board distance: its slot holds only captured targets
+    and fillers."""
     radius = arena.config.sense_radius
     span = max(arena.width, arena.height) - 1
-    placed = {target.color for target in arena.targets()}
     assert arena._near.shape == (len(arena.agents), 4)
     for agent in arena.agents:
         reference = brute_force_sense(arena, agent)
@@ -284,10 +283,8 @@ def assert_view_matches_brute_force(arena):
             near = arena._near[agent.id, color]
             if live:
                 assert near == live[0][0]
-            elif color in placed:
-                assert span < near < _FAR
             else:
-                assert near == _FAR
+                assert span < near <= 2 * span + 1
 
 
 def unpark_all(arena):
@@ -338,7 +335,7 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
     assert [arena._nearest(dist[i], Color.RED)[0] for i in range(3)] == [0, 0, 0]
     arena._execute_intent(np.array([0]), np.array([Color.RED]), dist, sensed)
     assert arena.capture_counts[Color.RED] == 1
-    assert arena._alive.tolist() == [False, True, True, True]
+    assert [target.alive for target in arena.targets()] == [False, True, True, True]
     assert dist[0, 0] == 0  # red 0 still reads its cell in this step's matrix
     assert_search_matches_brute_force(arena, dist, sensed_ids(arena, sensed))
     assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
@@ -373,7 +370,9 @@ def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype
     reach width - 1; green and yellow have no target at all. The masters at
     both ends take the reds under them in the first step, so an agent at the
     far end then senses the off-board distance 2 * (width - 1) + 1. A radius
-    beyond the board sees every present color and still no absent one."""
+    beyond the board sees every present color and still no absent one: the
+    slots of the absent colors hold only fillers, off the board from the
+    start."""
     end = width - 1
     arena = layout(
         make_config,
@@ -383,7 +382,7 @@ def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype
         agents=[(M, 0, 0), (I, end, 0), (M, end // 2, 0), (I, 1, 0), (M, end, 0)],
         grid=(width, 1), sense_radius=radius,
     )
-    assert assert_sense_matches_brute_force(arena)[0].max() == end
+    assert assert_sense_matches_brute_force(arena)[0][:, arena._col].max() == end
     arena.step()
     assert [target.alive for target in arena.targets()[:2]] == [False, False]
     unpark_all(arena)
@@ -665,13 +664,14 @@ def test_event_lines_round_trip(make_config):
 # --- batched Collect against the per-agent reference ---------------------------
 
 class PerAgentCollectArena(Arena):
-    """The Collect phase as it ran before it was batched, on a sense pass
-    that senses every agent every step, as it did before agents kept their
-    view: each Collect agent, in ID order, searches its own sense row for the
-    nearest live target of its color (lowest ID on ties), searching again
-    without the targets that lower IDs took earlier in the step; it takes a
-    target under it, steps toward one within the sense radius, or stands
-    still."""
+    """The Collect phase one agent at a time, on a sense pass that senses
+    every agent every step, as it did before agents kept their view: each
+    Collect agent, in ID order, scans the public ``targets()`` for the
+    nearest live target of its color (lowest ID on ties), so the targets
+    that lower IDs took earlier in the step are left out; it takes a target
+    under it, steps toward one within the sense radius, or stands still. It
+    reads no column of the sense matrix: only ``_capture`` is handed the
+    taken target's column."""
 
     def _sense_all(self):
         unpark_all(self)
@@ -681,22 +681,17 @@ class PerAgentCollectArena(Arena):
 
     def _execute_intent(self, rows, colors, dist, sensed):
         for i, color in zip(rows.tolist(), colors.tolist()):
-            s, e = self._seg[color]
-            row = dist[i, s:e]
-            j = int(row.argmin())
-            if not self._alive[s + j]:
-                row = np.where(self._alive[s:e], row, _FAR)
-                j = int(row.argmin())
-            k, distance = s + j, int(row[j])  # k is the target ID
-            if distance > self._radius:
+            x, y = int(self._x[i]), int(self._y[i])
+            live = [(max(abs(t.pos[0] - x), abs(t.pos[1] - y)), t.id, t.pos)
+                    for t in self.targets() if t.alive and t.color == color]
+            distance, k, (tx, ty) = min(live, default=(np.inf, -1, (x, y)))
+            if distance > self.config.sense_radius:
                 continue
             if distance == 0:
-                self._capture(k, i)
+                self._capture(int(self._col[k]), i)
                 continue
-            dx = int(self._cat_x[k]) - int(self._x[i])
-            dy = int(self._cat_y[k]) - int(self._y[i])
-            self._x[i] += (dx > 0) - (dx < 0)
-            self._y[i] += (dy > 0) - (dy < 0)
+            self._x[i] += (tx > x) - (tx < x)
+            self._y[i] += (ty > y) - (ty < y)
 
 
 @st.composite
@@ -721,25 +716,52 @@ def crowded_boards(draw):
     return config, targets, [(robot_type, x, y) for robot_type, (x, y) in agents]
 
 
-@settings(max_examples=300, deadline=None)
-@given(board=crowded_boards(), seed=st.integers(0, 2**16))
-@example(board=(ScenarioConfig(name="contest", grid=(5, 1), targets_per_color=0,
-                               robot_counts=(1, 0, 0, 0, 0, 0), sense_radius=2),
-                [(Color.RED, 2, 0), (Color.RED, 0, 0), (Color.RED, 4, 0)],
-                [(M, 2, 0), (M, 2, 0), (M, 2, 0), (M, 1, 0)]), seed=0)
-def test_batched_collect_matches_the_per_agent_reference(board, seed):
-    config, targets, agents = board
-    batched = Arena.from_layout(config, targets, agents, seed)
-    reference = PerAgentCollectArena.from_layout(config, targets, agents, seed)
+def assert_steps_as_the_reference(batched, reference):
+    """Step both arenas to the end, comparing positions, captures and events
+    after every step."""
     while not batched.finished:
         batched.step()
         reference.step()
         assert batched._x.tolist() == reference._x.tolist()
         assert batched._y.tolist() == reference._y.tolist()
         assert batched.capture_counts == reference.capture_counts
-        assert batched._alive.tolist() == reference._alive.tolist()
+        assert batched.targets() == reference.targets()
         assert batched.event_lines() == reference.event_lines()
     assert reference.alive_count == batched.alive_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(board=crowded_boards(), seed=st.integers(0, 2**16))
+@example(board=(ScenarioConfig(name="contest", grid=(5, 1), targets_per_color=0,
+                               robot_counts=(1, 0, 0, 0, 0, 0), sense_radius=2),
+                [(Color.RED, 2, 0), (Color.RED, 0, 0), (Color.RED, 4, 0)],
+                [(M, 2, 0), (M, 2, 0), (M, 2, 0), (M, 1, 0)]), seed=0)
+# Unequal color counts and no yellow: the green and blue slots and the whole
+# yellow slot are padded with fillers.
+@example(board=(ScenarioConfig(name="slots", grid=(6, 2), targets_per_color=0,
+                               robot_counts=(1, 0, 0, 0, 0, 0), sense_radius=3),
+                [(Color.RED, 0, 0), (Color.BLUE, 2, 0), (Color.RED, 5, 0), (Color.GREEN, 1, 1),
+                 (Color.RED, 3, 1), (Color.BLUE, 4, 1)],
+                [(M, 0, 1), (RobotType.BLUE, 3, 0), (RobotType.BLUE, 3, 0),
+                 (RobotType.GREEN, 2, 1), (M, 5, 1)]), seed=0)
+def test_batched_collect_matches_the_per_agent_reference(board, seed):
+    config, targets, agents = board
+    assert_steps_as_the_reference(Arena.from_layout(config, targets, agents, seed),
+                                  PerAgentCollectArena.from_layout(config, targets, agents, seed))
+
+
+@pytest.mark.parametrize("per_color", [42, 43, 127, 128])
+def test_slot_search_past_the_int8_range(make_config, per_color):
+    """Intents are int8, and an int8 color times the slot width wraps: blue
+    from a width of 43, yellow from 64 and green from 128. Robots that each
+    know one of those colors collect on a board that is one third targets,
+    against the per-agent reference."""
+    config = make_config(grid=(40, 40), targets_per_color=per_color,
+                         robot_counts=(0, 0, 0, 4, 4, 4), max_iterations=25, sense_radius=3)
+    batched = Arena(config, seed=3)
+    assert batched._slot == per_color
+    assert_steps_as_the_reference(batched, PerAgentCollectArena(config, seed=3))
+    assert min(batched.capture_counts[1:]) > 0
 
 
 # --- the kept view against a fresh scan ----------------------------------------

@@ -163,6 +163,18 @@ def test_store_views_the_table_it_is_given_and_rejects_a_row_outside_it():
         KnowledgeStore((Color.RED,), row=1)
 
 
+@pytest.mark.parametrize("given", [dict(innate=(Color.RED,)), dict(innate=()), dict(capacity=1),
+                                   dict(innate=(Color.RED,), capacity=1)])
+def test_store_rejects_innate_or_capacity_given_with_a_table(given):
+    """A table holds its own innate colors and capacity: either one given
+    with it would be dropped without a word, so the store refuses it."""
+    table = Knowledge([0])
+    with pytest.raises(ValueError, match="table"):
+        KnowledgeStore(**given, table=table, row=0)
+    assert KnowledgeStore(table=table, row=0).known_colors() == ()
+    assert KnowledgeStore(**given).table is not table
+
+
 class ModelStore:
     """Brute-force reference model: a plain dict, no caching, no shortcuts."""
 
