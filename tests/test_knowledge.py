@@ -172,7 +172,6 @@ def test_store_rejects_innate_or_capacity_given_with_a_table(given):
     with pytest.raises(ValueError, match="table"):
         KnowledgeStore(**given, table=table, row=0)
     assert KnowledgeStore(table=table, row=0).known_colors() == ()
-    assert KnowledgeStore(**given).table is not table
 
 
 class ModelStore:
