@@ -42,8 +42,8 @@ only off-board columns. Both exist from construction, with no agent
 parked. A step senses only the rows that can have changed, in one numpy
 pass over those agents x columns: Chebyshev distances, in two matrices
 allocated by the step, in the narrowest signed dtype that holds the largest
-difference, 2 * span + 1 (int16 up to 16384 cells on a side), then one
-``np.minimum.reduceat`` over the four slots for the nearest distance per
+difference, 2 * span + 1 (int8 up to 64 cells on a side, int16 up to 16384),
+then one ``np.minimum.reduceat`` over the four slots for the nearest distance per
 agent and color, and from it the seen mask. The first sense takes every
 agent and fills in the whole view; after it, an agent that stood in the
 Query intent last step keeps its row unless it learned in this step's
@@ -322,10 +322,17 @@ class Arena:
         n_targets = len(cat_color)
         # Positions and distances use the narrowest signed dtype that holds
         # the largest difference: 2 * span + 1, from an agent to a captured
-        # target's or a filler's off-board sensing x. Every on-board distance
-        # is at most span, so a larger radius sees the same as span does.
+        # target's or a filler's off-board sensing x. That is int8 up to 64
+        # cells on a side and int16 up to 16384. Every on-board distance is
+        # at most span, so a larger radius sees the same as span does. At
+        # the int8 limit (span 63): positions lie in [0, 63], a sensing x in
+        # [-64, 63], so every difference in [-63, 127]; the Python integers
+        # that meet these arrays, the radius (at most span) and -(span + 1),
+        # fit too, so neither NEP 50 promotion nor numpy 1.x value-based
+        # casting can wrap or raise.
         span = max(self.width, self.height) - 1
-        dtype = next(t for t in (np.int16, np.int32, np.int64) if 2 * span + 1 <= np.iinfo(t).max)
+        dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                     if 2 * span + 1 <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
         # Four color slots of one width (module docstring): a target's column
         # is its ID plus the fillers of the slots before its color's, so with

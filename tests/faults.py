@@ -71,6 +71,30 @@ FAULTS = (
           "k = slot - 1 - dist.reshape(len(dist), 4, slot)[at, colors][:, ::-1].argmin(axis=1)"
           " + colors * slot",
           "a Collect agent heads for the higher ID of two equally near targets"),
+    Fault("explore-draws-in-descending-id", ARENA,
+          "explorers = (intents == _EXPLORE).nonzero()[0]",
+          "explorers = (intents == _EXPLORE).nonzero()[0][::-1]",
+          "explorers take their draws from the highest ID down"),
+    Fault("learner-not-unparked", ARENA,
+          "self._parked[[q for q, _ in delivered]] = False",
+          "pass",
+          "an agent that learned a color in resolve keeps its stale view"),
+    Fault("sense-radius-plus-one", ARENA,
+          "self._radius = min(self.config.sense_radius, span)",
+          "self._radius = min(self.config.sense_radius + 1, span)",
+          "an agent sees a target one cell beyond the sense radius"),
+    Fault("cooldown-one-step-short", ARENA,
+          "self._cooldown[askers] = now + self.config.query_cooldown",
+          "self._cooldown[askers] = now + self.config.query_cooldown - 1",
+          "an agent queries again one step before its cooldown runs out"),
+    Fault("no-unpark-on-capture-at-kept-distance", ARENA,
+          "parked &= ~(d == near).any(axis=0)",
+          "pass",
+          "a Query agent keeps a nearest distance whose target was captured"),
+    Fault("dtype-ladder-ignores-off-board-distance", ARENA,
+          "2 * span + 1 <= np.iinfo(t).max",
+          "span <= np.iinfo(t).max",
+          "a dtype that holds the board but not the off-board distance wraps"),
 )
 
 

@@ -307,11 +307,13 @@ def assert_sense_matches_brute_force(arena):
 
 def test_batch_and_single_sense_agree(make_config):
     arena = Arena(make_config(), seed=77)
+    # The ladder's pick for a 40 x 40 board: 2 * 39 + 1 fits int8.
+    assert (arena.width, arena.height) == (40, 40)
     kept = 0
     for _ in range(40):  # a few captures happen, so captured targets read off the board
         dist, ids = assert_sense_matches_brute_force(arena)
         kept += len(arena.agents) - len(ids)
-        assert dist.dtype == arena._x.dtype == arena._sense_x.dtype == np.int16
+        assert dist.dtype == arena._x.dtype == arena._sense_x.dtype == np.int8
         assert dist.shape[1] == len(arena.targets())  # a column per target ID
         # Sensing every agent again reproduces the kept view, and the
         # Collect search of every agent.
@@ -362,7 +364,8 @@ def test_a_captured_target_keeps_its_id_color_and_cell(make_config):
     assert [arena.target(i) for i in range(len(placed))] == arena.targets()
 
 
-@pytest.mark.parametrize("width, dtype", [(16383, np.int16), (16384, np.int16),
+@pytest.mark.parametrize("width, dtype", [(64, np.int8), (65, np.int16),
+                                          (16383, np.int16), (16384, np.int16),
                                           (16385, np.int32), (40000, np.int32)])
 @pytest.mark.parametrize("radius", [4, 100_000, 1 << 40])
 def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype, radius):

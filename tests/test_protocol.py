@@ -39,9 +39,11 @@ def sight(**by_color):
     return [nearest.get(c, 1 << 20) for c in COLORS], sum(1 << c for c in nearest)
 
 
-def positions(agents):
-    """The position arrays the arena keeps for ``agents``."""
-    return dict(xs=np.array([a.x for a in agents]), ys=np.array([a.y for a in agents]))
+def positions(agents, dtype=np.int64):
+    """The position arrays the arena keeps for ``agents``, in ``dtype``: the
+    arena's is the narrowest that holds its board's differences."""
+    return dict(xs=np.array([a.x for a in agents], dtype),
+                ys=np.array([a.y for a in agents], dtype))
 
 
 def queries(*rows):
@@ -49,11 +51,12 @@ def queries(*rows):
     return np.array(rows, np.intp).reshape(-1, 2)
 
 
-def resolve(pending, agents, **kwargs):
-    """resolve_and_deliver on the one Knowledge that the agents' stores view."""
+def resolve(pending, agents, dtype=np.int64, **kwargs):
+    """resolve_and_deliver on the one Knowledge that the agents' stores
+    view, with positions in ``dtype``."""
     knowledge = agents[0].store.table
     assert all(a.store.table is knowledge and a.store.row == a.id for a in agents)
-    return resolve_and_deliver(pending, knowledge, **kwargs, **positions(agents))
+    return resolve_and_deliver(pending, knowledge, **kwargs, **positions(agents, dtype))
 
 
 def row_state(store):
@@ -484,8 +487,9 @@ agent_specs = st.lists(
     comm_radius=st.integers(0, 8),
     capacity=st.sampled_from([None, 1, 2]),
     policy=st.sampled_from([REJECT, EVICT]),
+    dtype=st.sampled_from([np.int8, np.int16, np.int64]),  # int8 and int16 as small arenas hold them
 )
-def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, policy):
+def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, policy, dtype):
     def build():
         agents = population(*(Agent(i, pos=(x, y), innate=COLORS_OF[innate])
                               for i, (x, y, innate, _) in enumerate(specs)), capacity=capacity)
@@ -500,7 +504,7 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
     expected_agents, agents = build(), build()
     expected_log, log = [], []
     expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)
-    got = resolve(pending, agents, now=4, comm_radius=comm_radius, memory_duration=5,
+    got = resolve(pending, agents, dtype, now=4, comm_radius=comm_radius, memory_duration=5,
                   policy=policy, event_log=log)
     assert got == expected
     assert log == expected_log
