@@ -43,8 +43,8 @@ parked. A step senses only the rows that can have changed, in one numpy
 pass over those agents x columns: Chebyshev distances, in two matrices
 allocated by the step, in the narrowest signed dtype that holds the largest
 difference, 2 * span + 1 (int8 up to 64 cells on a side, int16 up to 16384),
-then one ``np.minimum.reduceat`` over the four slots for the nearest distance per
-agent and color, and from it the seen mask. The first sense takes every
+then one ``np.minimum.reduceat`` over the four slots for the nearest distance
+per agent and color, and from it the seen mask. The first sense takes every
 agent and fills in the whole view; after it, an agent that stood in the
 Query intent last step keeps its row unless it learned in this step's
 resolve (it may collect now) or a target captured since lay at exactly its

@@ -487,7 +487,7 @@ agent_specs = st.lists(
     comm_radius=st.integers(0, 8),
     capacity=st.sampled_from([None, 1, 2]),
     policy=st.sampled_from([REJECT, EVICT]),
-    dtype=st.sampled_from([np.int8, np.int16, np.int64]),  # int8 and int16 as small arenas hold them
+    dtype=st.sampled_from([np.int8, np.int16, np.int64]),  # as arenas of each size hold them
 )
 def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, policy, dtype):
     def build():
