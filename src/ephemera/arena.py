@@ -17,11 +17,12 @@ query cooldown, and the skills (:class:`Knowledge`). The step reads and
 writes only these arrays: resolve learns through :meth:`Knowledge.learn`.
 :attr:`Arena.agents`, one :class:`AgentState` view per agent (its
 ``store`` a view of the agent's row), is built on first access, for
-callers outside the step. Expiry is one search of ``expires_at``, in
-row-major order (agent ID, then color): the order of the Forget events.
+callers outside the step. Expiry is one search of ``learned_at`` for the
+skills learned ``memory_duration`` or more iterations ago, in row-major
+order (agent ID, then color): the order of the Forget events.
 
 Target IDs are color-major, by placement within a color. The target
-columns (``_cat_x``, ``_cat_y``, ``_sense_x``, ``_alive``) are laid out in
+columns (``_cat_x``, ``_cat_y``, ``_sense_x``) are laid out in
 four color slots of one width, the largest color count (at least 1): color
 c owns columns c * width up to (c + 1) * width, its targets first, in ID
 order (``_col`` maps an ID to its column). With equal color counts, as in
@@ -29,10 +30,10 @@ every arena built from a config, the slots are the target IDs. A layout
 with unequal counts fills the rest of each slot with filler columns: dead
 from the start and off the board, like captured targets, and never seen by
 ``target()``, ``targets()``, ``initial_total`` or the conservation checks.
-A target keeps its column for the arena's life. A capture clears its alive
-flag and moves only its sensing x (``_sense_x``) off the board to
--(span + 1), where every filler lies, span being the longer side less one:
-farther than every target on the board and out of sight.
+A target keeps its column for the arena's life, and is live while its
+sensing x (``_sense_x``) lies on the board. A capture moves only that x off
+the board, to -(span + 1), where every filler lies, span being the longer
+side less one: farther than every target on the board and out of sight.
 
 Sensing keeps every agent's view across steps: ``_near``, its distance to
 the nearest live target of each color, and ``_seen``, the mask of colors
@@ -64,9 +65,11 @@ source of truth.
 Collect agents act as one batch (:meth:`Arena._execute_intent`), on their
 rows of the step's sense matrix: none has moved since the sense pass. Seen
 as agents x 4 slots x width, one gather of each agent's slot of its color
-and one argmin find every agent's target. A target captured in the batch
-still reads its on-board distance there, so a second search skips it by its
-alive flag. A capture records the target's column for the next sense.
+and one argmin find every agent's target. A capture writes the off-board
+distance, 2 * span + 1, into the target's column of the matrix, so an agent
+whose target a lower ID took searches its slot again with the same
+first-minimum argmin and finds the nearest target still live. A capture
+also records the target's column for the next sense.
 Query agents past their cooldown emit their queries as one batch
 (:meth:`Arena._emit_queries`): an m x 2 array of (querier, color) rows in
 ascending ID, which the next step passes to
@@ -109,10 +112,6 @@ from .rng import SplitMix64
 if TYPE_CHECKING:
     from .experiment import ScenarioConfig
 
-# The distance _nearest reads for a dead column (a captured target or a
-# filler): beyond any board. An int64 scalar, so that np.where over a narrow
-# row widens rather than wraps.
-_FAR = np.int64(np.iinfo(np.int64).max)
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 # Intent codes: 0..3 collect that color, then query and explore.
@@ -327,12 +326,16 @@ class Arena:
         # at most span, so a larger radius sees the same as span does. At
         # the int8 limit (span 63): positions lie in [0, 63], a sensing x in
         # [-64, 63], so every difference in [-63, 127]; the Python integers
-        # that meet these arrays, the radius (at most span) and -(span + 1),
-        # fit too, so neither NEP 50 promotion nor numpy 1.x value-based
-        # casting can wrap or raise.
+        # that meet these arrays, the radius (at most span), -(span + 1) and
+        # 2 * span + 1, fit too, so neither NEP 50 promotion nor numpy 1.x
+        # value-based casting can wrap or raise.
         span = max(self.width, self.height) - 1
+        # A captured target's or a filler's sensing x, and the largest
+        # difference, which a target captured in this step reads in the
+        # step's sense matrix.
+        self._off_x, self._far = -(span + 1), 2 * span + 1
         dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                     if 2 * span + 1 <= np.iinfo(t).max)
+                     if self._far <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
         # Four color slots of one width (module docstring): a target's column
         # is its ID plus the fillers of the slots before its color's, so with
@@ -344,10 +347,8 @@ class Arena:
         self._cat_x = np.zeros(4 * slot, dtype)
         self._cat_y = np.zeros(4 * slot, dtype)
         self._cat_x[col], self._cat_y[col] = cat_x, cat_y
-        self._sense_x = np.full(4 * slot, -(span + 1), dtype)  # _capture moves a target here
+        self._sense_x = np.full(4 * slot, self._off_x, dtype)
         self._sense_x[col] = cat_x
-        self._alive = np.zeros(4 * slot, bool)
-        self._alive[col] = True
         self._x, self._y = x.astype(dtype), y.astype(dtype)
         # The kept view (see _sense_all), which the first sense fills in for
         # every agent; the agents left out of the next sense, and the targets
@@ -357,7 +358,9 @@ class Arena:
         self._parked = np.zeros(len(types), bool)
         self._captured: list[int] = []
         self._cooldown = np.zeros(len(types), np.int64)
-        self.knowledge = Knowledge(_INNATE[types], self.config.memory_size)
+        cfg = self.config
+        self.knowledge = Knowledge(_INNATE[types], cfg.memory_size, cfg.capacity_policy,
+                                   cfg.memory_duration)
         self._types = types
         # Edge class of each column and row (see _moves_by_class).
         xs = np.arange(self.width)
@@ -400,7 +403,7 @@ class Arena:
             target_id,
             COLORS[col // self._slot],
             (int(self._cat_x[col]), int(self._cat_y[col])),
-            bool(self._alive[col]),
+            bool(self._sense_x[col] >= 0),
         )
 
     def targets(self) -> list[Target]:
@@ -408,7 +411,7 @@ class Arena:
         return list(map(Target, range(len(col)),
                         [COLORS[c] for c in (col // self._slot).tolist()],
                         zip(self._cat_x[col].tolist(), self._cat_y[col].tolist()),
-                        self._alive[col].tolist()))
+                        (self._sense_x[col] >= 0).tolist()))
 
     def event_lines(self) -> list[str]:
         return [record.line() for record in self.events]
@@ -456,16 +459,6 @@ class Arena:
                                        bitorder="little")[:, 0]
         return dist, rows
 
-    def _nearest(self, dist_row: np.ndarray, color: int) -> tuple[int, int]:
-        """Column and distance of the nearest live target of ``color`` on an
-        agent's row of the sense matrix, ties to the lowest ID, skipping the
-        targets captured since the sense and the fillers; _FAR when none of
-        the color is live."""
-        s, e = color * self._slot, (color + 1) * self._slot
-        row = np.where(self._alive[s:e], dist_row[s:e], _FAR)
-        j = int(row.argmin())  # first minimum = lowest target ID
-        return s + j, int(row[j])
-
     # --- stepping -------------------------------------------------------------
 
     def step(self) -> None:
@@ -479,8 +472,8 @@ class Arena:
         if len(self.pending) and cfg.learning_enabled:
             mark = len(self.events)
             delivered = protocol.resolve_and_deliver(
-                self.pending, self.knowledge, now, cfg.comm_radius,
-                cfg.memory_duration, cfg.capacity_policy, self.events, self._x, self._y,
+                self.pending, self.knowledge, now, cfg.comm_radius, self.events,
+                self._x, self._y,
             )
             if delivered:  # a learner may collect now, so it is sensed
                 self._parked[[q for q, _ in delivered]] = False
@@ -522,10 +515,10 @@ class Arena:
                 f"t={now}: {self.capture_total} captured + {self.alive_count} alive "
                 f"!= {self.initial_total} placed"
             )
-        if self._captured and self.alive_count != np.count_nonzero(self._alive):
+        if self._captured and self.alive_count != np.count_nonzero(self._sense_x >= 0):
             raise ConservationError(
                 f"t={now}: {self.alive_count} counted alive, "
-                f"{np.count_nonzero(self._alive)} on the board"
+                f"{np.count_nonzero(self._sense_x >= 0)} on the board"
             )
 
     def _execute_intent(self, rows: np.ndarray, colors: np.ndarray,
@@ -539,8 +532,9 @@ class Arena:
         slot of its color in ``dist`` finds every agent's target column; it
         is a live target on the board, since the agent sees the color, and
         never a filler, which lies off the board. Only an agent whose target
-        a lower ID took searches again, and never finds a target under it:
-        no two targets share a cell."""
+        a lower ID took searches its slot again, in which every target
+        captured in this step reads the off-board distance, and never finds
+        a target under it: no two targets share a cell."""
         at = rows  # each agent's row of dist
         if not isinstance(sensed, slice):
             at = np.searchsorted(sensed, rows)
@@ -549,16 +543,20 @@ class Arena:
         colors = colors.astype(np.intp)  # int8 * slot would wrap
         d = self._near[rows, colors]
         slot = self._slot
+        slots = dist.reshape(len(dist), 4, slot)
         # Column of each row's target; first minimum = lowest ID.
-        k = dist.reshape(len(dist), 4, slot)[at, colors].argmin(axis=1) + colors * slot
+        k = slots[at, colors].argmin(axis=1) + colors * slot
         if not d.all():
             # In ID order, so _captured holds the targets lower IDs took.
             for p, i, t, dt in zip(range(len(k)), rows.tolist(), k.tolist(), d.tolist()):
                 if t in self._captured:
-                    k[p], dt = self._nearest(dist[at[p]], colors.item(p))
+                    row, c = at[p], colors.item(p)
+                    k[p] = t = slots[row, c].argmin() + c * slot
+                    dt = dist[row, t]
                     d[p] = dt if dt <= self._radius else 0
                 elif dt == 0:
                     self._capture(t, i)
+                    dist[:, t] = self._far
         step = d > 0
         movers, toward = rows[step], k[step]
         self._x[movers] += np.sign(self._cat_x[toward] - self._x[movers])
@@ -582,8 +580,7 @@ class Arena:
     def _capture(self, col: int, agent_id: int) -> None:
         """Take the target in column ``col`` of the sense matrix."""
         color = COLORS[col // self._slot]
-        self._alive[col] = False
-        self._sense_x[col] = -max(self.width, self.height)  # -(span + 1)
+        self._sense_x[col] = self._off_x
         self._captured.append(col)
         self.alive_count -= 1
         self.capture_counts[color] += 1

@@ -80,7 +80,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     _require(cfg.sense_radius >= 0, "sense_radius must be >= 0", "sense_radius")
     _require(cfg.comm_radius >= 0, "comm_radius must be >= 0", "comm_radius")
     _require(cfg.query_cooldown >= 0, "query_cooldown must be >= 0", "query_cooldown")
-    # A learned skill's expiry and a cooldown's end are iterations in int64 arrays.
+    # A learned skill's expiry (learned_at + memory_duration) and a cooldown's
+    # end stay within the int64 of the arrays they are compared with.
     for field in ("memory_duration", "query_cooldown"):
         _require(cfg.max_iterations + getattr(cfg, field) < int(NEVER),
                  f"max_iterations + {field} must be below {NEVER}", field)

@@ -19,9 +19,10 @@ querier ID, from emission to :func:`resolve_and_deliver`; :func:`query_colors`
 is the rule for the color a querier asks about, for a batch of agents and
 for :func:`emit_query`'s one. A query is a ``(querier, color)`` pair and an
 answered one a ``(querier, responder)`` pair. Resolve works on the
-population's knowledge arrays (:class:`Knowledge`), with no per-agent
-object: what a delivery taught is in the querier's row and in the event
-log, which resolve and :func:`merge_payload` write with one helper.
+population's knowledge arrays (:class:`Knowledge`), which also hold the
+learn rule's capacity, policy and duration, with no per-agent object: what
+a delivery taught is in the querier's row and in the event log, which
+resolve and :func:`merge_payload` write with one helper.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
-from .knowledge import CapacityPolicy, Knowledge, LearnOutcome
+from .knowledge import Knowledge, LearnOutcome
 
 
 # Bound on comm_radius in the numpy search, above any grid distance.
@@ -101,8 +102,6 @@ def merge_payload(
     payload: str,
     expected_color: Color,
     now: int,
-    memory_duration: int,
-    policy: CapacityPolicy,
     event_log: list[ev.EventRecord],
 ) -> None:
     """Querier side of a delivery: check the payload, then learn the color.
@@ -115,7 +114,7 @@ def merge_payload(
         raise ProtocolError(
             f"payload {payload!r} is not the skill subtree for {expected_color.label}"
         )
-    outcome, victim = querier.store.learn(expected_color, now, memory_duration, policy)
+    outcome, victim = querier.store.learn(expected_color, now)
     _log_learn(event_log, now, querier.id, expected_color, responder_id, outcome, victim)
 
 
@@ -150,8 +149,6 @@ def resolve_and_deliver(
     knowledge: Knowledge,
     now: int,
     comm_radius: int,
-    memory_duration: int,
-    policy: CapacityPolicy,
     event_log: list[ev.EventRecord],
     xs: np.ndarray,
     ys: np.ndarray,
@@ -164,7 +161,7 @@ def resolve_and_deliver(
     the agents, by ID. For each query the nearest agent within
     ``comm_radius`` (Chebyshev) that knows the color when the pass reaches
     the query answers (ties to the lowest ID); the querier learns the color
-    at once (:meth:`Knowledge.learn`), so a skill learned here can answer a
+    at once, under the table's settings (:meth:`Knowledge.learn`), so a skill learned here can answer a
     later query in the same pass, and a skill evicted here no longer
     answers. Queries with no responder lapse. Each outcome is logged as
     :func:`merge_payload` logs it: Forget of an evicted color and Delivery,
@@ -207,7 +204,7 @@ def resolve_and_deliver(
         if d >= lapse:
             continue
         color = COLORS[c]
-        outcome, victim = learn(q, color, now, memory_duration, policy)
+        outcome, victim = learn(q, color, now)
         _log_learn(event_log, now, q, color, r, outcome, victim)
         deliveries.append((q, r))
         if outcome is LearnOutcome.MERGED or outcome is LearnOutcome.EVICTED:

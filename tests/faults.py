@@ -67,9 +67,8 @@ FAULTS = (
           " d.tolist())]):",
           "of two Collect agents on one target, the higher ID takes it"),
     Fault("slot-search-ties-to-higher-id", ARENA,
-          "k = dist.reshape(len(dist), 4, slot)[at, colors].argmin(axis=1) + colors * slot",
-          "k = slot - 1 - dist.reshape(len(dist), 4, slot)[at, colors][:, ::-1].argmin(axis=1)"
-          " + colors * slot",
+          "k = slots[at, colors].argmin(axis=1) + colors * slot",
+          "k = slot - 1 - slots[at, colors][:, ::-1].argmin(axis=1) + colors * slot",
           "a Collect agent heads for the higher ID of two equally near targets"),
     Fault("explore-draws-in-descending-id", ARENA,
           "explorers = (intents == _EXPLORE).nonzero()[0]",
@@ -92,9 +91,17 @@ FAULTS = (
           "pass",
           "a Query agent keeps a nearest distance whose target was captured"),
     Fault("dtype-ladder-ignores-off-board-distance", ARENA,
-          "2 * span + 1 <= np.iinfo(t).max",
+          "self._far <= np.iinfo(t).max",
           "span <= np.iinfo(t).max",
           "a dtype that holds the board but not the off-board distance wraps"),
+    Fault("capture-keeps-its-distance-in-the-step", ARENA,
+          "dist[:, t] = self._far",
+          "pass",
+          "a Collect agent whose target a lower ID took heads for that target again"),
+    Fault("expiry-one-step-late", KNOWLEDGE,
+          "self.learned_at[first:stop] <= now - self.duration",
+          "self.learned_at[first:stop] < now - self.duration",
+          "a learned skill is forgotten one step after its duration has run out"),
 )
 
 

@@ -16,9 +16,11 @@ from ephemera import events as ev
 from ephemera.arena import Arena
 from ephemera.bt import COLORS, Color, known_colors
 from ephemera.experiment import builtin_scenarios, get_scenario
-from ephemera.knowledge import CapacityPolicy, KnowledgeStore, LearnOutcome
+from ephemera.knowledge import CapacityPolicy, LearnOutcome
 from ephemera.metrics import snapshot, write_csv
 from ephemera.rng import SplitMix64
+
+from stores import one_row_store
 
 T_CASES = ("T1K", "T2K", "T5K", "T10K", "T20K")
 DURATIONS = (1000, 2000, 5000, 10000, 20000)
@@ -269,23 +271,23 @@ def test_criterion_10_grammar_properties():
 
 def test_criterion_11_expiry_and_capacity_edges():
     with criterion(11, "expiry boundary and capacity policies"):
-        store = KnowledgeStore()
         t, d = 137, 50
-        store.learn(Color.RED, now=t, duration=d)
+        store = one_row_store(duration=d)
+        store.learn(Color.RED, now=t)
         assert store.forget_expired(t + d - 1) == []
         assert store.knows(Color.RED)
         assert store.forget_expired(t + d) == [Color.RED]
         assert not store.knows(Color.RED)
 
-        store = KnowledgeStore(capacity=1)
-        assert store.learn(Color.RED, 1, 100).outcome is LearnOutcome.MERGED
-        result = store.learn(Color.GREEN, 2, 100)  # default policy rejects
+        store = one_row_store(capacity=1, policy=CapacityPolicy.REJECT_WHEN_FULL)
+        assert store.learn(Color.RED, 1).outcome is LearnOutcome.MERGED
+        result = store.learn(Color.GREEN, 2)
         assert result.outcome is LearnOutcome.REJECTED_FULL
         assert store.known_colors() == (Color.RED,)
 
-        store = KnowledgeStore(capacity=1)
-        store.learn(Color.RED, 1, 100, policy=CapacityPolicy.EVICT_OLDEST)
-        result = store.learn(Color.GREEN, 2, 100, policy=CapacityPolicy.EVICT_OLDEST)
+        store = one_row_store(capacity=1, policy=CapacityPolicy.EVICT_OLDEST)
+        store.learn(Color.RED, 1)
+        result = store.learn(Color.GREEN, 2)
         assert result.outcome is LearnOutcome.EVICTED
         assert result.victim is Color.RED
         assert store.known_colors() == (Color.GREEN,)

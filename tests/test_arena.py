@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ephemera import events as ev
 from ephemera.arena import (
-    _EXPLORE, _FAR, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena, ConservationError, RobotType, SetupError,
+    _EXPLORE, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena, ConservationError, RobotType, SetupError,
 )
 from ephemera.bt import COLORS, Color, known_colors
 from ephemera.experiment import ScenarioConfig, get_scenario, run_scenario, run_trial
@@ -170,16 +170,19 @@ def layout(make_config, targets, agents, **cfg):
 
 
 def search_all(arena, dist, row):
-    """Per color, (distance, ID) of the nearest live target as the Collect
-    search finds it on row ``row`` of ``dist``, in the color's slot of
-    columns; (_FAR, -1) where the search reads _FAR: no live target of the
-    color, only captured targets and fillers."""
+    """Per color, (distance, ID) of the first minimum of row ``row`` of
+    ``dist`` in the color's slot of columns, where the Collect search looks;
+    (None, None) when that minimum lies beyond span: the slot holds no live
+    target, only captured targets and fillers, which read off-board
+    distances."""
+    span = max(arena.width, arena.height) - 1
     ids = dict(zip(arena._col.tolist(), range(len(arena._col))))
+    slot = arena._slot
     found = []
     for color in COLORS:
-        col, d = arena._nearest(dist[row], color)
-        assert col // arena._slot == color
-        found.append((d, ids[col]) if d != _FAR else (_FAR, -1))
+        col = color * slot + int(dist[row, color * slot:(color + 1) * slot].argmin())
+        d = int(dist[row, col])
+        found.append((d, ids[col]) if d <= span else (None, None))
     return found
 
 
@@ -261,8 +264,8 @@ def assert_search_matches_brute_force(arena, dist, ids):
         reference = brute_force_sense(arena, arena.agents[agent_id])
         for color, found in zip(COLORS, search_all(arena, dist, row)):
             live = reference[color]
-            assert found == (live[0][:2] if live else (_FAR, -1))
-            assert (found[0] <= radius) == any(d <= radius for d, _, _, _ in live)
+            assert found == (live[0][:2] if live else (None, None))
+            assert (bool(live) and found[0] <= radius) == any(d <= radius for d, _, _, _ in live)
 
 
 def assert_view_matches_brute_force(arena):
@@ -325,22 +328,30 @@ def test_batch_and_single_sense_agree(make_config):
 
 
 def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
-    """Agent 0 takes red 0 under it; on the rows sensed before that capture,
-    every agent's search now finds the nearest red still alive: agent 0 the
-    lower ID of two at distance 3, agent 1 red 1 and agent 2 red 2."""
-    arena = layout(
-        make_config,
-        targets=[(Color.RED, 5, 5), (Color.RED, 8, 5), (Color.RED, 2, 5), (Color.BLUE, 5, 6)],
-        agents=[(M, 5, 5), (M, 6, 5), (I, 4, 4)],
-    )
+    """Agent 0 takes red 0 under it, which writes the off-board distance
+    into red 0's column of the step's sense matrix; on the rows sensed
+    before that capture, every agent's slot search now finds the nearest red
+    still live: agent 0 the lower ID of two at distance 3, agent 1 red 1 and
+    agent 2 red 2. In one Collect batch, agents 1 and 2, whose search found
+    red 0 too, search again and step toward those."""
+    targets = [(Color.RED, 5, 5), (Color.RED, 8, 5), (Color.RED, 2, 5), (Color.BLUE, 5, 6)]
+    agents = [(M, 5, 5), (M, 6, 5), (I, 4, 4)]
+    arena = layout(make_config, targets, agents)
     dist, sensed = arena._sense_all()
-    assert [arena._nearest(dist[i], Color.RED)[0] for i in range(3)] == [0, 0, 0]
+    assert [search_all(arena, dist, i)[Color.RED][1] for i in range(3)] == [0, 0, 0]
     arena._execute_intent(np.array([0]), np.array([Color.RED]), dist, sensed)
     assert arena.capture_counts[Color.RED] == 1
     assert [target.alive for target in arena.targets()] == [False, True, True, True]
-    assert dist[0, 0] == 0  # red 0 still reads its cell in this step's matrix
+    span = max(arena.width, arena.height) - 1
+    assert (dist[:, 0] == 2 * span + 1).all()
     assert_search_matches_brute_force(arena, dist, sensed_ids(arena, sensed))
     assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
+
+    arena = layout(make_config, targets, agents)
+    dist, sensed = arena._sense_all()
+    arena._execute_intent(np.arange(3), np.full(3, Color.RED), dist, sensed)
+    assert arena.capture_total == 1
+    assert [agent.pos for agent in arena.agents] == [(5, 5), (7, 5), (3, 5)]
 
 
 def test_a_captured_target_keeps_its_id_color_and_cell(make_config):
@@ -869,19 +880,22 @@ def small_configs(draw):
 
 
 def assert_knowledge_arrays_coherent(arena):
-    """The known mask is the innate mask plus the learned colors; a learned
-    color expires memory_duration after it was learned, and is never innate;
-    no agent holds more learned colors than memory_size."""
-    k = arena.knowledge
+    """The knowledge holds the config's learn settings; the known mask is
+    the innate mask plus the learned colors; a learned color was learned
+    within the last memory_duration iterations, so it has not expired yet,
+    and is never innate; next_expiry is at most the first learned color's
+    expiry; no agent holds more learned colors than memory_size."""
+    k, cfg = arena.knowledge, arena.config
+    assert (k.capacity, k.policy, k.duration) == (
+        cfg.memory_size, cfg.capacity_policy, cfg.memory_duration)
     never = np.iinfo(np.int64).max
     learned = k.learned_at != never
     innate = (k.innate[:, None] >> np.arange(4)) & 1 == 1
     assert not (learned & innate).any()
     assert (k.known == k.innate | (learned << np.arange(4)).sum(axis=1)).all()
-    duration = arena.config.memory_duration
-    assert (k.expires_at == np.where(learned, np.where(learned, k.learned_at, 0) + duration,
-                                     never)).all()
-    assert (k.expires_at > arena.t).all()
+    at = k.learned_at[learned]
+    assert ((arena.t - cfg.memory_duration < at) & (at <= arena.t)).all()
+    assert k.next_expiry <= int(k.learned_at.min()) + cfg.memory_duration
     if arena.config.memory_size is not None:
         assert (learned.sum(axis=1) <= arena.config.memory_size).all()
 

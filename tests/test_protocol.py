@@ -12,6 +12,8 @@ from ephemera.knowledge import (COLORS_OF, CapacityPolicy, Knowledge, KnowledgeS
                                 LearnResult)
 from ephemera.protocol import ProtocolError, emit_query, merge_payload, resolve_and_deliver
 
+from stores import one_row_store
+
 REJECT = CapacityPolicy.REJECT_WHEN_FULL
 EVICT = CapacityPolicy.EVICT_OLDEST
 
@@ -25,7 +27,7 @@ class Agent:
         self.id = agent_id
         self.x, self.y = pos
         self.innate = sum(1 << c for c in {*innate})
-        self.store = KnowledgeStore(innate)
+        self.store = one_row_store(innate)
         self.cooldown_until = 0
 
     @property
@@ -60,10 +62,8 @@ def resolve(pending, agents, dtype=np.int64, **kwargs):
 
 
 def row_state(store):
-    """The store's row: its known mask, and learned_at and expires_at per color."""
-    row = store.row
-    return (store.known_mask(), store.table.learned_at[row].tolist(),
-            store.table.expires_at[row].tolist())
+    """The store's row: its known mask and learned_at per color."""
+    return store.known_mask(), store.table.learned_at[store.row].tolist()
 
 
 # --- emit_query -----------------------------------------------------------------
@@ -121,7 +121,7 @@ def emission_arena(known, cooldowns, query_cooldown):
                               [(RobotType.IGNORANT, 0, 7)] * len(known))
     for agent, mask, until in zip(arena.agents, known, cooldowns):
         for color in COLORS_OF[mask]:
-            agent.store.learn(color, 0, 1000)
+            agent.store.learn(color, 0)
         agent.cooldown_until = until
     return arena
 
@@ -170,14 +170,15 @@ def test_batch_emission_matches_emit_query_per_agent(rows, now, query_cooldown, 
 
 # --- resolve_and_deliver ----------------------------------------------------------
 
-def population(*agents, capacity=None):
-    """The agents, by ID, with one Knowledge of their innate colors built for
-    them; each agent's store becomes the view of its row."""
+def population(*agents, capacity=None, policy=REJECT, duration=10):
+    """The agents, by ID, with one Knowledge of their innate colors and the
+    learn settings given built for them; each agent's store becomes the view
+    of its row."""
     out = list(agents)
     assert [a.id for a in out] == list(range(len(out)))
-    knowledge = Knowledge([a.innate for a in out], capacity)
+    knowledge = Knowledge([a.innate for a in out], capacity, policy, duration)
     for a in out:
-        a.store = KnowledgeStore(table=knowledge, row=a.id)
+        a.store = KnowledgeStore(knowledge, a.id)
     return out
 
 
@@ -187,7 +188,7 @@ def test_delivery_payload_is_the_skill_subtree():
     log = []
     deliveries = resolve(
         queries((0, Color.RED)), population(querier, master),
-        now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
+        now=5, comm_radius=10, event_log=log,
     )
     assert deliveries == [(0, 1)]
     assert querier.store.knows(Color.RED)
@@ -209,7 +210,7 @@ def test_out_of_range_query_lapses():
     log = []
     deliveries = resolve(
         queries((0, Color.RED)), population(querier, master),
-        now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
+        now=5, comm_radius=10, event_log=log,
     )
     assert deliveries == []
     assert log == []
@@ -221,7 +222,7 @@ def test_boundary_distance_is_in_range():
     master = Agent(1, pos=(10, 10), innate=COLORS)
     deliveries = resolve(
         queries((0, Color.RED)), population(querier, master),
-        now=5, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
+        now=5, comm_radius=10, event_log=[],
     )
     assert len(deliveries) == 1
 
@@ -232,7 +233,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     near = Agent(2, pos=(2, 0), innate=COLORS)
     deliveries = resolve(
         queries((0, Color.RED)), population(querier, far, near),
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(0, 2)]
 
@@ -241,7 +242,7 @@ def test_nearest_responder_wins_and_ties_break_low_id():
     b = Agent(2, pos=(4, 0), innate=COLORS)
     deliveries = resolve(
         queries((0, Color.RED)), population(querier, a, b),
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(0, 1)]
 
@@ -253,7 +254,7 @@ def test_responder_store_is_never_mutated():
     before = row_state(master.store)
     resolve(
         queries((0, Color.GREEN)), agents,
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert row_state(master.store) == before
 
@@ -267,7 +268,7 @@ def test_learned_knowledge_is_shareable_in_same_pass():
     deliveries = resolve(
         queries((0, Color.RED), (2, Color.RED)),
         population(first, master, second),
-        now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=[],
+        now=4, comm_radius=10, event_log=[],
     )
     assert deliveries == [(0, 1), (2, 0)]
     assert second.store.knows(Color.RED)
@@ -280,7 +281,7 @@ def test_one_responder_can_answer_many():
     deliveries = resolve(
         queries((1, Color.RED), (2, Color.BLUE)),
         population(master, q1, q2),
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 0)]
 
@@ -292,11 +293,11 @@ def test_full_store_rejects_and_logs():
     log = []
     resolve(
         queries((0, Color.RED)), agents,
-        now=2, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
+        now=2, comm_radius=10, event_log=log,
     )
     resolve(
         queries((0, Color.GREEN)), agents,
-        now=4, comm_radius=10, memory_duration=100, policy=REJECT, event_log=log,
+        now=4, comm_radius=10, event_log=log,
     )
     assert querier.store.known_colors() == (Color.RED,)
     assert known_colors(querier.tree) == (Color.RED,)
@@ -307,15 +308,15 @@ def test_full_store_rejects_and_logs():
 def test_eviction_prunes_victim_and_logs_forget():
     querier = Agent(0, pos=(0, 0))
     master = Agent(1, pos=(1, 0), innate=COLORS)
-    agents = population(querier, master, capacity=1)
+    agents = population(querier, master, capacity=1, policy=EVICT)
     log = []
     resolve(
         queries((0, Color.RED)), agents,
-        now=2, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
+        now=2, comm_radius=10, event_log=log,
     )
     resolve(
         queries((0, Color.GREEN)), agents,
-        now=4, comm_radius=10, memory_duration=100, policy=EVICT, event_log=log,
+        now=4, comm_radius=10, event_log=log,
     )
     assert querier.store.known_colors() == (Color.GREEN,)
     assert known_colors(querier.tree) == (Color.GREEN,)
@@ -331,7 +332,7 @@ def test_queries_resolve_in_querier_id_order():
     deliveries = resolve(
         queries((1, Color.RED), (2, Color.RED)),
         population(master, q1, q2),
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 1)]
 
@@ -345,7 +346,7 @@ def test_queries_out_of_querier_id_order_are_refused():
         resolve(
             queries((2, Color.RED), (1, Color.RED)),
             population(master, q1, q2),
-            now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=log,
+            now=2, comm_radius=10, event_log=log,
         )
     assert log == []
     assert not q1.store.knows(Color.RED) and not q2.store.knows(Color.RED)
@@ -356,16 +357,16 @@ def test_queries_out_of_querier_id_order_are_refused():
 def test_merge_payload_rejects_garbage():
     querier = Agent(0)
     with pytest.raises(ProtocolError):
-        merge_payload(querier, 1, "not a tree", Color.RED, 1, 10, REJECT, [])
+        merge_payload(querier, 1, "not a tree", Color.RED, 1, [])
 
 
 def test_merge_payload_rejects_wrong_subtree():
     querier = Agent(0)
     wrong_color = "seq(cond(SeeTarget:Blue),act(Collect:Blue))"
     with pytest.raises(ProtocolError):
-        merge_payload(querier, 1, wrong_color, Color.RED, 1, 10, REJECT, [])
+        merge_payload(querier, 1, wrong_color, Color.RED, 1, [])
     with pytest.raises(ProtocolError):
-        merge_payload(querier, 1, "act(Explore)", Color.RED, 1, 10, REJECT, [])
+        merge_payload(querier, 1, "act(Explore)", Color.RED, 1, [])
 
 
 def test_payloads_are_the_serialized_skill_subtrees():
@@ -390,7 +391,7 @@ def test_knower_beyond_radius_lapses_however_far():
     far = Agent(1, pos=(25, 3), innate=COLORS)
     deliveries = resolve(
         queries((0, Color.RED)), population(querier, far),
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == []
 
@@ -401,11 +402,11 @@ def test_evicted_responder_no_longer_answers():
     master = Agent(0, pos=(6, 0), innate=COLORS)
     holder = Agent(1, pos=(1, 0))
     asker = Agent(2, pos=(2, 0))
-    agents = population(master, holder, asker, capacity=1)
-    holder.store.learn(Color.RED, 0, 100)
+    agents = population(master, holder, asker, capacity=1, policy=EVICT)
+    holder.store.learn(Color.RED, 0)
     deliveries = resolve(
         queries((1, Color.GREEN), (2, Color.RED)), agents,
-        now=2, comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 0)]
 
@@ -413,10 +414,10 @@ def test_evicted_responder_no_longer_answers():
 def test_learner_that_evicted_the_color_no_longer_answers():
     # Agent 1 learns Red, then evicts it for Green; agent 2 is nearer to
     # agent 1 than to the master, but its Red query must go to the master.
-    knowledge = Knowledge([0b1111, 0, 0], capacity=1)
+    knowledge = Knowledge([0b1111, 0, 0], 1, EVICT, 10)
     deliveries = resolve_and_deliver(
         queries((1, Color.RED), (1, Color.GREEN), (2, Color.RED)), knowledge, now=2,
-        comm_radius=10, memory_duration=10, policy=EVICT, event_log=[],
+        comm_radius=10, event_log=[],
         xs=np.array([8, 1, 2]), ys=np.zeros(3, np.int64),
     )
     assert deliveries == [(1, 0), (1, 0), (2, 0)]
@@ -429,7 +430,7 @@ def test_learner_as_near_as_the_responder_wins_only_with_a_lower_id():
                                         Agent(1, pos=(4, 0)), Agent(2, pos=(2, 0)))
     deliveries = resolve(
         queries((1, Color.RED), (2, Color.RED)), [master, learner, asker],
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(1, 0), (2, 0)]
     # Here the learner, agent 0, has the lower ID.
@@ -437,23 +438,23 @@ def test_learner_as_near_as_the_responder_wins_only_with_a_lower_id():
                                         Agent(2, pos=(4, 0), innate=COLORS))
     deliveries = resolve(
         queries((0, Color.RED), (1, Color.RED)), [learner, asker, master],
-        now=2, comm_radius=10, memory_duration=10, policy=REJECT, event_log=[],
+        now=2, comm_radius=10, event_log=[],
     )
     assert deliveries == [(0, 2), (1, 0)]
 
 
 def test_known_masks_are_updated_in_place():
-    knowledge = Knowledge([0b1111, 0b1000], capacity=1)
+    knowledge = Knowledge([0b1111, 0b1000], 1, EVICT, 10)
     known = knowledge.known
     resolve_and_deliver(
-        queries((1, Color.GREEN)), knowledge, now=2, comm_radius=3, memory_duration=10,
-        policy=EVICT, event_log=[], xs=np.array([0, 1]), ys=np.array([0, 0]),
+        queries((1, Color.GREEN)), knowledge, now=2, comm_radius=3, event_log=[],
+        xs=np.array([0, 1]), ys=np.array([0, 0]),
     )
     assert knowledge.known is known
     assert known.tolist() == [0b1111, 0b1010]
 
 
-def reference_resolve(pending, agents, now, comm_radius, memory_duration, policy, event_log):
+def reference_resolve(pending, agents, now, comm_radius, event_log):
     """The per-agent scan that the numpy search replaced: every agent checked
     against every query, in querier-ID order."""
     answered = []
@@ -469,7 +470,7 @@ def reference_resolve(pending, agents, now, comm_radius, memory_duration, policy
         if best_id is None:
             continue
         payload = serialize(make_knowledge_subtree(color))
-        merge_payload(querier, best_id, payload, color, now, memory_duration, policy, event_log)
+        merge_payload(querier, best_id, payload, color, now, event_log)
         answered.append((q, best_id))
     return answered
 
@@ -492,10 +493,11 @@ agent_specs = st.lists(
 def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, policy, dtype):
     def build():
         agents = population(*(Agent(i, pos=(x, y), innate=COLORS_OF[innate])
-                              for i, (x, y, innate, _) in enumerate(specs)), capacity=capacity)
+                              for i, (x, y, innate, _) in enumerate(specs)),
+                            capacity=capacity, policy=policy, duration=5)
         for agent, (_, _, innate, learned) in zip(agents, specs):
             for color in COLORS_OF[learned & ~innate]:  # can be evicted during the pass
-                agent.store.learn(color, 0, 100, REJECT)
+                agent.store.learn(color, 0)
         return agents
 
     # Queriers in ascending ID, which the arena emits once each and resolve
@@ -503,9 +505,8 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
     pending = queries(*sorted(((q, c) for q, c in asks if q < len(specs)), key=lambda a: a[0]))
     expected_agents, agents = build(), build()
     expected_log, log = [], []
-    expected = reference_resolve(pending, expected_agents, 4, comm_radius, 5, policy, expected_log)
-    got = resolve(pending, agents, dtype, now=4, comm_radius=comm_radius, memory_duration=5,
-                  policy=policy, event_log=log)
+    expected = reference_resolve(pending, expected_agents, 4, comm_radius, expected_log)
+    got = resolve(pending, agents, dtype, now=4, comm_radius=comm_radius, event_log=log)
     assert got == expected
     assert log == expected_log
     for a, b in zip(agents, expected_agents):
