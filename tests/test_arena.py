@@ -355,7 +355,7 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
 
 
 def test_a_captured_target_keeps_its_id_color_and_cell(make_config):
-    """Capture clears only the alive flag that ``target()`` and ``targets()``
+    """Capture changes only the ``alive`` that ``target()`` and ``targets()``
     report: the ID, color and placed cell stay, step after step."""
     arena = layout(
         make_config,
