@@ -35,17 +35,18 @@ sensing x (``_sense_x``) lies on the board. A capture moves only that x off
 the board, to -(span + 1), where every filler lies, span being the longer
 side less one: farther than every target on the board and out of sight.
 
-Sensing keeps every agent's view across steps: ``_near``, its distance to
-the nearest live target of each color, and ``_seen``, the mask of colors
-within the sense radius. A color with no live target, whether all its
-targets are captured or it has none, reads beyond span: its slot holds
-only off-board columns. Both exist from construction, with no agent
-parked. A step senses only the rows that can have changed, in one numpy
-pass over those agents x columns: Chebyshev distances, in two matrices
-allocated by the step, in the narrowest signed dtype that holds the largest
-difference, 2 * span + 1 (int8 up to 64 cells on a side, int16 up to 16384),
-then one ``np.minimum.reduceat`` over the four slots for the nearest distance
-per agent and color, and from it the seen mask. The first sense takes every
+Sensing keeps one array across steps, every agent's view: ``_near``, its
+distance to the nearest live target of each color, in the position dtype.
+A color with no live target, whether all its targets are captured or it has
+none, reads beyond span: its slot holds only off-board columns. It exists
+from construction, with no agent parked. A step senses only the rows that
+can have changed, in one numpy pass over those agents x columns: Chebyshev
+distances, in two matrices allocated by the step, in the narrowest signed
+dtype that holds the largest difference, 2 * span + 1 (int8 up to 64 cells
+on a side, int16 up to 16384), then one ``np.minimum.reduceat`` over the
+four slots for the nearest distance per agent and color. The step's seen
+mask, the colors within the sense radius, is derived from ``_near`` for
+every agent. The first sense takes every
 agent and fills in the whole view; after it, an agent that stood in the
 Query intent last step keeps its row unless it learned in this step's
 resolve (it may collect now) or a target captured since lay at exactly its
@@ -172,6 +173,8 @@ class RobotType(Enum):
 ROBOT_ORDER = tuple(RobotType)
 # Innate known mask of each robot type, in ROBOT_ORDER.
 _INNATE = np.array([sum(1 << c for c in t.innate_colors) for t in ROBOT_ORDER], np.int64)
+# The robot type of each innate mask: the six masks are distinct.
+_TYPE_OF_INNATE = dict(zip(_INNATE.tolist(), ROBOT_ORDER))
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,15 +356,13 @@ class Arena:
         # The kept view (see _sense_all), which the first sense fills in for
         # every agent; the agents left out of the next sense, and the targets
         # captured since the last one.
-        self._near = np.zeros((len(types), 4), np.int64)
-        self._seen = np.zeros(len(types), np.uint8)
+        self._near = np.zeros((len(types), 4), dtype)
         self._parked = np.zeros(len(types), bool)
         self._captured: list[int] = []
         self._cooldown = np.zeros(len(types), np.int64)
         cfg = self.config
         self.knowledge = Knowledge(_INNATE[types], cfg.memory_size, cfg.capacity_policy,
                                    cfg.memory_duration)
-        self._types = types
         # Edge class of each column and row (see _moves_by_class).
         xs = np.arange(self.width)
         ys = np.arange(self.height)
@@ -383,9 +384,9 @@ class Arena:
         """One view per agent, by ID, built on first access; the step reads
         the arrays and never these."""
         return [
-            AgentState(i, ROBOT_ORDER[t], KnowledgeStore(table=self.knowledge, row=i),
+            AgentState(i, _TYPE_OF_INNATE[m], KnowledgeStore(table=self.knowledge, row=i),
                        self._x, self._y, self._cooldown)
-            for i, t in enumerate(self._types.tolist())
+            for i, m in enumerate(self.knowledge.innate.tolist())
         ]
 
     @property
@@ -418,12 +419,11 @@ class Arena:
 
     # --- sensing -------------------------------------------------------------
 
-    def _sense_all(self) -> tuple[np.ndarray, slice | np.ndarray]:
+    def _sense_all(self) -> tuple[np.ndarray, slice | np.ndarray, np.ndarray]:
         """Bring every agent's view up to date: ``_near``, the agents x 4
         distances to the nearest live target of each color (beyond span for
         a color with no live target: its slot holds only captured targets
-        and fillers), and ``_seen``, the mask of the colors with a target
-        within the sense radius.
+        and fillers).
 
         Senses every agent not parked, after un-parking each parked agent
         for which a target captured since the last sense lay at its kept
@@ -431,9 +431,9 @@ class Arena:
         sensed rows x columns distance matrix, this step's own, which
         :meth:`_execute_intent` reads: its columns are the four color slots,
         and a captured target or a filler reads its off-board distance.
-        Also returns the
-        sensed agent IDs: a full slice when no agent was parked, else their
-        ascending array.
+        Also returns the sensed agent IDs, a full slice when no agent was
+        parked, else their ascending array; and every agent's seen mask, the
+        colors with a target within the sense radius.
         """
         parked, captured = self._parked, self._captured
         rows = slice(None)
@@ -455,9 +455,8 @@ class Arena:
         slot = self._slot
         nearest_d = np.minimum.reduceat(dist, (0, slot, 2 * slot, 3 * slot), axis=1)
         self._near[rows] = nearest_d
-        self._seen[rows] = np.packbits(nearest_d <= self._radius, axis=1,
-                                       bitorder="little")[:, 0]
-        return dist, rows
+        seen = np.packbits(self._near <= self._radius, axis=1, bitorder="little")[:, 0]
+        return dist, rows, seen
 
     # --- stepping -------------------------------------------------------------
 
@@ -488,8 +487,7 @@ class Arena:
         self.forgets += len(expired[0])
 
         # Phase 3: sense the rows that can have changed.
-        dist, sensed = self._sense_all()
-        nearest_d, seen = self._near, self._seen
+        dist, sensed, seen = self._sense_all()
 
         # Phase 4: intents. Explorers move at once, on one batch of draws.
         intents = INTENT_TABLE[self.knowledge.known, seen]
@@ -507,7 +505,7 @@ class Arena:
         if collectors.size:
             self._execute_intent(collectors, intents[collectors], dist, sensed)
         self._parked = querying = intents == _QUERY
-        self.pending = self._emit_queries(querying, seen, nearest_d)
+        self.pending = self._emit_queries(querying, seen, self._near)
         self.queries_sent += len(self.pending)
 
         if self.capture_total + self.alive_count != self.initial_total:

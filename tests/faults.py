@@ -98,6 +98,10 @@ FAULTS = (
           "dist[:, t] = self._far",
           "pass",
           "a Collect agent whose target a lower ID took heads for that target again"),
+    Fault("seen-excludes-the-sense-radius", ARENA,
+          "np.packbits(self._near <= self._radius",
+          "np.packbits(self._near < self._radius",
+          "an agent does not see a target exactly at the sense radius"),
     Fault("expiry-one-step-late", KNOWLEDGE,
           "self.learned_at[first:stop] <= now - self.duration",
           "self.learned_at[first:stop] < now - self.duration",

@@ -159,6 +159,7 @@ def test_robot_types_set_innate_stores(make_config):
         (Color.YELLOW,),
         (Color.BLUE,),
     ]
+    assert [a.robot_type for a in arena.agents] == list(ROBOT_ORDER)
     for agent in arena.agents:
         assert known_colors(agent.tree) == agent.store.known_colors()
 
@@ -189,11 +190,13 @@ def search_all(arena, dist, row):
 def sense_one(arena, agent_id=0):
     """One agent's row of the first sense pass, which senses every agent,
     and its Collect search: (nearest distances, nearest target IDs, seen
-    mask)."""
-    dist, sensed = arena._sense_all()
+    mask). Every agent's distances and seen mask equal the brute-force
+    scan."""
+    dist, sensed, seen = arena._sense_all()
     assert sensed == slice(None) and len(dist) == len(arena.agents)
+    assert_view_matches_brute_force(arena, seen)
     nearest_tid = [tid for _, tid in search_all(arena, dist, agent_id)]
-    return arena._near[agent_id].tolist(), nearest_tid, int(arena._seen[agent_id])
+    return arena._near[agent_id].tolist(), nearest_tid, int(seen[agent_id])
 
 
 def test_sense_radius_boundary_inclusive(make_config):
@@ -219,8 +222,8 @@ def test_sense_empty_perception(make_config):
 
 def test_ignorant_robot_sees_unknown(make_config):
     arena = layout(make_config, targets=[(Color.RED, 2, 0)], agents=[(I, 0, 0), (M, 1, 0)])
-    arena._sense_all()
-    seen = arena._seen
+    seen = arena._sense_all()[2]
+    assert_view_matches_brute_force(arena, seen)
     unknown = seen & ~arena.knowledge.known
     assert unknown.tolist() == [1 << Color.RED, 0]
     assert INTENT_TABLE[arena.knowledge.known, seen].tolist() == [_QUERY, Color.RED]
@@ -268,20 +271,21 @@ def assert_search_matches_brute_force(arena, dist, ids):
             assert (bool(live) and found[0] <= radius) == any(d <= radius for d, _, _, _ in live)
 
 
-def assert_view_matches_brute_force(arena):
-    """Every agent's kept distance and seen bit for every color equal the
-    brute-force scan. A color with no live target, whether its targets are
-    all captured or it has none, reads beyond every distance on the board
-    and within the off-board distance: its slot holds only captured targets
-    and fillers."""
+def assert_view_matches_brute_force(arena, seen):
+    """Every agent's kept distance, and its bit in the seen mask ``seen``
+    that a sense pass returned, for every color equal the brute-force scan.
+    A color with no live target, whether its targets are all captured or it
+    has none, reads beyond every distance on the board and within the
+    off-board distance: its slot holds only captured targets and fillers."""
     radius = arena.config.sense_radius
     span = max(arena.width, arena.height) - 1
     assert arena._near.shape == (len(arena.agents), 4)
+    assert seen.shape == (len(arena.agents),)
     for agent in arena.agents:
         reference = brute_force_sense(arena, agent)
         for color in COLORS:
             live = reference[color]
-            sees = bool(arena._seen[agent.id] >> color & 1)
+            sees = bool(seen[agent.id] >> color & 1)
             assert sees == any(d <= radius for d, _, _, _ in live)
             near = arena._near[agent.id, color]
             if live:
@@ -300,10 +304,10 @@ def assert_sense_matches_brute_force(arena):
     color, and the Collect search of every sensed agent for every color with
     a live target, equal the brute-force scan. Returns the pass's distance
     matrix and the IDs of its rows."""
-    dist, sensed = arena._sense_all()
+    dist, sensed, seen = arena._sense_all()
     ids = sensed_ids(arena, sensed)
     assert len(dist) == len(ids)
-    assert_view_matches_brute_force(arena)
+    assert_view_matches_brute_force(arena, seen)
     assert_search_matches_brute_force(arena, dist, ids)
     return dist, ids
 
@@ -316,7 +320,7 @@ def test_batch_and_single_sense_agree(make_config):
     for _ in range(40):  # a few captures happen, so captured targets read off the board
         dist, ids = assert_sense_matches_brute_force(arena)
         kept += len(arena.agents) - len(ids)
-        assert dist.dtype == arena._x.dtype == arena._sense_x.dtype == np.int8
+        assert dist.dtype == arena._x.dtype == arena._sense_x.dtype == arena._near.dtype == np.int8
         assert dist.shape[1] == len(arena.targets())  # a column per target ID
         # Sensing every agent again reproduces the kept view, and the
         # Collect search of every agent.
@@ -337,7 +341,7 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
     targets = [(Color.RED, 5, 5), (Color.RED, 8, 5), (Color.RED, 2, 5), (Color.BLUE, 5, 6)]
     agents = [(M, 5, 5), (M, 6, 5), (I, 4, 4)]
     arena = layout(make_config, targets, agents)
-    dist, sensed = arena._sense_all()
+    dist, sensed, _ = arena._sense_all()
     assert [search_all(arena, dist, i)[Color.RED][1] for i in range(3)] == [0, 0, 0]
     arena._execute_intent(np.array([0]), np.array([Color.RED]), dist, sensed)
     assert arena.capture_counts[Color.RED] == 1
@@ -348,7 +352,7 @@ def test_search_skips_a_target_captured_earlier_in_the_step(make_config):
     assert [search_all(arena, dist, i)[Color.RED] for i in range(3)] == [(3, 1), (2, 1), (2, 2)]
 
     arena = layout(make_config, targets, agents)
-    dist, sensed = arena._sense_all()
+    dist, sensed, _ = arena._sense_all()
     arena._execute_intent(np.arange(3), np.full(3, Color.RED), dist, sensed)
     assert arena.capture_total == 1
     assert [agent.pos for agent in arena.agents] == [(5, 5), (7, 5), (3, 5)]
@@ -401,7 +405,7 @@ def test_sense_on_both_sides_of_the_narrow_dtype_limit(make_config, width, dtype
     assert [target.alive for target in arena.targets()[:2]] == [False, False]
     unpark_all(arena)
     dist = assert_sense_matches_brute_force(arena)[0]
-    assert dist.dtype == dtype and dist.max() == 2 * end + 1
+    assert dist.dtype == arena._near.dtype == dtype and dist.max() == 2 * end + 1
     for _ in range(3):
         arena.step()
         assert assert_sense_matches_brute_force(arena)[0].dtype == dtype
@@ -689,9 +693,9 @@ class PerAgentCollectArena(Arena):
 
     def _sense_all(self):
         unpark_all(self)
-        dist, sensed = super()._sense_all()
+        dist, sensed, seen = super()._sense_all()
         assert sensed == slice(None)
-        return dist, sensed
+        return dist, sensed, seen
 
     def _execute_intent(self, rows, colors, dist, sensed):
         for i, color in zip(rows.tolist(), colors.tolist()):
@@ -788,13 +792,13 @@ class ViewCheckingArena(Arena):
     kept = 0  # rows kept, summed over the passes
 
     def _sense_all(self):
-        dist, sensed = super()._sense_all()
+        dist, sensed, seen = super()._sense_all()
         ids = sensed_ids(self, sensed)
         self.kept += len(self.agents) - len(ids)
-        assert_view_matches_brute_force(self)
-        collectors = (INTENT_TABLE[self.knowledge.known, self._seen] < _QUERY).nonzero()[0]
+        assert_view_matches_brute_force(self, seen)
+        collectors = (INTENT_TABLE[self.knowledge.known, seen] < _QUERY).nonzero()[0]
         assert set(collectors.tolist()) <= set(ids), f"t={self.t}"
-        return dist, sensed
+        return dist, sensed, seen
 
 
 def expiries_and_evictions(events):
