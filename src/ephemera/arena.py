@@ -46,15 +46,15 @@ dtype that holds the largest difference, 2 * span + 1 (int8 up to 64 cells
 on a side, int16 up to 16384), then one ``np.minimum.reduceat`` over the
 four slots for the nearest distance per agent and color. The step's seen
 mask, the colors within the sense radius, is derived from ``_near`` for
-every agent. The first sense takes every
-agent and fills in the whole view; after it, an agent that stood in the
-Query intent last step keeps its row unless it learned in this step's
-resolve (it may collect now) or a target captured since lay at exactly its
-kept nearest distance of that color. The kept rows are exact, not
-approximate: a Query agent does not move and targets only disappear, so its
-nearest distance of a color changes only when a target at that distance is
-captured. Every Collect agent is among the sensed rows: a kept row's agent
-was in Query and learned nothing, so it sees no color it knows.
+every agent. The first sense takes every agent and fills in the whole view;
+after it, an agent that stood in the Query intent last step keeps its row
+unless it learned in this step's resolve (it may collect now) or a target
+captured since lay at exactly its kept nearest distance of that color. The
+kept rows are exact, not approximate: a Query agent does not move and
+targets only disappear, so its nearest distance of a color changes only
+when a target at that distance is captured. Every Collect agent is among
+the sensed rows: a kept row's agent was in Query and learned nothing, so it
+sees no color it knows.
 
 Every agent tree is the canonical tree of its known colors, so
 ``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
@@ -171,9 +171,9 @@ class RobotType(Enum):
 
 # Order of the robot-count tuple in scenario configs.
 ROBOT_ORDER = tuple(RobotType)
-# Innate known mask of each robot type, in ROBOT_ORDER.
+# Innate known mask of each robot type, in ROBOT_ORDER, and the type of each
+# mask: the six masks are distinct.
 _INNATE = np.array([sum(1 << c for c in t.innate_colors) for t in ROBOT_ORDER], np.int64)
-# The robot type of each innate mask: the six masks are distinct.
 _TYPE_OF_INNATE = dict(zip(_INNATE.tolist(), ROBOT_ORDER))
 
 

@@ -132,10 +132,9 @@ def _log_learn(event_log: list[ev.EventRecord], now: int, querier: int, color: C
 
 def _nearest_knowers(xs, ys, known, queriers, colors, lapse):
     """(distances, IDs) of the nearest agent other than each querier that
-    knows its color, ties to the lowest ID. A distance is at least
-    ``lapse`` when no knower is in reach, not always ``lapse``: a knower
-    beyond reach may return its own distance. It is ``lapse`` when no other
-    agent knows the color. The ID means something only below ``lapse``."""
+    knows its color, ties to the lowest ID. A distance is at least ``lapse``
+    when no knower is in reach, as a knower beyond reach may return its own
+    distance; the ID then means nothing."""
     knowers = np.flatnonzero(known)
     if not knowers.size:  # every query lapses
         return np.full(len(queriers), lapse), queriers
