@@ -4,7 +4,6 @@ no benchmark run."""
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare.py"
@@ -23,8 +22,6 @@ RATE = {"name": "agent_steps_per_s", "unit": "1/s", "better": "higher", "bound":
 ])
 def test_quartiles_interpolate_linearly(values, expected):
     assert compare.quartiles(values) == pytest.approx(expected)
-    assert compare.quartiles(values) == pytest.approx(
-        tuple(np.percentile(values, [25, 50, 75], method="linear")))
 
 
 def test_pairs_won_follow_better_and_ties_count_for_neither():
