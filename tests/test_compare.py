@@ -76,3 +76,13 @@ def test_summary_and_table_on_canned_runs():
     ]
     assert worse == ["paper-sweep wall_s: +44.4% is worse than the bound 25%",
                      "paper-sweep agent_steps_per_s: -29.4% is worse than the bound 25%"]
+
+
+def test_seed_is_required_and_run_length_and_pairs_are_fixed():
+    assert compare.parse_args(["--base", "HEAD~1", "--seed", "7"]).seed == 7
+    for argv in (["--base", "HEAD~1"],
+                 ["--base", "HEAD~1", "--seed", "7", "--pairs", "3"],
+                 ["--base", "HEAD~1", "--seed", "7", "--seconds", "5"]):
+        with pytest.raises(SystemExit):
+            compare.parse_args(argv)
+    assert compare.PAIRS == 10

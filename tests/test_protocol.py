@@ -135,11 +135,12 @@ def emission_arena(known, cooldowns, query_cooldown):
     ),
     now=st.integers(1, 10),
     query_cooldown=st.integers(0, 6),
-    dtype=st.sampled_from([np.int16, np.int64]),
+    dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
 )
 def test_batch_emission_matches_emit_query_per_agent(rows, now, query_cooldown, dtype):
-    # Distances from 0 to 3 make ties common; the sense pass hands over
-    # int16 rows when every color has a live target, else int64.
+    # Distances from 0 to 3 make ties common; the arena hands over ``_near``,
+    # which is in the position dtype: int8 up to 64 cells a side, int16 up to
+    # 16384, and int32 or int64 beyond.
     known = [k for k, _, _, _ in rows]
     cooldowns = [c for _, _, _, c in rows]
     seen = np.array([s for _, s, _, _ in rows], np.uint8)

@@ -1,7 +1,6 @@
 """Compare the benchmark of a base revision with HEAD in alternating pairs.
 
-usage: python3 tools/compare.py --base REV [--pairs 10] [--seconds 20] [--seed S]
-                                [--label L] [--workloads W ...]
+usage: python3 tools/compare.py --base REV --seed S [--label L] [--workloads W ...]
 
 Run from anywhere inside the repository; commit the change first, since
 HEAD is what is measured. The script extracts ``git archive`` copies of REV
@@ -9,11 +8,12 @@ and of HEAD into a temporary directory, with no ``__pycache__`` and with
 ``PYTHONDONTWRITEBYTECODE=1``, so each run compiles its sources afresh. It
 fails unless both copies print the same ``bench/digest.py --seed S`` lines.
 For each workload (by default every one in ``BENCHMARK.json``) it then runs
-``--pairs`` pairs of each tree's own
+10 pairs of each tree's own
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-as subprocesses, the base first in odd pairs and HEAD first in even ones.
+as subprocesses, with T the ``run_seconds`` of ``BENCHMARK.json``, the base
+first in odd pairs and HEAD first in even ones.
 A run whose last JSON line does not read ``"correct": true`` with 0 failed
 trials stops the script. It writes ``BENCH_<label>.json`` at the root of
 the repository and prints a markdown table with one row per workload and
@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -178,21 +179,16 @@ def host() -> dict:
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare HEAD with")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--label", default="compare")
     parser.add_argument("--workloads", nargs="+")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    end_to_end = spec["end_to_end"]
+    end_to_end, seconds = spec["end_to_end"], spec["run_seconds"]
     names = args.workloads or [w["name"] for w in spec["workloads"]]
     base_rev, change_rev = git("rev-parse", args.base), git("rev-parse", "HEAD")
     workloads = {}
@@ -208,12 +204,12 @@ def main(argv=None) -> int:
             return 1
         for workload in names:
             results = {"parent": [], "change": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
                     results[side].append(bench_round(trees[side], workload, args.seed,
-                                                     args.seconds))
-                    print(f"{workload} pair {pair + 1}/{args.pairs} {side} done",
+                                                     seconds))
+                    print(f"{workload} pair {pair + 1}/{PAIRS} {side} done",
                           file=sys.stderr, flush=True)
             runs = results["parent"] + results["change"]
             workloads[workload] = {
@@ -234,8 +230,8 @@ def main(argv=None) -> int:
         "parent_rev": base_rev,
         "change_rev": change_rev,
         "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "pairs": f"{args.pairs} per workload, alternating which side runs first "
+                   f"--seconds {seconds:g} --trace 0",
+        "pairs": f"{PAIRS} per workload, alternating which side runs first "
                  "(odd pairs parent first)",
         "quartiles": "numpy.percentile, linear interpolation",
         "digests": f"python3 bench/digest.py --seed {args.seed} prints identical lines "
