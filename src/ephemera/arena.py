@@ -80,9 +80,12 @@ All randomness comes from one splitmix64 stream per trial with a fixed draw
 order: placement draws at init (one draw per attempt, targets color-major
 then agents by ID; a cell index v maps to x = v % width, y = v // width),
 then one draw per exploring agent per iteration, in agent-ID order. Every
-draw is taken in batches (:meth:`SplitMix64.below_many`, sliced off the
-generator's block of precomputed words), which give the same words in the
-same order as one ``below`` call per draw, without a Python call per draw.
+draw is taken in batches, sliced off the generator's block of precomputed
+words, which give the same words in the same order as one ``below`` call per
+draw, without a Python call per draw. Placement draws through
+:meth:`SplitMix64.below_many`, which checks its moduli. The explorers draw
+through ``SplitMix64._draws``, which checks nothing, on the move counts of
+``_MOVE_COUNT``, which are checked once, when the module is imported.
 An attempt places a target unless an earlier attempt drew its cell: that
 attempt either placed a target there or was itself turned away by one. So
 the placed cells are the first draws of each cell, in draw order. With k
@@ -90,7 +93,8 @@ targets left, a batch of k attempts never draws past the last target, since
 each of them takes at least one more attempt. The agents take one batch
 after the targets, and each step the explorers take one. An
 interior agent picks one of the 8 Moore moves (``% 8``), an agent on the
-edge one of the in-bounds moves, kept in ``_MOORE`` order.
+edge one of the in-bounds moves, kept in ``_MOORE`` order (a 1 x 1 board,
+where no agent explores, has the one move (0, 0)).
 """
 
 from __future__ import annotations
@@ -127,6 +131,9 @@ def _moves_by_class():
     """In-bounds Moore moves for each of the 16 edge classes, in _MOORE order.
 
     Class bits: 1 = may step to x-1, 2 = to x+1, 4 = to y-1, 8 = to y+1.
+    Class 0, a 1 x 1 board, has no Moore move; it gets the one move (0, 0),
+    so that every class has a move to draw. No agent explores there: every
+    live target lies under every agent, and a board with none is finished.
     """
     def allowed(step, bits):
         return step == 0 or bits & (1 if step < 0 else 2)
@@ -135,7 +142,8 @@ def _moves_by_class():
     dy = np.zeros((16, 8), np.int32)
     count = np.zeros(16, np.uint64)
     for cls in range(16):
-        moves = [(ox, oy) for ox, oy in _MOORE if allowed(ox, cls) and allowed(oy, cls >> 2)]
+        moves = [(ox, oy) for ox, oy in _MOORE
+                 if allowed(ox, cls) and allowed(oy, cls >> 2)] or [(0, 0)]
         count[cls] = len(moves)
         for k, (ox, oy) in enumerate(moves):
             dx[cls, k], dy[cls, k] = ox, oy
@@ -143,6 +151,13 @@ def _moves_by_class():
 
 
 _MOVE_DX, _MOVE_DY, _MOVE_COUNT = _moves_by_class()
+# Arena.step draws the explorers' moves with SplitMix64._draws, which checks
+# nothing, so the move counts are checked here once.
+if not ((_MOVE_COUNT >= 1) & (_MOVE_COUNT <= 8)).all():
+    raise RuntimeError(f"every edge class needs 1 to 8 moves: {_MOVE_COUNT.tolist()}")
+
+# Bit weight of each color, in COLORS order, in a seen mask.
+_COLOR_BITS = np.array((1, 2, 4, 8), np.uint8)
 
 
 class SetupError(ValueError):
@@ -345,6 +360,7 @@ class Arena:
         # equal color counts it is the ID itself.
         counts = np.bincount(cat_color, minlength=4)
         self._slot = slot = max(int(counts.max()), 1)
+        self._slot_starts = np.arange(4) * slot
         pad = slot - counts
         self._col = col = np.arange(n_targets) + (pad.cumsum() - pad)[cat_color]
         self._cat_x = np.zeros(4 * slot, dtype)
@@ -452,10 +468,8 @@ class Arena:
         dy = np.subtract(y[:, None], self._cat_y)
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
-        slot = self._slot
-        nearest_d = np.minimum.reduceat(dist, (0, slot, 2 * slot, 3 * slot), axis=1)
-        self._near[rows] = nearest_d
-        seen = np.packbits(self._near <= self._radius, axis=1, bitorder="little")[:, 0]
+        self._near[rows] = np.minimum.reduceat(dist, self._slot_starts, axis=1)
+        seen = (self._near <= self._radius).view(np.uint8) @ _COLOR_BITS
         return dist, rows, seen
 
     # --- stepping -------------------------------------------------------------
@@ -494,7 +508,7 @@ class Arena:
         explorers = (intents == _EXPLORE).nonzero()[0]
         if explorers.size:
             cls = self._x_class[self._x[explorers]] + self._y_class[self._y[explorers]]
-            draws = self.rng.below_many(_MOVE_COUNT[cls])
+            draws = self.rng._draws(_MOVE_COUNT[cls])
             self._x[explorers] += _MOVE_DX[cls, draws]
             self._y[explorers] += _MOVE_DY[cls, draws]
 

@@ -76,7 +76,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_run(args)
         return _cmd_plot(args)
     # BrokenProcessPool: a --jobs worker died mid-trial, as under the OOM killer.
-    except (ConfigError, SetupError, ValueError, OSError, BrokenProcessPool) as exc:
+    # MemoryError: the arena's arrays do not fit, as for a very large board.
+    except (ConfigError, SetupError, ValueError, OSError, BrokenProcessPool,
+            MemoryError) as exc:
         print(f"ephemera: error: {exc}", file=sys.stderr)
         return 2
 

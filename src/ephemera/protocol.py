@@ -135,7 +135,7 @@ def _nearest_knowers(xs, ys, known, queriers, colors, lapse):
     knows its color, ties to the lowest ID. A distance is at least ``lapse``
     when no knower is in reach, as a knower beyond reach may return its own
     distance; the ID then means nothing."""
-    knowers = np.flatnonzero(known)
+    knowers = known.nonzero()[0]
     if not knowers.size:  # every query lapses
         return np.full(len(queriers), lapse), queriers
     dist = np.maximum(np.abs(xs[knowers] - xs[queriers][:, None]),

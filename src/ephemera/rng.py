@@ -11,7 +11,10 @@ and a read position, and ``below_many`` slices its draws off that block. It
 advances the state exactly as a loop of ``below`` calls would. ``next_u64``
 and ``below`` advance the state without reading the block, so they drop it,
 and the next batch computes a fresh block from the state; any interleaving
-of the three calls gives the words of a plain loop.
+of the three calls gives the words of a plain loop. ``below_many`` checks its
+moduli, then slices through ``_draws``, which checks nothing: ``Arena.step``
+calls ``_draws`` directly for its Explore moves, whose move counts come from
+a table checked once, when ``arena`` is imported.
 """
 
 from __future__ import annotations
@@ -80,14 +83,19 @@ class SplitMix64:
         signed = ns.view(np.int64) if ns.dtype == np.uint64 else ns.astype(np.int64)
         if int(signed.min()) <= 0:
             raise ValueError(_OUT_OF_RANGE)
-        m = signed.size
+        return self._draws(signed.view(np.uint64))
+
+    def _draws(self, ns: np.ndarray) -> np.ndarray:
+        """``below_many`` without its checks, for a caller whose moduli are
+        known good: ``ns`` is a uint64 array with every entry in [1, 2**63)."""
+        m = ns.size
         pos = self._pos
         if pos + m > self._block.size:
             self._fill(max(m, _BLOCK))
             pos = 0
         self._pos = pos + m
         self._state = (self._state + m * _GOLDEN) & MASK64
-        return (self._block[pos:pos + m] % signed.view(np.uint64)).view(np.int64)
+        return (self._block[pos:pos + m] % ns).view(np.int64)
 
     def _fill(self, size: int) -> None:
         """Compute the next ``size`` words after the current state."""

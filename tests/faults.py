@@ -30,6 +30,7 @@ REPO = Path(__file__).resolve().parent.parent
 ARENA = "src/ephemera/arena.py"
 PROTOCOL = "src/ephemera/protocol.py"
 KNOWLEDGE = "src/ephemera/knowledge.py"
+RNG = "src/ephemera/rng.py"
 
 
 class Fault(NamedTuple):
@@ -99,13 +100,17 @@ FAULTS = (
           "pass",
           "a Collect agent whose target a lower ID took heads for that target again"),
     Fault("seen-excludes-the-sense-radius", ARENA,
-          "np.packbits(self._near <= self._radius",
-          "np.packbits(self._near < self._radius",
+          "(self._near <= self._radius).view(np.uint8)",
+          "(self._near < self._radius).view(np.uint8)",
           "an agent does not see a target exactly at the sense radius"),
     Fault("expiry-one-step-late", KNOWLEDGE,
           "self.learned_at[first:stop] <= now - self.duration",
           "self.learned_at[first:stop] < now - self.duration",
           "a learned skill is forgotten one step after its duration has run out"),
+    Fault("explore-draws-reuse-the-block", RNG,
+          "self._pos = pos + m",
+          "self._pos = pos",
+          "a batch of draws leaves the read position, so the next batch reuses its words"),
 )
 
 

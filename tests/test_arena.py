@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ephemera import events as ev
 from ephemera.arena import (
-    _EXPLORE, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena, ConservationError, RobotType, SetupError,
+    _EXPLORE, _MOORE, _MOVE_COUNT, _MOVE_DX, _MOVE_DY, _QUERY, INTENT_TABLE, ROBOT_ORDER, Arena,
+    ConservationError, RobotType, SetupError,
 )
 from ephemera.bt import COLORS, Color, known_colors
 from ephemera.experiment import ScenarioConfig, get_scenario, run_scenario, run_trial
@@ -524,6 +525,22 @@ def test_explore_in_corner_stays_in_bounds(make_config):
         seen.add(again.agents[0].pos)
     assert seen <= {(0, 1), (1, 0), (1, 1)}
     assert len(seen) > 1
+
+
+def test_move_table_holds_the_in_bounds_moore_moves_of_each_edge_class(make_config):
+    # The explorers draw on these counts unchecked (SplitMix64._draws).
+    for cls in range(16):
+        # An agent with a neighbouring cell exactly where the class bits say.
+        x, y = cls & 1, cls >> 2 & 1
+        width, height = x + 1 + (cls >> 1 & 1), y + 1 + (cls >> 3 & 1)
+        arena = Arena.from_layout(make_config(grid=(width, height)), [], [(M, x, y)])
+        assert arena._x_class[x] + arena._y_class[y] == cls
+        count = int(_MOVE_COUNT[cls])
+        assert 1 <= count <= 8
+        moves = list(zip(_MOVE_DX[cls, :count].tolist(), _MOVE_DY[cls, :count].tolist()))
+        inside = [(ox, oy) for ox, oy in _MOORE if 0 <= x + ox < width and 0 <= y + oy < height]
+        # Class 0 is a 1 x 1 board: no Moore move, so the agent stands still.
+        assert moves == (inside if cls else [(0, 0)])
 
 
 def test_query_intent_stands_still(make_config):

@@ -123,6 +123,21 @@ def test_run_dead_worker_is_runtime_error(tmp_path, tiny_config, monkeypatch, ca
     assert not (tmp_path / "o").exists()
 
 
+def test_run_out_of_memory_is_runtime_error(tmp_path, tiny_config, monkeypatch, capsys):
+    # As when the arena's arrays for a very large board do not fit.
+    from ephemera import experiment
+
+    def no_memory(config, seed):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(experiment, "Arena", no_memory)
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ephemera: error: ") and "7.45 GiB" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_unknown_scenario_is_usage_error(tmp_path, capsys):
     assert main(["run", "--scenario", "T3K", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

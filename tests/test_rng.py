@@ -103,6 +103,11 @@ draw_calls = st.lists(
                   st.tuples(st.one_of(st.integers(0, 40), st.integers(3000, 5000)),
                             st.sampled_from([8, 48400, 2**63 - 1]),
                             st.sampled_from([np.int64, np.uint64]))),
+        # The unchecked draw of Arena.step: uint64 moduli in [1, 2**63).
+        st.tuples(st.just("_draws"),
+                  st.tuples(st.one_of(st.integers(0, 40), st.integers(3000, 5000)),
+                            st.sampled_from([8, 48400, 2**63 - 1]),
+                            st.just(np.uint64))),
     ),
     max_size=8,
 )
@@ -120,7 +125,7 @@ def test_any_interleaving_draws_the_words_of_a_plain_loop(seed, calls):
         else:
             size, top, dtype = arg
             ns = np.random.default_rng(k).integers(1, top, size, endpoint=True, dtype=dtype)
-            got = rng.below_many(ns)
+            got = getattr(rng, call)(ns)
             assert got.dtype == np.int64
             assert got.tolist() == [loop.below(n) for n in ns.tolist()]
         assert rng._state == loop._state
