@@ -10,11 +10,11 @@ keeps a block of the next ``_BLOCK`` words (more when one batch needs more)
 and a read position, and ``below_many`` slices its draws off that block. It
 advances the state exactly as a loop of ``below`` calls would. ``next_u64``
 and ``below`` advance the state without reading the block, so they drop it,
-and the next batch computes a fresh block from the state; any interleaving
-of the three calls gives the words of a plain loop. ``below_many`` checks its
-moduli, then slices through ``_draws``, which checks nothing: ``Arena.step``
-calls ``_draws`` directly for its Explore moves, whose move counts come from
-a table checked once, when ``arena`` is imported.
+and the next batch computes a fresh block from the state. ``below_many``
+checks its moduli, then slices through ``_draws``, which checks nothing:
+``Arena.step`` calls ``_draws`` directly for its Explore moves, whose move
+counts come from a table checked once, when ``arena`` is imported. Any
+interleaving of these calls gives the words of a plain loop.
 """
 
 from __future__ import annotations

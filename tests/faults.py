@@ -30,7 +30,6 @@ REPO = Path(__file__).resolve().parent.parent
 ARENA = "src/ephemera/arena.py"
 PROTOCOL = "src/ephemera/protocol.py"
 KNOWLEDGE = "src/ephemera/knowledge.py"
-RNG = "src/ephemera/rng.py"
 
 
 class Fault(NamedTuple):
@@ -107,10 +106,12 @@ FAULTS = (
           "self.learned_at[first:stop] <= now - self.duration",
           "self.learned_at[first:stop] < now - self.duration",
           "a learned skill is forgotten one step after its duration has run out"),
-    Fault("explore-draws-reuse-the-block", RNG,
-          "self._pos = pos + m",
-          "self._pos = pos",
-          "a batch of draws leaves the read position, so the next batch reuses its words"),
+    # At the call, not in SplitMix64._draws: placement draws through it too,
+    # and its loop would draw the same cells for ever.
+    Fault("explore-draws-reuse-the-block", ARENA,
+          "draws = self.rng._draws(_MOVE_COUNT[cls])",
+          "draws = self.rng._draws(_MOVE_COUNT[cls]); self.rng._pos -= draws.size",
+          "the explorers' draws leave the read position, so the next batch reuses their words"),
 )
 
 

@@ -543,6 +543,25 @@ def test_move_table_holds_the_in_bounds_moore_moves_of_each_edge_class(make_conf
         assert moves == (inside if cls else [(0, 0)])
 
 
+def test_explorers_draw_as_one_below_call_per_agent_in_id_order(make_config):
+    # No agent comes within sight of the one target in 20 steps, so every
+    # agent explores in every step, from the corners and edges too.
+    width = height = 40
+    starts = [(0, 0), (5, 0), (0, 9), (15, 15), (1, 1), (15, 0), (7, 3)]
+    arena = layout(make_config, targets=[(Color.RED, 39, 39)],
+                   agents=[(I, x, y) for x, y in starts],
+                   grid=(width, height), sense_radius=1, learning_enabled=False)
+    ref, pos = SplitMix64(0), list(starts)
+    for _ in range(20):
+        arena.step()
+        for i, (x, y) in enumerate(pos):
+            moves = [(ox, oy) for ox, oy in _MOORE if 0 <= x + ox < width and 0 <= y + oy < height]
+            ox, oy = moves[ref.below(len(moves))]
+            pos[i] = (x + ox, y + oy)
+        assert [a.pos for a in arena.agents] == pos
+        assert arena.rng._state == ref._state
+
+
 def test_query_intent_stands_still(make_config):
     arena = layout(
         make_config,
