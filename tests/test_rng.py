@@ -93,21 +93,20 @@ def test_below_many_takes_the_largest_int64_modulus():
     assert SplitMix64(9).below_many(np.array([n], np.uint64)).tolist() == [SplitMix64(9).below(n)]
 
 
+# Batch sizes: 0 is an empty batch, and sizes up to 5000 straddle and exceed
+# the 4096-word block. Batch tops: the largest n of a batch.
+batch_sizes = st.one_of(st.integers(0, 40), st.integers(3000, 5000))
+batch_tops = st.sampled_from([8, 48400, 2**63 - 1])
+
 draw_calls = st.lists(
     st.one_of(
         st.tuples(st.just("below"), st.integers(1, 2**64 - 1)),
         st.tuples(st.just("next_u64"), st.none()),
-        # (size, largest n, dtype); 0 is an empty batch, and sizes up to 5000
-        # straddle and exceed the 4096-word block.
+        # (size, largest n, dtype)
         st.tuples(st.just("below_many"),
-                  st.tuples(st.one_of(st.integers(0, 40), st.integers(3000, 5000)),
-                            st.sampled_from([8, 48400, 2**63 - 1]),
-                            st.sampled_from([np.int64, np.uint64]))),
+                  st.tuples(batch_sizes, batch_tops, st.sampled_from([np.int64, np.uint64]))),
         # The unchecked draw of Arena.step: uint64 moduli in [1, 2**63).
-        st.tuples(st.just("_draws"),
-                  st.tuples(st.one_of(st.integers(0, 40), st.integers(3000, 5000)),
-                            st.sampled_from([8, 48400, 2**63 - 1]),
-                            st.just(np.uint64))),
+        st.tuples(st.just("_draws"), st.tuples(batch_sizes, batch_tops, st.just(np.uint64))),
     ),
     max_size=8,
 )
