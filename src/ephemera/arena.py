@@ -54,7 +54,11 @@ kept rows are exact, not approximate: a Query agent does not move and
 targets only disappear, so its nearest distance of a color changes only
 when a target at that distance is captured. Every Collect agent is among
 the sensed rows: a kept row's agent was in Query and learned nothing, so it
-sees no color it knows.
+sees no color it knows. The sensed rows come from one ``nonzero`` of the
+un-parked agents; only when some agent is parked and a target was captured
+since the last sense does the un-park check run, and ``nonzero`` again.
+When every agent is sensed the rows are the full slice, and the slot minima
+go straight into ``_near``.
 
 Every agent tree is the canonical tree of its known colors, so
 ``AgentState.tree`` is read from ``TREES``, the 16 canonical trees built
@@ -94,7 +98,9 @@ each of them takes at least one more attempt. The agents take one batch
 after the targets, and each step the explorers take one. An
 interior agent picks one of the 8 Moore moves (``% 8``), an agent on the
 edge one of the in-bounds moves, kept in ``_MOORE`` order (a 1 x 1 board,
-where no agent explores, has the one move (0, 0)).
+where no agent explores, has the one move (0, 0)). An explorer's move is
+read from the flat move tables (``_MOVE_DX``, ``_MOVE_DY``) at its edge
+class times 8 plus its draw, from the positions gathered once per step.
 """
 
 from __future__ import annotations
@@ -128,7 +134,9 @@ _NO_QUERIES = np.empty((0, 2), np.intp)
 
 
 def _moves_by_class():
-    """In-bounds Moore moves for each of the 16 edge classes, in _MOORE order.
+    """In-bounds Moore moves for each of the 16 edge classes, in _MOORE order:
+    the x and y offsets, flat, move k of class c at c * 8 + k, and the
+    number of moves of each class.
 
     Class bits: 1 = may step to x-1, 2 = to x+1, 4 = to y-1, 8 = to y+1.
     Class 0, a 1 x 1 board, has no Moore move; it gets the one move (0, 0),
@@ -147,7 +155,7 @@ def _moves_by_class():
         count[cls] = len(moves)
         for k, (ox, oy) in enumerate(moves):
             dx[cls, k], dy[cls, k] = ox, oy
-    return dx, dy, count
+    return dx.ravel(), dy.ravel(), count
 
 
 _MOVE_DX, _MOVE_DY, _MOVE_COUNT = _moves_by_class()
@@ -447,20 +455,23 @@ class Arena:
         sensed rows x columns distance matrix, this step's own, which
         :meth:`_execute_intent` reads: its columns are the four color slots,
         and a captured target or a filler reads its off-board distance.
-        Also returns the sensed agent IDs, a full slice when no agent was
-        parked, else their ascending array; and every agent's seen mask, the
-        colors with a target within the sense radius.
+        Also returns the sensed agent IDs, a full slice when every agent
+        was sensed, else their ascending array; and every agent's seen mask,
+        the colors with a target within the sense radius.
         """
         parked, captured = self._parked, self._captured
-        rows = slice(None)
-        if parked.any():
-            if captured:  # captures x agents, so numpy loops over the long axis
-                tx, ty = self._cat_x[captured], self._cat_y[captured]
-                d = np.maximum(np.abs(tx[:, None] - self._x), np.abs(ty[:, None] - self._y))
-                near = self._near.T[np.floor_divide(captured, self._slot)]
-                parked &= ~(d == near).any(axis=0)
+        rows = (~parked).nonzero()[0]
+        if len(rows) < len(parked) and captured:
+            # captures x agents, so numpy loops over the long axis
+            tx, ty = self._cat_x[captured], self._cat_y[captured]
+            d = np.maximum(np.abs(tx[:, None] - self._x), np.abs(ty[:, None] - self._y))
+            near = self._near.T[np.floor_divide(captured, self._slot)]
+            parked &= ~(d == near).any(axis=0)
             rows = (~parked).nonzero()[0]
         captured.clear()
+        every = len(rows) == len(parked)
+        if every:
+            rows = slice(None)
         x, y = self._x[rows], self._y[rows]
         # In place: np.abs(a - b) would allocate a third matrix.
         dist = np.subtract(x[:, None], self._sense_x)
@@ -468,7 +479,10 @@ class Arena:
         dy = np.subtract(y[:, None], self._cat_y)
         np.abs(dy, out=dy)
         np.maximum(dist, dy, out=dist)
-        self._near[rows] = np.minimum.reduceat(dist, self._slot_starts, axis=1)
+        if every:
+            np.minimum.reduceat(dist, self._slot_starts, axis=1, out=self._near)
+        else:
+            self._near[rows] = np.minimum.reduceat(dist, self._slot_starts, axis=1)
         seen = (self._near <= self._radius).view(np.uint8) @ _COLOR_BITS
         return dist, rows, seen
 
@@ -490,15 +504,18 @@ class Arena:
             )
             if delivered:  # a learner may collect now, so it is sensed
                 self._parked[[q for q, _ in delivered]] = False
-            kinds = [record.kind for record in self.events[mark:]]
-            self.deliveries += kinds.count(ev.DELIVERY)
-            self.rejects_full += kinds.count(ev.REJECT)
-            self.forgets += kinds.count(ev.FORGET)  # capacity evictions
+                # Only an answered query logs events.
+                kinds = [record.kind for record in self.events[mark:]]
+                self.deliveries += kinds.count(ev.DELIVERY)
+                self.rejects_full += kinds.count(ev.REJECT)
+                self.forgets += kinds.count(ev.FORGET)  # capacity evictions
 
         # Phase 2: expire the learned skills that are due.
-        expired = self.knowledge.expire(now)
-        self.events.extend(ev.EventRecord(now, ev.FORGET, i, COLORS[c]) for i, c in zip(*expired))
-        self.forgets += len(expired[0])
+        agents, colors = self.knowledge.expire(now)
+        if agents:
+            self.events.extend(ev.EventRecord(now, ev.FORGET, i, COLORS[c])
+                               for i, c in zip(agents, colors))
+            self.forgets += len(agents)
 
         # Phase 3: sense the rows that can have changed.
         dist, sensed, seen = self._sense_all()
@@ -507,10 +524,13 @@ class Arena:
         intents = INTENT_TABLE[self.knowledge.known, seen]
         explorers = (intents == _EXPLORE).nonzero()[0]
         if explorers.size:
-            cls = self._x_class[self._x[explorers]] + self._y_class[self._y[explorers]]
-            draws = self.rng._draws(_MOVE_COUNT[cls])
-            self._x[explorers] += _MOVE_DX[cls, draws]
-            self._y[explorers] += _MOVE_DY[cls, draws]
+            ex, ey = self._x[explorers], self._y[explorers]
+            # An intp index: a narrow one costs numpy a conversion per lookup.
+            cls = self._x_class[ex.astype(np.intp)] + self._y_class[ey.astype(np.intp)]
+            move = self.rng._draws(_MOVE_COUNT[cls])
+            move += cls * 8
+            self._x[explorers] = ex + _MOVE_DX[move]
+            self._y[explorers] = ey + _MOVE_DY[move]
 
         # Phase 5: Collect agents as one batch; Query agents past their
         # cooldown emit as one batch; every Query agent stands still, so it

@@ -4,11 +4,17 @@ Each fault is a small edit that makes the program wrong: a file, its exact
 old text (which must match once), the new text, and why the result is
 wrong. For each fault the script extracts a copy of the tree of ``HEAD``
 with ``git archive`` (so commit first), applies the edit and runs
-``pytest -m "not slow"`` in the copy. The unchanged copy is run first and
-must pass. The script exits non-zero unless every fault fails at least one
-test, and prints the tests that caught each fault. When a change moves the
-code a fault edits, the fault's old text no longer matches and the script
-fails until the fault is aimed again.
+``pytest -m "not slow"`` in the copy, with the hypothesis seed fixed at
+``HYPOTHESIS_SEED``, so that two runs report the same tests. The unchanged
+copy is run first and must pass within ``BASE_LIMIT`` seconds. Each faulted
+copy's run is stopped after ten times the unchanged copy's time, and at
+least ``MIN_LIMIT`` seconds; a copy stopped so counts as caught and prints
+``timed out after N s``, since a fault that makes a loop endless is found.
+The script exits non-zero unless every fault fails at least one test, and
+prints the tests that caught each fault. When a change moves the code a
+fault edits, the fault's old text no longer matches and the script fails
+until the fault is aimed again (``tests/test_faults.py`` checks the old
+texts against the working tree in the quick suite).
 
     python tests/faults.py
 
@@ -23,6 +29,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +37,11 @@ REPO = Path(__file__).resolve().parent.parent
 ARENA = "src/ephemera/arena.py"
 PROTOCOL = "src/ephemera/protocol.py"
 KNOWLEDGE = "src/ephemera/knowledge.py"
+# The unchanged copy's time limit, and the least limit of a faulted copy,
+# in seconds.
+BASE_LIMIT = 1800
+MIN_LIMIT = 300
+HYPOTHESIS_SEED = 0
 
 
 class Fault(NamedTuple):
@@ -109,9 +121,22 @@ FAULTS = (
     # At the call, not in SplitMix64._draws: placement draws through it too,
     # and its loop would draw the same cells for ever.
     Fault("explore-draws-reuse-the-block", ARENA,
-          "draws = self.rng._draws(_MOVE_COUNT[cls])",
-          "draws = self.rng._draws(_MOVE_COUNT[cls]); self.rng._pos -= draws.size",
+          "move = self.rng._draws(_MOVE_COUNT[cls])",
+          "move = self.rng._draws(_MOVE_COUNT[cls]); self.rng._pos -= move.size",
           "the explorers' draws leave the read position, so the next batch reuses their words"),
+    Fault("explore-move-row-stride", ARENA,
+          "move += cls * 8",
+          "move += cls * 7",
+          "an explorer reads its move from the wrong edge class's row of the move table"),
+    Fault("single-expiry-not-logged", ARENA,
+          "if agents:",
+          "if len(agents) > 1:",
+          "a step in which one skill expires logs no Forget and does not count it"),
+    # Only the recount: the learners of a single delivery are still un-parked.
+    Fault("single-delivery-not-counted", ARENA,
+          "kinds = [record.kind for record in self.events[mark:]]",
+          "kinds = [record.kind for record in self.events[mark:]] if len(delivered) > 1 else []",
+          "a step that answers one query does not count its delivery or rejection"),
 )
 
 
@@ -133,13 +158,22 @@ def apply(fault: Fault, root: Path) -> None:
     path.write_text(text.replace(fault.old, fault.new))
 
 
-def failing_tests(root: Path) -> list[str]:
-    """The tests of the quick suite that fail or error in the copy ``root``."""
+def pytest_command() -> list[str]:
+    """The quick suite's command, with the hypothesis seed fixed."""
+    return [sys.executable, "-m", "pytest", "-m", "not slow", "-q", "-rfE",
+            "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}"]
+
+
+def failing_tests(root: Path, limit: float) -> list[str]:
+    """The tests of the quick suite that fail or error in the copy ``root``,
+    or the one line ``timed out after N s`` if the run takes more than
+    ``limit`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-m", "not slow", "-q", "-rfE", "-p", "no:cacheprovider"],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    try:
+        run = subprocess.run(pytest_command(), cwd=root, env=env, capture_output=True,
+                             text=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        return [f"timed out after {limit:g} s"]
     failed = [line.split(" - ")[0].split()[1] for line in run.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     if run.returncode and not failed:
@@ -151,16 +185,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp, "base")
         extract(base)
-        failed = failing_tests(base)
+        start = time.monotonic()
+        failed = failing_tests(base, BASE_LIMIT)
         if failed:
             print("the unchanged tree of HEAD fails:", *failed, sep="\n  ")
             return 1
+        limit = max(MIN_LIMIT, round(10 * (time.monotonic() - start)))
         missed = []
         for i, fault in enumerate(FAULTS):
             root = Path(tmp, str(i))
             extract(root)
             apply(fault, root)
-            caught = failing_tests(root)
+            caught = failing_tests(root, limit)
             print(f"{fault.name} ({fault.path}): {fault.why}")
             print(f"  caught by {len(caught)}:" if caught else "  NOT CAUGHT", *caught,
                   sep="\n    ", flush=True)

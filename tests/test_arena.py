@@ -537,7 +537,8 @@ def test_move_table_holds_the_in_bounds_moore_moves_of_each_edge_class(make_conf
         assert arena._x_class[x] + arena._y_class[y] == cls
         count = int(_MOVE_COUNT[cls])
         assert 1 <= count <= 8
-        moves = list(zip(_MOVE_DX[cls, :count].tolist(), _MOVE_DY[cls, :count].tolist()))
+        row = slice(cls * 8, cls * 8 + count)
+        moves = list(zip(_MOVE_DX[row].tolist(), _MOVE_DY[row].tolist()))
         inside = [(ox, oy) for ox, oy in _MOORE if 0 <= x + ox < width and 0 <= y + oy < height]
         # Class 0 is a 1 x 1 board: no Moore move, so the agent stands still.
         assert moves == (inside if cls else [(0, 0)])
