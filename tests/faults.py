@@ -5,8 +5,9 @@ old text (which must match once), the new text, and why the result is
 wrong. For each fault the script extracts a copy of the tree of ``HEAD``
 with ``git archive`` (so commit first), applies the edit and runs
 ``pytest -m "not slow"`` in the copy, with the hypothesis seed fixed at
-``HYPOTHESIS_SEED``, so that two runs report the same tests. The unchanged
-copy is run first and must pass within ``BASE_LIMIT`` seconds. Each faulted
+``HYPOTHESIS_SEED``, so that two runs report the same tests, and without
+``tests/test_faults.py`` (see :func:`pytest_command`). The unchanged copy
+is run first and must pass within ``BASE_LIMIT`` seconds. Each faulted
 copy's run is stopped after ten times the unchanged copy's time, and at
 least ``MIN_LIMIT`` seconds; a copy stopped so counts as caught and prints
 ``timed out after N s``, since a fault that makes a loop endless is found.
@@ -159,9 +160,12 @@ def apply(fault: Fault, root: Path) -> None:
 
 
 def pytest_command() -> list[str]:
-    """The quick suite's command, with the hypothesis seed fixed."""
+    """The quick suite's command, with the hypothesis seed fixed and without
+    ``tests/test_faults.py``: a faulted copy no longer holds its fault's old
+    text, so that file's check of the table would catch every fault."""
     return [sys.executable, "-m", "pytest", "-m", "not slow", "-q", "-rfE",
-            "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}"]
+            "-p", "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+            "--ignore=tests/test_faults.py"]
 
 
 def failing_tests(root: Path, limit: float) -> list[str]:

@@ -19,6 +19,11 @@ def test_pytest_command_fixes_the_hypothesis_seed():
     assert f"--hypothesis-seed={faults.HYPOTHESIS_SEED}" in faults.pytest_command()
 
 
+def test_pytest_command_leaves_out_the_table_check():
+    # In a faulted copy the table check fails by construction, for every fault.
+    assert "--ignore=tests/test_faults.py" in faults.pytest_command()
+
+
 def _stub(monkeypatch, base_times_out: bool) -> list:
     """Stub the copies and the pytest runs: the unchanged copy's run passes
     at once unless ``base_times_out``, every faulted copy's run overruns.
