@@ -75,13 +75,14 @@ def snapshot(arena, trial: int, t: int) -> MetricsSnapshot:
     )
 
 
-def _write_lines(path, lines: Sequence[str]) -> None:
-    """Write LF-terminated ASCII lines through a temp file in the target's
-    directory renamed over it, so the target is never left half written."""
+def _write_lines(path, lines: Sequence[str], encoding: str = "ascii") -> None:
+    """Write LF-terminated lines, in ``encoding``, through a temp file in the
+    target's directory renamed over it, so the target is never left half
+    written. Every output file, CSV or SVG, is written so."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+        tmp.write_text("\n".join(lines) + "\n", encoding=encoding, newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

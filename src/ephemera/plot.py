@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
+
+from .metrics import _write_lines
 
 _W, _H = 800, 500
 _X0, _Y0, _X1, _Y1 = 70.0, 45.0, 775.0, 445.0
@@ -83,9 +84,9 @@ def render_plot(
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
-        f'font-family="sans-serif" font-size="13">\n',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>\n',
-        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>\n',
+        f'font-family="sans-serif" font-size="13">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
     ]
     for i in range(5):
         frac = i / 4
@@ -93,48 +94,48 @@ def render_plot(
         y = _fmt(sy(yv))
         out.append(
             f'<line x1="{_fmt(_X0)}" y1="{y}" x2="{_fmt(_X1)}" y2="{y}" '
-            f'stroke="#dddddd" stroke-width="1"/>\n'
+            f'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
             f'<text x="{_fmt(_X0 - 8)}" y="{y}" text-anchor="end" '
-            f'dominant-baseline="middle">{yv:g}</text>\n'
+            f'dominant-baseline="middle">{yv:g}</text>'
         )
         xv = xmin + frac * (xmax - xmin)
         x = _fmt(sx(xv))
         out.append(
             f'<line x1="{x}" y1="{_fmt(_Y0)}" x2="{x}" y2="{_fmt(_Y1)}" '
-            f'stroke="#dddddd" stroke-width="1"/>\n'
+            f'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{x}" y="{_fmt(_Y1 + 18)}" text-anchor="middle">{xv:g}</text>\n'
+            f'<text x="{x}" y="{_fmt(_Y1 + 18)}" text-anchor="middle">{xv:g}</text>'
         )
     out.append(
         f'<rect x="{_fmt(_X0)}" y="{_fmt(_Y0)}" width="{_fmt(_X1 - _X0)}" '
-        f'height="{_fmt(_Y1 - _Y0)}" fill="none" stroke="black" stroke-width="1"/>\n'
+        f'height="{_fmt(_Y1 - _Y0)}" fill="none" stroke="black" stroke-width="1"/>'
     )
     out.append(
-        f'<text x="{_fmt((_X0 + _X1) / 2)}" y="{_H - 10}" text-anchor="middle">{_escape(x_label)}</text>\n'
+        f'<text x="{_fmt((_X0 + _X1) / 2)}" y="{_H - 10}" text-anchor="middle">{_escape(x_label)}</text>'
     )
     out.append(
         f'<text x="18" y="{_fmt((_Y0 + _Y1) / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fmt((_Y0 + _Y1) / 2)})">{_escape(y_label)}</text>\n'
+        f'transform="rotate(-90 18 {_fmt((_Y0 + _Y1) / 2)})">{_escape(y_label)}</text>'
     )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
         out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         ly = _Y0 + 14 + 18 * i
         out.append(
             f'<line x1="{_fmt(_X1 - 150)}" y1="{_fmt(ly)}" x2="{_fmt(_X1 - 122)}" '
-            f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="1.5"/>\n'
+            f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="1.5"/>'
         )
         out.append(
             f'<text x="{_fmt(_X1 - 114)}" y="{_fmt(ly)}" '
-            f'dominant-baseline="middle">{_escape(s.name)}</text>\n'
+            f'dominant-baseline="middle">{_escape(s.name)}</text>'
         )
-    out.append("</svg>\n")
-    Path(path).write_text("".join(out), encoding="utf-8", newline="")
+    out.append("</svg>")
+    _write_lines(path, out, encoding="utf-8")

@@ -15,7 +15,10 @@ The script exits non-zero unless every fault fails at least one test, and
 prints the tests that caught each fault. When a change moves the code a
 fault edits, the fault's old text no longer matches and the script fails
 until the fault is aimed again (``tests/test_faults.py`` checks the old
-texts against the working tree in the quick suite).
+texts against the working tree in the quick suite). Each copy's pytest
+runs in a session of its own; when the script is stopped by SIGTERM, it
+kills that session's whole process group and removes its temporary
+directory of copies before it exits.
 
     python tests/faults.py
 
@@ -26,7 +29,9 @@ the suite.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -168,14 +173,41 @@ def pytest_command() -> list[str]:
             "--ignore=tests/test_faults.py"]
 
 
+@contextlib.contextmanager
+def sigterm_exits():
+    """Within the block SIGTERM raises SystemExit, so the ``with`` blocks
+    and ``finally`` clauses it unwinds run; the previous handler is restored
+    after it."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def run_child(args: list[str], timeout: float | None = None,
+              **popen) -> subprocess.CompletedProcess:
+    """``subprocess.run(args, capture_output=True, timeout=timeout)`` with
+    the child in a session of its own, whose whole process group (pytest's
+    pool workers and ``python -O`` subprocesses too) is killed on the way
+    out: on return, on a timeout, or on SystemExit from SIGTERM."""
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True, **popen) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+    return subprocess.CompletedProcess(args, child.returncode, out, err)
+
+
 def failing_tests(root: Path, limit: float) -> list[str]:
     """The tests of the quick suite that fail or error in the copy ``root``,
     or the one line ``timed out after N s`` if the run takes more than
     ``limit`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        run = subprocess.run(pytest_command(), cwd=root, env=env, capture_output=True,
-                             text=True, timeout=limit)
+        run = run_child(pytest_command(), cwd=root, env=env, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
         return [f"timed out after {limit:g} s"]
     failed = [line.split(" - ")[0].split()[1] for line in run.stdout.splitlines()
@@ -186,7 +218,7 @@ def failing_tests(root: Path, limit: float) -> list[str]:
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
+    with sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp, "base")
         extract(base)
         start = time.monotonic()

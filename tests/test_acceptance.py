@@ -20,7 +20,9 @@ from ephemera.knowledge import CapacityPolicy, LearnOutcome
 from ephemera.metrics import snapshot, write_csv
 from ephemera.rng import SplitMix64
 
+from reference import replay
 from stores import one_row_store
+from test_golden import SWEEP_GOLDEN, csv_digest
 
 T_CASES = ("T1K", "T2K", "T5K", "T10K", "T20K")
 DURATIONS = (1000, 2000, 5000, 10000, 20000)
@@ -156,71 +158,35 @@ def test_criterion_07_conservation_and_monotonicity(scenario_cache):
 @pytest.mark.slow
 def test_criterion_08_determinism(tmp_path):
     with criterion(8, "byte-identical reruns, serial == parallel"):
-        def run(out_dir, *extra):
+        # A serial and a --jobs 2 run each write the pinned bytes of the
+        # builtin sweep's T5K, whose base_seed is 42.
+        for out_dir, extra in ((tmp_path / "serial", ()), (tmp_path / "jobs2", ("--jobs", "2"))):
             proc = subprocess.run(
                 [sys.executable, "-m", "ephemera", "run", "--scenario", "T5K",
                  "--seed", "42", "--out", str(out_dir), *extra],
                 capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
-            return {p.name: p.read_bytes() for p in out_dir.iterdir()}
-
-        first = run(tmp_path / "a")
-        second = run(tmp_path / "b")
-        parallel = run(tmp_path / "c", "--jobs", "2")
-        assert len(first) == 11
-        assert first == second
-        assert first == parallel
-
-
-def _innate_sets(config):
-    """Independent reconstruction of per-agent innate knowledge."""
-    spec = {
-        "I": set(), "M": set(COLORS), "R": {Color.RED},
-        "G": {Color.GREEN}, "Y": {Color.YELLOW}, "B": {Color.BLUE},
-    }
-    out = []
-    for letter, count in zip("IMRGYB", config.robot_counts):
-        out.extend(set(spec[letter]) for _ in range(count))
-    return out
-
-
-def _replay_percent(config, event_lines, snapshot_ts):
-    """Event-log replay oracle: knowledge percent at each snapshot time."""
-    known = _innate_sets(config)
-    changes = []
-    for line in event_lines:
-        record = ev.parse_event_line(line)
-        if record.kind in (ev.DELIVERY, ev.FORGET):
-            changes.append(record)
-    out = []
-    i = 0
-    for st in snapshot_ts:
-        while i < len(changes) and changes[i].t <= st:
-            record = changes[i]
-            if record.kind == ev.DELIVERY:
-                known[record.agent].add(record.color)
-            else:
-                known[record.agent].discard(record.color)
-            i += 1
-        total = sum(len(s) for s in known)
-        out.append(total * 100 / (len(known) * 4))
-    return out
+            assert len(list(out_dir.iterdir())) == 11
+            assert csv_digest(out_dir) == SWEEP_GOLDEN["T5K"][0]
 
 
 @pytest.mark.slow
 def test_criterion_09_oracle_equivalence(scenario_cache, tmp_path):
     with criterion(9, "event-log replay and Eq. 1 oracles"):
+        # Every CSV column but queries, replayed from the event lines parsed back.
         cfg = get_scenario("T5K")
         for result in scenario_cache("T5K")[:3]:
             csv_path = tmp_path / f"trial{result.trial}.csv"
             write_csv(result.snapshots, csv_path)
-            rows = csv_path.read_text().splitlines()[1:]
-            csv_percents = [row.split(",")[2] for row in rows]
-            ts = [int(row.split(",")[1]) for row in rows]
-            lines = [r.line() for r in result.events]
-            replayed = _replay_percent(cfg, lines, ts)
-            assert [f"{p:.4f}" for p in replayed] == csv_percents
+            rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+            records = [ev.parse_event_line(r.line()) for r in result.events]
+            replayed = replay(cfg, records, [int(row[1]) for row in rows])
+            assert len(rows) == len(replayed) == len(result.snapshots)
+            for row, (percent, captures, deliveries, forgets, rejects) in zip(rows, replayed):
+                assert row[:8] + row[9:] == [
+                    str(result.trial), row[1], f"{percent:.4f}", str(sum(captures)),
+                    *map(str, captures), str(deliveries), str(forgets), str(rejects)]
 
         # snapshot's Eq. 1 vs a brute-force per-color count over the stores,
         # at 20 seeded-random snapshot boundaries.

@@ -20,6 +20,8 @@ from ephemera.experiment import ScenarioConfig, get_scenario, run_scenario, run_
 from ephemera.knowledge import CapacityPolicy
 from ephemera.rng import SplitMix64, mix_seed
 
+from reference import replay
+
 I, M = RobotType.IGNORANT, RobotType.MASTER
 
 
@@ -716,14 +718,14 @@ def test_event_lines_round_trip(make_config):
         assert ev.parse_event_line(record.line()) == record
 
 
-# --- batched Collect against the per-agent reference ---------------------------
+# --- batched Collect and the kept view against per-agent references -----------
 
 class PerAgentCollectArena(Arena):
     """The Collect phase one agent at a time, on a sense pass that senses
     every agent every step, as it did before agents kept their view: each
-    Collect agent, in ID order, scans the public ``targets()`` for the
-    nearest live target of its color (lowest ID on ties), so the targets
-    that lower IDs took earlier in the step are left out; it takes a target
+    Collect agent, in ID order, takes the nearest live target of its color
+    (lowest ID on ties) from :func:`brute_force_sense`, so the targets that
+    lower IDs took earlier in the step are left out; it takes a target
     under it, steps toward one within the sense radius, or stands still. It
     reads no column of the sense matrix: only ``_capture`` is handed the
     taken target's column."""
@@ -736,17 +738,33 @@ class PerAgentCollectArena(Arena):
 
     def _execute_intent(self, rows, colors, dist, sensed):
         for i, color in zip(rows.tolist(), colors.tolist()):
-            x, y = int(self._x[i]), int(self._y[i])
-            live = [(max(abs(t.pos[0] - x), abs(t.pos[1] - y)), t.id, t.pos)
-                    for t in self.targets() if t.alive and t.color == color]
-            distance, k, (tx, ty) = min(live, default=(np.inf, -1, (x, y)))
-            if distance > self.config.sense_radius:
+            live = brute_force_sense(self, self.agents[i])[color]
+            if not live or live[0][0] > self.config.sense_radius:
                 continue
+            distance, k, tx, ty = live[0]
             if distance == 0:
                 self._capture(int(self._col[k]), i)
                 continue
+            x, y = int(self._x[i]), int(self._y[i])
             self._x[i] += (tx > x) - (tx < x)
             self._y[i] += (ty > y) - (ty < y)
+
+
+class ViewCheckingArena(Arena):
+    """After every sense pass, checks that every agent's kept view equals a
+    brute-force scan of the live targets, and that every agent whose intent
+    is Collect was sensed in the pass."""
+
+    kept = 0  # rows kept, summed over the passes
+
+    def _sense_all(self):
+        dist, sensed, seen = super()._sense_all()
+        ids = sensed_ids(self, sensed)
+        self.kept += len(self.agents) - len(ids)
+        assert_view_matches_brute_force(self, seen)
+        collectors = (INTENT_TABLE[self.knowledge.known, seen] < _QUERY).nonzero()[0]
+        assert set(collectors.tolist()) <= set(ids), f"t={self.t}"
+        return dist, sensed, seen
 
 
 @st.composite
@@ -801,7 +819,7 @@ def assert_steps_as_the_reference(batched, reference):
                  (RobotType.GREEN, 2, 1), (M, 5, 1)]), seed=0)
 def test_batched_collect_matches_the_per_agent_reference(board, seed):
     config, targets, agents = board
-    assert_steps_as_the_reference(Arena.from_layout(config, targets, agents, seed),
+    assert_steps_as_the_reference(ViewCheckingArena.from_layout(config, targets, agents, seed),
                                   PerAgentCollectArena.from_layout(config, targets, agents, seed))
 
 
@@ -813,29 +831,10 @@ def test_slot_search_past_the_int8_range(make_config, per_color):
     against the per-agent reference."""
     config = make_config(grid=(40, 40), targets_per_color=per_color,
                          robot_counts=(0, 0, 0, 4, 4, 4), max_iterations=25, sense_radius=3)
-    batched = Arena(config, seed=3)
+    batched = ViewCheckingArena(config, seed=3)
     assert batched._slot == per_color
     assert_steps_as_the_reference(batched, PerAgentCollectArena(config, seed=3))
     assert min(batched.capture_counts[1:]) > 0
-
-
-# --- the kept view against a fresh scan ----------------------------------------
-
-class ViewCheckingArena(Arena):
-    """After every sense pass, checks that every agent's kept view equals a
-    brute-force scan of the live targets, and that every agent whose intent
-    is Collect was sensed in the pass."""
-
-    kept = 0  # rows kept, summed over the passes
-
-    def _sense_all(self):
-        dist, sensed, seen = super()._sense_all()
-        ids = sensed_ids(self, sensed)
-        self.kept += len(self.agents) - len(ids)
-        assert_view_matches_brute_force(self, seen)
-        collectors = (INTENT_TABLE[self.knowledge.known, seen] < _QUERY).nonzero()[0]
-        assert set(collectors.tolist()) <= set(ids), f"t={self.t}"
-        return dist, sensed, seen
 
 
 def expiries_and_evictions(events):
@@ -854,14 +853,6 @@ def test_kept_view_equals_a_fresh_scan_every_step(make_config):
     assert arena.capture_total > 0 and arena.deliveries > 0
     assert min(expiries_and_evictions(arena.events)) > 0
     assert arena.kept > 0
-
-
-@settings(max_examples=150, deadline=None)
-@given(board=crowded_boards(), seed=st.integers(0, 2**16))
-def test_kept_view_equals_a_fresh_scan_on_crowded_boards(board, seed):
-    config, targets, agents = board
-    arena = ViewCheckingArena.from_layout(config, targets, agents, seed)
-    collect_all_steps(arena)
 
 
 def test_crowded_arena_holds_no_agents_by_targets_state(make_config):
@@ -941,22 +932,6 @@ def assert_knowledge_arrays_coherent(arena):
         assert (learned.sum(axis=1) <= arena.config.memory_size).all()
 
 
-@settings(max_examples=80, deadline=None)
-@given(config=small_configs(), seed=st.integers(0, (1 << 64) - 1))
-def test_step_invariants_on_random_configs(config, seed):
-    arena = Arena(config, seed)
-    while not arena.finished:
-        before = [agent.pos for agent in arena.agents]
-        arena.step()
-        assert arena.capture_total + arena.alive_count == arena.initial_total
-        assert_knowledge_arrays_coherent(arena)
-        for agent, (px, py) in zip(arena.agents, before):
-            colors = agent.store.known_colors()
-            assert known_colors(agent.tree) == colors
-            assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height
-            assert abs(agent.x - px) <= 1 and abs(agent.y - py) <= 1
-
-
 def crowded_memory(policy):
     """A config whose one-skill stores fill, so deliveries are rejected or evict."""
     return ScenarioConfig(
@@ -966,54 +941,37 @@ def crowded_memory(policy):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(config=small_configs(), trial=st.integers(0, 1000))
 @example(config=crowded_memory(CapacityPolicy.EVICT_OLDEST), trial=0)
 @example(config=crowded_memory(CapacityPolicy.REJECT_WHEN_FULL), trial=0)
-def test_event_log_replay_reproduces_snapshots(config, trial):
-    """Replaying the event log from the innate skills gives every snapshot's
-    knowledge, capture and protocol columns."""
-    result = run_trial(config, trial)
-    known = [set(robot.innate_colors)
-             for robot, count in zip(ROBOT_ORDER, config.robot_counts) for _ in range(count)]
-    captures = [0, 0, 0, 0]
-    counts = {ev.DELIVERY: 0, ev.FORGET: 0, ev.REJECT: 0}
-    events = list(result.events)
-    assert [r.t for r in events] == sorted(r.t for r in events)
-    i = 0
-    for snap in result.snapshots:
-        while i < len(events) and events[i].t <= snap.t:
-            record = events[i]
-            if record.kind == ev.CAPTURE:
-                captures[record.color] += 1
-            else:
-                counts[record.kind] += 1
-            if record.kind == ev.DELIVERY:
-                assert record.color not in known[record.agent]
-                known[record.agent].add(record.color)
-            elif record.kind == ev.FORGET:
-                known[record.agent].remove(record.color)
-            i += 1
-        assert snap.knowledge_percent == sum(map(len, known)) * 100 / (len(known) * 4)
-        assert [snap.captured_red, snap.captured_green, snap.captured_yellow,
-                snap.captured_blue] == captures
-        assert (snap.deliveries, snap.forgets, snap.rejects_full) == (
-            counts[ev.DELIVERY], counts[ev.FORGET], counts[ev.REJECT])
-
-
-@settings(max_examples=60, deadline=None)
-@given(config=small_configs(), trial=st.integers(0, 1000))
 @example(config=dataclasses.replace(crowded_memory(CapacityPolicy.EVICT_OLDEST), max_iterations=14),
          trial=0)  # captures at t=11..14, after the last snapshot time
-def test_run_trial_ends_where_the_arena_does(config, trial):
-    """run_trial steps to the end of the trial, also past the last snapshot
-    time when the cap is off the snapshot grid."""
+def test_whole_trial_on_random_configs(config, trial):
+    """One trial, run by run_trial and stepped here on its own arena. Every
+    step conserves the targets, keeps the knowledge arrays coherent and the
+    trees equal to the stores, and moves each agent at most one cell on the
+    board. run_trial steps to the end of the trial, also past the last
+    snapshot time when the cap is off the snapshot grid, and logs the same
+    events; replaying them from the innate skills gives every snapshot's
+    knowledge, capture and protocol columns."""
     result = run_trial(config, trial)
     arena = Arena(config, mix_seed(config.base_seed, trial))
     while not arena.finished:
+        before = [agent.pos for agent in arena.agents]
         arena.step()
+        assert arena.capture_total + arena.alive_count == arena.initial_total
+        assert_knowledge_arrays_coherent(arena)
+        for agent, (px, py) in zip(arena.agents, before):
+            assert known_colors(agent.tree) == agent.store.known_colors()
+            assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height
+            assert abs(agent.x - px) <= 1 and abs(agent.y - py) <= 1
     assert result.end_t == arena.t
     assert [r.line() for r in result.events] == arena.event_lines()
+    assert replay(config, result.events, [s.t for s in result.snapshots]) == [
+        (s.knowledge_percent, (s.captured_red, s.captured_green, s.captured_yellow,
+                               s.captured_blue), s.deliveries, s.forgets, s.rejects_full)
+        for s in result.snapshots]
 
 
 @settings(max_examples=8, deadline=None)

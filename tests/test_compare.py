@@ -1,10 +1,14 @@
-"""The statistics and the table of ``tools/compare.py``, on canned numbers;
-no benchmark run."""
+"""``tools/compare.py``: its statistics and table on canned numbers, and
+its ``main`` with the trees and their runs stubbed; no benchmark run."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
+
+from test_faults import assert_sigterm_cleans_up
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare.py"
 _SPEC = importlib.util.spec_from_file_location("compare", _PATH)
@@ -86,3 +90,78 @@ def test_seed_is_required_and_run_length_and_pairs_are_fixed():
         with pytest.raises(SystemExit):
             compare.parse_args(argv)
     assert compare.PAIRS == 10
+
+
+# --- main, with the trees and their runs stubbed ----------------------------------
+
+def _stub_main(monkeypatch, tmp_path, head_digest="d\n", correct=True, failed=0):
+    """Point ``REPO`` at ``tmp_path``, holding a copy of ``BENCHMARK.json``,
+    and stub the git calls, the tree copies and the runs: the base tree
+    prints the digest ``d``, HEAD ``head_digest``, and every bench round
+    reads ``correct`` with ``failed`` failed trials. Returns the list of
+    (tree, workload) of every bench round, in order."""
+    shutil.copy(_PATH.parent.parent / "BENCHMARK.json", tmp_path)
+    metrics = [m["name"] for m in json.loads((tmp_path / "BENCHMARK.json").read_text())
+               ["end_to_end"]]
+    monkeypatch.setattr(compare, "REPO", tmp_path)
+    monkeypatch.setattr(compare, "git", lambda *args: f"rev-{args[-1]}")
+    monkeypatch.setattr(compare, "extract", lambda rev, into: into.mkdir())
+    rounds = []
+
+    def run(tree, args):
+        if args[0] == "bench/digest.py":
+            return "d\n" if tree.name == "base" else head_digest
+        rounds.append((tree.name, args[args.index("--workload") + 1]))
+        result = {"correct": correct, "failed": failed, "attempted": 4,
+                  "metrics": {name: {"value": 1.0} for name in metrics}}
+        return "progress\n" + json.dumps(result) + "\n"
+
+    monkeypatch.setattr(compare, "run", run)
+    return rounds
+
+
+def test_main_alternates_the_sides_and_writes_ten_pairs_per_workload(monkeypatch, tmp_path):
+    rounds = _stub_main(monkeypatch, tmp_path)
+    assert compare.main(["--base", "B", "--seed", "3", "--label", "t"]) == 0
+    workloads = [w["name"] for w in
+                 json.loads((tmp_path / "BENCHMARK.json").read_text())["workloads"]]
+    # Odd pairs run the parent first, even pairs the change.
+    assert rounds == [(side, w) for w in workloads
+                      for _ in range(compare.PAIRS // 2)
+                      for side in ("base", "head", "head", "base")]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (record["parent_rev"], record["change_rev"]) == ("rev-B", "rev-HEAD")
+    assert list(record["workloads"]) == workloads
+    for data in record["workloads"].values():
+        assert (data["runs"], data["correct_runs"], data["failed_trials"]) == (20, 20, 0)
+        for summary in data["metrics"].values():
+            assert summary["pairs"] == compare.PAIRS
+            assert len(summary["parent"]["values"]) == len(summary["change"]["values"]) == 10
+
+
+def test_main_stops_on_a_digest_mismatch_before_any_pair(monkeypatch, tmp_path):
+    rounds = _stub_main(monkeypatch, tmp_path, head_digest="other\n")
+    assert compare.main(["--base", "B", "--seed", "3", "--label", "t"]) == 1
+    assert rounds == []
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_main_stops_on_a_round_not_correct_or_with_a_failed_trial(monkeypatch, tmp_path,
+                                                                  correct, failed):
+    rounds = _stub_main(monkeypatch, tmp_path, correct=correct, failed=failed)
+    with pytest.raises(SystemExit, match="base paper-sweep"):
+        compare.main(["--base", "B", "--seed", "3", "--label", "t"])
+    assert rounds == [("base", "paper-sweep")]
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_sigterm_ends_the_runs_and_removes_the_trees(tmp_path):
+    # The tree copies hold the sleeper as bench/digest.py, main's first run.
+    code = ("import shutil, sys, compare\n"
+            "def extract(rev, into):\n"
+            "    (into / 'bench').mkdir(parents=True)\n"
+            "    shutil.copy(sleeper, into / 'bench' / 'digest.py')\n"
+            "compare.extract, compare.git = extract, lambda *args: 'rev'\n"
+            "sys.exit(compare.main(['--base', 'B', '--seed', '1']))\n")
+    assert_sigterm_cleans_up(tmp_path, code, _PATH.parent)

@@ -1,7 +1,13 @@
 """The seeded-fault script (``tests/faults.py``) without its long runs: its
-table matches the working tree, and a run that does not end is bounded."""
+table matches the working tree, a run that does not end is bounded, and
+SIGTERM leaves no run or copy behind."""
 
+import os
+import signal
 import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +45,7 @@ def _stub(monkeypatch, base_times_out: bool) -> list:
 
     monkeypatch.setattr(faults, "extract", lambda into: into.mkdir())
     monkeypatch.setattr(faults, "apply", lambda fault, root: None)
-    monkeypatch.setattr(faults.subprocess, "run", run)
+    monkeypatch.setattr(faults, "run_child", run)
     return limits
 
 
@@ -60,3 +66,67 @@ def test_an_unchanged_copy_that_overruns_fails_the_script(monkeypatch, capsys):
     assert limits == [faults.BASE_LIMIT]
     out = capsys.readouterr().out
     assert f"the unchanged tree of HEAD fails:\n  timed out after {faults.BASE_LIMIT} s" in out
+
+
+# Stands in for a script's child: starts a grandchild, writes "PID
+# GRANDCHILD_PID" to the file named by $SLEEPER_PIDS, then sleeps.
+SLEEPER = """\
+import os, subprocess, sys, time
+grandchild = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+path = os.environ["SLEEPER_PIDS"]
+with open(path + ".part", "w") as f:
+    f.write(f"{os.getpid()} {grandchild.pid}")
+os.replace(path + ".part", path)
+time.sleep(60)
+"""
+
+
+def alive(pid: int) -> bool:
+    """Whether process ``pid`` runs; a zombie not yet reaped does not."""
+    try:
+        os.kill(pid, 0)
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+def assert_sigterm_cleans_up(tmp_path, code: str, pythonpath: Path) -> None:
+    """Run ``code`` in a subprocess, with ``pythonpath`` on its path and its
+    temporary directories under ``tmp_path``. ``code`` calls a script's
+    ``main`` with the child stubbed as :data:`SLEEPER`, whose script it
+    finds at ``sleeper``. Once the sleeper has written its PIDs, send
+    SIGTERM, and assert that the run exits non-zero within seconds, that no
+    recorded process is left alive and that the temporary directory is
+    gone."""
+    sleeper, pids, tmp = tmp_path / "sleeper.py", tmp_path / "pids", tmp_path / "tmp"
+    sleeper.write_text(SLEEPER)
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp), SLEEPER_PIDS=str(pids),
+               PYTHONPATH=os.pathsep.join([str(pythonpath), os.environ.get("PYTHONPATH", "")]))
+    code = f"sleeper = {str(sleeper)!r}\n" + code
+    with subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+        deadline = time.monotonic() + 60
+        while not pids.exists() and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pids.exists(), run.communicate(timeout=10)
+        run.send_signal(signal.SIGTERM)
+        _, err = run.communicate(timeout=10)
+    assert run.returncode != 0, err
+    recorded = [int(pid) for pid in pids.read_text().split()]
+    deadline = time.monotonic() + 5
+    while any(map(alive, recorded)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in recorded if alive(pid)]
+    for pid in left:  # so that a failure leaves no sleeper behind
+        os.kill(pid, signal.SIGKILL)
+    assert not left, left
+    assert list(tmp.iterdir()) == []
+
+
+def test_sigterm_ends_the_copies_runs_and_removes_the_copies(tmp_path):
+    code = ("import sys, faults\n"
+            "faults.extract = lambda into: into.mkdir()\n"
+            "faults.pytest_command = lambda: [sys.executable, sleeper]\n"
+            "sys.exit(faults.main())\n")
+    assert_sigterm_cleans_up(tmp_path, code, faults.REPO / "tests")

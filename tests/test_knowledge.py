@@ -21,7 +21,7 @@ from ephemera.metrics import snapshot
 from ephemera.protocol import _PAYLOADS, merge_payload
 from ephemera.rng import SplitMix64
 
-from stores import one_row_store
+from stores import one_row_store, row_state
 
 REJECT = CapacityPolicy.REJECT_WHEN_FULL
 EVICT = CapacityPolicy.EVICT_OLDEST
@@ -29,11 +29,6 @@ EVICT = CapacityPolicy.EVICT_OLDEST
 
 def m_store(capacity=None):
     return one_row_store(COLORS, capacity)
-
-
-def row_state(store):
-    """The store's row: its known mask and learned_at per color."""
-    return store.known_mask(), store.table.learned_at[store.row].tolist()
 
 
 def learned_count(store):
@@ -165,20 +160,6 @@ def test_store_views_the_table_it_is_given_and_rejects_a_row_outside_it():
     for table, row in ((Knowledge([], None, REJECT, 10), 0), (table, 2), (table, -1)):
         with pytest.raises(ValueError, match="row"):
             KnowledgeStore(table, row)
-
-
-@pytest.mark.parametrize("given", [dict(innate=(Color.RED,)), dict(innate=()), dict(capacity=1),
-                                   dict(innate=(Color.RED,), capacity=1)])
-def test_store_rejects_innate_or_capacity_given_with_a_table(given):
-    """A store reads its innate colors and learn settings from its table
-    alone: it takes no innate colors or capacity of its own."""
-    table = Knowledge([0b0001], 1, REJECT, 10)
-    with pytest.raises(TypeError):
-        KnowledgeStore(table, 0, **given)
-    store = KnowledgeStore(table, 0)
-    assert store.known_colors() == (Color.RED,)
-    assert store.learn(Color.GREEN, now=1).outcome is LearnOutcome.MERGED
-    assert store.learn(Color.BLUE, now=2).outcome is LearnOutcome.REJECTED_FULL
 
 
 class ModelStore:

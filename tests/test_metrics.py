@@ -14,6 +14,7 @@ from ephemera.metrics import (
     write_aggregate_csv,
     write_csv,
 )
+from ephemera.plot import PlotSeries, render_plot
 
 
 def snap(trial=0, t=0, know=10.0, cap=0, **kw):
@@ -73,9 +74,14 @@ def test_write_csv_lf_only_and_repeatable(tmp_path):
     assert data == path_b.read_bytes()
 
 
+def plot(series, path):
+    render_plot(series, "t", path)
+
+
 @pytest.mark.parametrize("write, rows", [
     (write_csv, [snap(t=0), snap(t=100)]),
     (write_aggregate_csv, aggregate_trials([[snap(t=0), snap(t=100)]])),
+    (plot, [PlotSeries("s", [0, 1], [0.0, 1.0])]),
 ])
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write, rows):
     def fail(src, dst):
@@ -87,15 +93,18 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write, rows):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("write, rows", [
-    (write_csv, [snap(t=0)]),
-    (write_aggregate_csv, aggregate_trials([[snap(t=0)]])),
+# The ids are pytest's own for the two CSV writers.
+@pytest.mark.parametrize("write, rows, lines", [
+    pytest.param(write_csv, [snap(t=0)], 2, id="write_csv-rows0"),
+    pytest.param(write_aggregate_csv, aggregate_trials([[snap(t=0)]]), 2,
+                 id="write_aggregate_csv-rows1"),
+    pytest.param(plot, [PlotSeries("s", [0, 1], [0.0, 1.0])], 30, id="plot-rows2"),
 ])
-def test_write_replaces_existing_file_whole(tmp_path, write, rows):
+def test_write_replaces_existing_file_whole(tmp_path, write, rows, lines):
     path = tmp_path / "out.csv"
-    path.write_text("stale contents that are longer than the new file\n" * 20)
+    path.write_text("stale contents that are longer than the new file\n" * 40)
     write(rows, path)
-    assert path.read_text().count("\n") == 2
+    assert path.read_text().count("\n") == lines
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 

@@ -12,7 +12,7 @@ from ephemera.knowledge import (COLORS_OF, CapacityPolicy, Knowledge, KnowledgeS
                                 LearnResult)
 from ephemera.protocol import ProtocolError, emit_query, merge_payload, resolve_and_deliver
 
-from stores import one_row_store
+from stores import one_row_store, row_state
 
 REJECT = CapacityPolicy.REJECT_WHEN_FULL
 EVICT = CapacityPolicy.EVICT_OLDEST
@@ -59,11 +59,6 @@ def resolve(pending, agents, dtype=np.int64, **kwargs):
     knowledge = agents[0].store.table
     assert all(a.store.table is knowledge and a.store.row == a.id for a in agents)
     return resolve_and_deliver(pending, knowledge, **kwargs, **positions(agents, dtype))
-
-
-def row_state(store):
-    """The store's row: its known mask and learned_at per color."""
-    return store.known_mask(), store.table.learned_at[store.row].tolist()
 
 
 # --- emit_query -----------------------------------------------------------------

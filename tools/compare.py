@@ -13,7 +13,9 @@ For each workload (by default every one in ``BENCHMARK.json``) it then runs
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
 as subprocesses, with T the ``run_seconds`` of ``BENCHMARK.json``, the base
-first in odd pairs and HEAD first in even ones.
+first in odd pairs and HEAD first in even ones. Each run is in a session of
+its own; when the script is stopped by SIGTERM, it kills that session's
+whole process group and removes its temporary directory before it exits.
 A run whose last JSON line does not read ``"correct": true`` with 0 failed
 trials stops the script. It writes ``BENCH_<label>.json`` at the root of
 the repository and prints a markdown table with one row per workload and
@@ -30,10 +32,12 @@ worse than the base median by more than its ``bound``, and then exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -143,13 +147,34 @@ def extract(rev: str, into: Path) -> None:
         shutil.rmtree(cache)
 
 
+@contextlib.contextmanager
+def sigterm_exits():
+    """Within the block SIGTERM raises SystemExit, so the ``with`` blocks
+    and ``finally`` clauses it unwinds run; the previous handler is restored
+    after it."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def run(tree: Path, args: list[str]) -> str:
+    """The output of ``python3 ARGS`` run in ``tree``; exits unless it exits
+    0. The child runs in a session of its own, whose whole process group
+    (``ephemera run --jobs 2`` and its workers too) is killed on the way
+    out, also on SystemExit from SIGTERM."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
-                          text=True)
-    if done.returncode:
-        sys.exit(f"{tree.name}: {' '.join(args)} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    return done.stdout
+    with subprocess.Popen([sys.executable, *args], cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
+        try:
+            out, err = child.communicate()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+    if child.returncode:
+        sys.exit(f"{tree.name}: {' '.join(args)} exited {child.returncode}:\n{err[-2000:]}")
+    return out
 
 
 def bench_round(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -192,7 +217,7 @@ def main(argv=None) -> int:
     names = args.workloads or [w["name"] for w in spec["workloads"]]
     base_rev, change_rev = git("rev-parse", args.base), git("rev-parse", "HEAD")
     workloads = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp, "base"), "change": Path(tmp, "head")}
         extract(base_rev, trees["parent"])
         extract(change_rev, trees["change"])
