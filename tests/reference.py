@@ -1,47 +1,26 @@
-"""Oracles written from the simulation contract alone, for the tests to
-check the program against: they read no table or array of the program.
-
-``replay`` is the event-log oracle of Eq. 1: group knowledge, and the
-capture and protocol counts, follow from the innate skills and the log.
-"""
-
-from typing import NamedTuple
+"""Oracles from the simulation contract alone, which read no table or array
+of the program: the innate skills and the event-log replay of Eq. 1."""
 
 from ephemera import events as ev
 from ephemera.bt import COLORS, Color
 
-# The innate colors of each robot letter, in the order of the config's
-# robot_counts.
 _INNATE = {"I": (), "M": COLORS, "R": (Color.RED,), "G": (Color.GREEN,),
            "Y": (Color.YELLOW,), "B": (Color.BLUE,)}
 
 
 def innate_sets(config):
-    """Each agent's innate colors, by ID: the robots of each letter in the
-    order I, M, R, G, Y, B of ``config.robot_counts``."""
+    """Each agent's innate colors, by ID: robots in the letter order IMRGYB
+    of ``config.robot_counts``."""
     return [set(_INNATE[letter])
             for letter, count in zip("IMRGYB", config.robot_counts) for _ in range(count)]
 
 
-class Replayed(NamedTuple):
-    """The state the log gives at one time: Eq. 1's percent, the captures
-    of red, green, yellow and blue, and the deliveries, forgets and
-    rejected deliveries so far."""
-
-    knowledge_percent: float
-    captures: tuple[int, int, int, int]
-    deliveries: int
-    forgets: int
-    rejects: int
-
-
 def replay(config, records, times):
-    """Replay the event ``records`` from the innate skills: a Delivery
-    teaches its agent the color, a Forget takes it away, a Capture counts
-    its color and a Reject counts. Returns one :class:`Replayed` per time of
-    the ascending ``times``, after every record at or before it. Asserts
-    that the records' times ascend, that a Delivery never teaches a color
-    the agent holds and that a Forget drops a held color."""
+    """Replay the event ``records`` from the innate skills. For each of the
+    ascending ``times``, after every record at or before it: (knowledge
+    percent, captures of red, green, yellow and blue, deliveries, forgets,
+    rejects). Asserts that the records' times ascend, that a Delivery never
+    teaches a held color and that a Forget drops a held color."""
     records = list(records)
     assert [r.t for r in records] == sorted(r.t for r in records)
     known = innate_sets(config)
@@ -62,7 +41,6 @@ def replay(config, records, times):
                 assert record.color in known[record.agent], record
                 known[record.agent].remove(record.color)
             i += 1
-        out.append(Replayed(sum(map(len, known)) * 100 / (len(known) * len(COLORS)),
-                            tuple(captures), counts[ev.DELIVERY], counts[ev.FORGET],
-                            counts[ev.REJECT]))
+        out.append((sum(map(len, known)) * 100 / (len(known) * len(COLORS)), tuple(captures),
+                    *counts.values()))
     return out

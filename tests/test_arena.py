@@ -948,13 +948,9 @@ def crowded_memory(policy):
 @example(config=dataclasses.replace(crowded_memory(CapacityPolicy.EVICT_OLDEST), max_iterations=14),
          trial=0)  # captures at t=11..14, after the last snapshot time
 def test_whole_trial_on_random_configs(config, trial):
-    """One trial, run by run_trial and stepped here on its own arena. Every
-    step conserves the targets, keeps the knowledge arrays coherent and the
-    trees equal to the stores, and moves each agent at most one cell on the
-    board. run_trial steps to the end of the trial, also past the last
-    snapshot time when the cap is off the snapshot grid, and logs the same
-    events; replaying them from the innate skills gives every snapshot's
-    knowledge, capture and protocol columns."""
+    """Each step keeps the invariants. run_trial ends where the stepped
+    arena does, also past an off-grid last snapshot, with the same log, whose
+    replay gives every snapshot's knowledge, capture and protocol columns."""
     result = run_trial(config, trial)
     arena = Arena(config, mix_seed(config.base_seed, trial))
     while not arena.finished:
