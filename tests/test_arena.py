@@ -819,7 +819,7 @@ def assert_steps_as_the_reference(batched, reference):
                  (RobotType.GREEN, 2, 1), (M, 5, 1)]), seed=0)
 def test_batched_collect_matches_the_per_agent_reference(board, seed):
     config, targets, agents = board
-    assert_steps_as_the_reference(ViewCheckingArena.from_layout(config, targets, agents, seed),
+    assert_steps_as_the_reference(Arena.from_layout(config, targets, agents, seed),
                                   PerAgentCollectArena.from_layout(config, targets, agents, seed))
 
 
@@ -853,6 +853,14 @@ def test_kept_view_equals_a_fresh_scan_every_step(make_config):
     assert arena.capture_total > 0 and arena.deliveries > 0
     assert min(expiries_and_evictions(arena.events)) > 0
     assert arena.kept > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(board=crowded_boards(), seed=st.integers(0, 2**16))
+def test_kept_view_equals_a_fresh_scan_on_crowded_boards(board, seed):
+    config, targets, agents = board
+    arena = ViewCheckingArena.from_layout(config, targets, agents, seed)
+    collect_all_steps(arena)
 
 
 def test_crowded_arena_holds_no_agents_by_targets_state(make_config):
@@ -942,17 +950,9 @@ def crowded_memory(policy):
 
 
 @settings(max_examples=80, deadline=None)
-@given(config=small_configs(), trial=st.integers(0, 1000))
-@example(config=crowded_memory(CapacityPolicy.EVICT_OLDEST), trial=0)
-@example(config=crowded_memory(CapacityPolicy.REJECT_WHEN_FULL), trial=0)
-@example(config=dataclasses.replace(crowded_memory(CapacityPolicy.EVICT_OLDEST), max_iterations=14),
-         trial=0)  # captures at t=11..14, after the last snapshot time
-def test_whole_trial_on_random_configs(config, trial):
-    """Each step keeps the invariants. run_trial ends where the stepped
-    arena does, also past an off-grid last snapshot, with the same log, whose
-    replay gives every snapshot's knowledge, capture and protocol columns."""
-    result = run_trial(config, trial)
-    arena = Arena(config, mix_seed(config.base_seed, trial))
+@given(config=small_configs(), seed=st.integers(0, (1 << 64) - 1))
+def test_step_invariants_on_random_configs(config, seed):
+    arena = Arena(config, seed)
     while not arena.finished:
         before = [agent.pos for agent in arena.agents]
         arena.step()
@@ -962,12 +962,35 @@ def test_whole_trial_on_random_configs(config, trial):
             assert known_colors(agent.tree) == agent.store.known_colors()
             assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height
             assert abs(agent.x - px) <= 1 and abs(agent.y - py) <= 1
-    assert result.end_t == arena.t
-    assert [r.line() for r in result.events] == arena.event_lines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs(), trial=st.integers(0, 1000))
+@example(config=crowded_memory(CapacityPolicy.EVICT_OLDEST), trial=0)
+@example(config=crowded_memory(CapacityPolicy.REJECT_WHEN_FULL), trial=0)
+def test_event_log_replay_reproduces_snapshots(config, trial):
+    """Replaying the event log from the innate skills gives every snapshot's
+    knowledge, capture and protocol columns."""
+    result = run_trial(config, trial)
     assert replay(config, result.events, [s.t for s in result.snapshots]) == [
         (s.knowledge_percent, (s.captured_red, s.captured_green, s.captured_yellow,
                                s.captured_blue), s.deliveries, s.forgets, s.rejects_full)
         for s in result.snapshots]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs(), trial=st.integers(0, 1000))
+@example(config=dataclasses.replace(crowded_memory(CapacityPolicy.EVICT_OLDEST), max_iterations=14),
+         trial=0)  # captures at t=11..14, after the last snapshot time
+def test_run_trial_ends_where_the_arena_does(config, trial):
+    """run_trial steps to the end of the trial, also past the last snapshot
+    time when the cap is off the snapshot grid."""
+    result = run_trial(config, trial)
+    arena = Arena(config, mix_seed(config.base_seed, trial))
+    while not arena.finished:
+        arena.step()
+    assert result.end_t == arena.t
+    assert [r.line() for r in result.events] == arena.event_lines()
 
 
 @settings(max_examples=8, deadline=None)
