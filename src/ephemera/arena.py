@@ -117,7 +117,7 @@ from . import events as ev
 from . import protocol
 from .bt import COLORS, Blackboard, Collect, Color, Query, Selector, assemble_agent_tree, tick
 from .bt import prune  # noqa: F401  (bench/tracing.py patches arena.prune)
-from .knowledge import COLORS_OF, Knowledge, KnowledgeStore
+from .knowledge import COLOR_BITS, COLORS_OF, Knowledge, KnowledgeStore
 from .rng import SplitMix64
 
 if TYPE_CHECKING:
@@ -163,9 +163,6 @@ _MOVE_DX, _MOVE_DY, _MOVE_COUNT = _moves_by_class()
 # nothing, so the move counts are checked here once.
 if not ((_MOVE_COUNT >= 1) & (_MOVE_COUNT <= 8)).all():
     raise RuntimeError(f"every edge class needs 1 to 8 moves: {_MOVE_COUNT.tolist()}")
-
-# Bit weight of each color, in COLORS order, in a seen mask.
-_COLOR_BITS = np.array((1, 2, 4, 8), np.uint8)
 
 
 class SetupError(ValueError):
@@ -284,9 +281,6 @@ class Arena:
             raise SetupError(
                 f"{total_targets} targets do not fit on a {width}x{height} grid"
             )
-        # The first draw of each cell places the next target on it (module
-        # docstring). Every target left takes at least one more draw, so a
-        # batch of that many never draws past the last placing draw.
         placed: dict[int, None] = {}
         while len(placed) < total_targets:
             batch = self.rng.below_many(np.full(total_targets - len(placed), cells))
@@ -345,27 +339,20 @@ class Arena:
         x and y of each target ID, color-major) and each agent's type (its
         index in ROBOT_ORDER), x and y."""
         n_targets = len(cat_color)
-        # Positions and distances use the narrowest signed dtype that holds
-        # the largest difference: 2 * span + 1, from an agent to a captured
-        # target's or a filler's off-board sensing x. That is int8 up to 64
-        # cells on a side and int16 up to 16384. Every on-board distance is
-        # at most span, so a larger radius sees the same as span does. At
-        # the int8 limit (span 63): positions lie in [0, 63], a sensing x in
-        # [-64, 63], so every difference in [-63, 127]; the Python integers
-        # that meet these arrays, the radius (at most span), -(span + 1) and
-        # 2 * span + 1, fit too, so neither NEP 50 promotion nor numpy 1.x
-        # value-based casting can wrap or raise.
+        # Every on-board distance is at most span, so a larger radius sees
+        # the same as span does. At the int8 limit (span 63): positions lie
+        # in [0, 63], a sensing x in [-64, 63], so every difference in
+        # [-63, 127]; the Python integers that meet these arrays, the radius
+        # (at most span), -(span + 1) and 2 * span + 1, fit too, so neither
+        # NEP 50 promotion nor numpy 1.x value-based casting can wrap or
+        # raise.
         span = max(self.width, self.height) - 1
-        # A captured target's or a filler's sensing x, and the largest
-        # difference, which a target captured in this step reads in the
-        # step's sense matrix.
         self._off_x, self._far = -(span + 1), 2 * span + 1
         dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                      if self._far <= np.iinfo(t).max)
         self._radius = min(self.config.sense_radius, span)
-        # Four color slots of one width (module docstring): a target's column
-        # is its ID plus the fillers of the slots before its color's, so with
-        # equal color counts it is the ID itself.
+        # A target's column is its ID plus the fillers of the slots before
+        # its color's.
         counts = np.bincount(cat_color, minlength=4)
         self._slot = slot = max(int(counts.max()), 1)
         self._slot_starts = np.arange(4) * slot
@@ -444,21 +431,11 @@ class Arena:
     # --- sensing -------------------------------------------------------------
 
     def _sense_all(self) -> tuple[np.ndarray, slice | np.ndarray, np.ndarray]:
-        """Bring every agent's view up to date: ``_near``, the agents x 4
-        distances to the nearest live target of each color (beyond span for
-        a color with no live target: its slot holds only captured targets
-        and fillers).
-
-        Senses every agent not parked, after un-parking each parked agent
-        for which a target captured since the last sense lay at its kept
-        nearest distance of that color (module docstring). Returns the
-        sensed rows x columns distance matrix, this step's own, which
-        :meth:`_execute_intent` reads: its columns are the four color slots,
-        and a captured target or a filler reads its off-board distance.
-        Also returns the sensed agent IDs, a full slice when every agent
-        was sensed, else their ascending array; and every agent's seen mask,
-        the colors with a target within the sense radius.
-        """
+        """Bring ``_near``, every agent's view, up to date (module
+        docstring). Returns this step's sense matrix, the sensed rows x
+        columns distances, which :meth:`_execute_intent` reads; the sensed
+        agent IDs, a full slice when every agent was sensed, else their
+        ascending array; and every agent's seen mask."""
         parked, captured = self._parked, self._captured
         rows = (~parked).nonzero()[0]
         if len(rows) < len(parked) and captured:
@@ -483,7 +460,7 @@ class Arena:
             np.minimum.reduceat(dist, self._slot_starts, axis=1, out=self._near)
         else:
             self._near[rows] = np.minimum.reduceat(dist, self._slot_starts, axis=1)
-        seen = (self._near <= self._radius).view(np.uint8) @ _COLOR_BITS
+        seen = (self._near <= self._radius).view(np.uint8) @ COLOR_BITS
         return dist, rows, seen
 
     # --- stepping -------------------------------------------------------------
@@ -558,15 +535,11 @@ class Arena:
         """Collect, for the agents ``rows`` (ascending IDs) with the intents
         ``colors``, from this step's sense pass (``dist`` and ``sensed`` as
         :meth:`_sense_all` returns them; an agent that was not sensed raises
-        RuntimeError): each takes the nearest live target of its color (ties
-        to the lowest ID) if it lies under it, the lowest ID winning a
-        contested target, or steps toward it. One argmin over each agent's
-        slot of its color in ``dist`` finds every agent's target column; it
-        is a live target on the board, since the agent sees the color, and
-        never a filler, which lies off the board. Only an agent whose target
-        a lower ID took searches its slot again, in which every target
-        captured in this step reads the off-board distance, and never finds
-        a target under it: no two targets share a cell."""
+        RuntimeError): each takes its target (module docstring) if it lies
+        under it, or steps toward it. The first search finds a live target,
+        since the agent sees the color, and never a filler, which lies off
+        the board; a search again never finds a target under the agent, as
+        no two targets share a cell."""
         at = rows  # each agent's row of dist
         if not isinstance(sensed, slice):
             at = np.searchsorted(sensed, rows)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from itertools import groupby
 from typing import Any, Iterable, Union
 
 
@@ -208,75 +209,55 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class _Parser:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_spaces(self) -> None:
-        text = self.text
-        while self.pos < len(text) and text[self.pos] == " ":
-            self.pos += 1
-
-    def read_word(self) -> tuple[str, int]:
-        self.skip_spaces()
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and text[self.pos].isalpha():
-            self.pos += 1
-        return text[start:self.pos], start
-
-    def expect(self, char: str, reason: str) -> None:
-        self.skip_spaces()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            raise ParseError(reason, self.pos)
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_spaces()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_node(self) -> BTNode:
-        word, start = self.read_word()
-        if word not in _GRAMMAR:
-            raise ParseError("unknown token", start)
-        node_type, leaves = _GRAMMAR[word]
-        self.expect("(", "unbalanced parentheses")
-        if issubclass(node_type, _Composite):
-            if self.peek() == ")":
-                raise ParseError("empty child list", self.pos)
-            children = [self.parse_node()]
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.parse_node())
-            node = node_type(tuple(children))
-        else:
-            name, start = self.read_word()
-            leaf = leaves.get(name)
-            if leaf is None:
-                raise ParseError("unknown token", start)
-            if fields(leaf):
-                self.expect(":", f"expected ':' after {name}")
-                label, start = self.read_word()
-                if label not in _COLOR_BY_LABEL:
-                    raise ParseError("unknown color name", start)
-                node = node_type(leaf(_COLOR_BY_LABEL[label]))
-            else:
-                node = node_type(leaf())
-        self.expect(")", "unbalanced parentheses")
-        return node
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """The (token, offset) pairs of ``text``: each maximal run of
+    ``str.isalpha`` letters, and each other character but an ASCII space,
+    then ``("", len(text))`` for the end."""
+    tokens, offset = [], 0
+    for letters, run in groupby(text, str.isalpha):
+        run = "".join(run)
+        for token in (run,) if letters else run:
+            if token != " ":
+                tokens.append((token, offset))
+            offset += len(token)
+    return tokens + [("", len(text))]
 
 
 def parse(text: str) -> BTNode:
     """Parse the grammar above; raises ParseError with a byte offset."""
-    parser = _Parser(text)
-    node = parser.parse_node()
-    parser.skip_spaces()
-    if parser.pos != len(text):
-        raise ParseError("trailing garbage", parser.pos)
-    return node
+    tokens = _tokens(text)[::-1]  # pop() takes the next token
+
+    def take(allowed, reason: str) -> str:
+        token, offset = tokens.pop()
+        if token not in allowed:
+            raise ParseError(reason, offset)
+        return token
+
+    def node() -> BTNode:
+        node_type, leaves = _GRAMMAR[take(_GRAMMAR, "unknown token")]
+        take(("(",), "unbalanced parentheses")
+        if issubclass(node_type, _Composite):
+            if tokens[-1][0] == ")":
+                raise ParseError("empty child list", tokens[-1][1])
+            children = [node()]
+            while take((",", ")"), "unbalanced parentheses") == ",":
+                children.append(node())
+            return node_type(tuple(children))
+        name = take(leaves, "unknown token")
+        leaf = leaves[name]
+        if fields(leaf):
+            take((":",), f"expected ':' after {name}")
+            leaf = leaf(_COLOR_BY_LABEL[take(_COLOR_BY_LABEL, "unknown color name")])
+        else:
+            leaf = leaf()
+        take((")",), "unbalanced parentheses")
+        return node_type(leaf)
+
+    root = node()
+    token, offset = tokens.pop()
+    if token:
+        raise ParseError("trailing garbage", offset)
+    return root
 
 
 # --- canonical agent trees --------------------------------------------------
@@ -302,27 +283,15 @@ class CanonicalTreeError(ValueError):
     """The tree does not have the canonical agent-tree shape."""
 
 
-def _skill_color(node: BTNode) -> Color | None:
-    """The color ``c`` with ``node == make_knowledge_subtree(c)``, or None."""
-    return next((c for c in COLORS if node == make_knowledge_subtree(c)), None)
-
-
 def known_colors(root: BTNode) -> tuple[Color, ...]:
-    """Colors of the skill subtrees of a canonical agent tree, in order."""
-    if type(root) is not Selector or len(root.children) < 2:
-        raise CanonicalTreeError("root must be a selector ending in query and explore branches")
-    *skills, query_branch, explore_leaf = root.children
-    if query_branch != _QUERY_BRANCH or explore_leaf != _EXPLORE_LEAF:
-        raise CanonicalTreeError("missing canonical query/explore tail")
-    colors: list[Color] = []
-    for node in skills:
-        color = _skill_color(node)
-        if color is None:
-            raise CanonicalTreeError(f"not a skill subtree: {serialize(node)}")
-        colors.append(color)
-    if colors != sorted(set(colors)):
-        raise CanonicalTreeError("skill subtrees out of canonical color order")
-    return tuple(colors)
+    """Colors of the skill subtrees of a canonical agent tree, in order.
+    There is one canonical tree per color set, so ``root`` is canonical
+    when it equals the tree of the colors whose skill subtrees it holds."""
+    children = root.children if type(root) is Selector else ()
+    colors = tuple(c for c in COLORS if make_knowledge_subtree(c) in children)
+    if root != assemble_agent_tree(colors):
+        raise CanonicalTreeError("not the canonical agent tree of its skill subtrees")
+    return colors
 
 
 def graft(root: BTNode, color: Color) -> Selector:

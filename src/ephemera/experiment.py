@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
@@ -122,18 +122,15 @@ def get_scenario(name: str) -> ScenarioConfig:
     raise KeyError(f"unknown scenario {name!r} (builtin: {known})")
 
 
-def _int_pair(value: str) -> tuple[int, int]:
-    parts = value.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers")
-    return (int(parts[0]), int(parts[1]))
-
-
-def _robot_tuple(value: str) -> tuple[int, ...]:
-    parts = value.split(",")
-    if len(parts) != 6:
-        raise ValueError("expected six comma-separated counts (I,M,R,G,Y,B)")
-    return tuple(int(p) for p in parts)
+def _ints(count: int, expected: str):
+    """The parser of ``count`` comma-separated integers, which names what
+    it ``expected`` when it gets another count."""
+    def parse(value: str) -> tuple[int, ...]:
+        parts = value.split(",")
+        if len(parts) != count:
+            raise ValueError(f"expected {expected}")
+        return tuple(map(int, parts))
+    return parse
 
 
 def _bool(value: str) -> bool:
@@ -148,26 +145,19 @@ def _memory_size(value: str) -> Optional[int]:
     return None if value == "unlimited" else int(value)
 
 
-_PARSERS = {
-    "name": ("name", str),
-    "grid": ("grid", _int_pair),
-    "targets_per_color": ("targets_per_color", int),
-    "robots": ("robot_counts", _robot_tuple),
-    "memory_duration": ("memory_duration", int),
-    "memory_size": ("memory_size", _memory_size),
-    "capacity_policy": ("capacity_policy", CapacityPolicy),
-    "learning_enabled": ("learning_enabled", _bool),
-    "max_iterations": ("max_iterations", int),
-    "sense_radius": ("sense_radius", int),
-    "comm_radius": ("comm_radius", int),
-    "query_cooldown": ("query_cooldown", int),
-    "snapshot_interval": ("snapshot_interval", int),
-    "trials": ("trials", int),
-    "base_seed": ("base_seed", int),
+# The config-file key of a field, where it is not the field's name, and the
+# parser of each field not read with int.
+_KEY_OF = {"robot_counts": "robots"}
+_CONVERT = {
+    "name": str,
+    "grid": _ints(2, "two comma-separated integers"),
+    "robot_counts": _ints(6, "six comma-separated counts (I,M,R,G,Y,B)"),
+    "memory_size": _memory_size,
+    "capacity_policy": CapacityPolicy,
+    "learning_enabled": _bool,
 }
-
-# config-file key for each field, for error reporting
-_FIELD_TO_KEY = {field: key for key, (field, _) in _PARSERS.items()}
+_PARSERS = {_KEY_OF.get(f.name, f.name): (f.name, _CONVERT.get(f.name, int))
+            for f in fields(ScenarioConfig)}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -203,7 +193,7 @@ def load_config(path) -> ScenarioConfig:
     try:
         return ScenarioConfig(**kwargs)
     except ConfigError as exc:
-        key = _FIELD_TO_KEY.get(exc.field or "", exc.field)
+        key = _KEY_OF.get(exc.field, exc.field)
         lineno = key_lines.get(key or "")
         where = f"{path}:{lineno}" if lineno else str(path)
         raise ConfigError(f"{where}: {exc}", exc.field) from None

@@ -22,9 +22,13 @@ from .bt import COLORS, Color
 
 NEVER = np.iinfo(np.int64).max  # learned_at of an absent or innate color
 
-# Number of colors, and the colors in canonical order, of each 4-bit mask.
+# Bit c of a 4-bit mask is color c. Each mask's number of colors, its
+# colors in canonical order, and its bits as a 16 x 4 table; and each
+# color's bit weight, in COLORS order.
 POPCOUNT = np.array([mask.bit_count() for mask in range(16)], np.int64)
 COLORS_OF = tuple(tuple(c for c in COLORS if mask >> c & 1) for mask in range(16))
+MASK_BITS = np.array([[mask >> c & 1 for c in COLORS] for mask in range(16)], bool)
+COLOR_BITS = np.array([1 << c for c in COLORS], np.uint8)
 
 
 class CapacityPolicy(Enum):

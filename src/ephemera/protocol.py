@@ -34,15 +34,13 @@ import numpy as np
 from . import events as ev
 from .bt import COLORS, Color, ParseError, make_knowledge_subtree, parse, serialize
 from .bt import graft, prune  # noqa: F401  (bench/tracing.py patches protocol.graft/prune)
-from .knowledge import Knowledge, LearnOutcome
+from .knowledge import MASK_BITS, Knowledge, LearnOutcome
 
 
 # Bound on comm_radius in the numpy search, above any grid distance.
 _MAX_REACH = 1 << 62
 # Distance given to the colors a querier knows or does not see.
 _NOT_ASKED = np.int64(np.iinfo(np.int64).max)
-# Bit c of every 4-bit mask, as a 16 x 4 table.
-_MASK_BITS = np.array([[mask >> c & 1 for c in COLORS] for mask in range(16)], bool)
 
 
 class ProtocolError(RuntimeError):
@@ -72,7 +70,7 @@ def query_colors(unknown: np.ndarray, nearest_d: np.ndarray) -> np.ndarray:
     ``unknown`` holds one 4-bit mask per querier (bit c for color c, never
     0) and ``nearest_d`` one row per querier of the distance to the nearest
     target of each color."""
-    return np.where(_MASK_BITS[unknown], nearest_d, _NOT_ASKED).argmin(axis=1)
+    return np.where(MASK_BITS[unknown], nearest_d, _NOT_ASKED).argmin(axis=1)
 
 
 def emit_query(agent, nearest_d, seen: int, now: int,
@@ -140,7 +138,7 @@ def _nearest_knowers(xs, ys, known, queriers, colors, lapse):
         return np.full(len(queriers), lapse), queriers
     dist = np.maximum(np.abs(xs[knowers] - xs[queriers][:, None]),
                       np.abs(ys[knowers] - ys[queriers][:, None]))
-    can_answer = _MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
+    can_answer = MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
     reach = np.where(can_answer, dist, np.int64(lapse))
     return reach.min(axis=1), knowers[reach.argmin(axis=1)]  # first minimum = lowest ID
 

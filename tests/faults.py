@@ -29,9 +29,7 @@ the suite.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -40,9 +38,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
+from copies import extract, run_child, sigterm_exits  # noqa: E402
+
 ARENA = "src/ephemera/arena.py"
 PROTOCOL = "src/ephemera/protocol.py"
 KNOWLEDGE = "src/ephemera/knowledge.py"
+BT = "src/ephemera/bt.py"
+EXPERIMENT = "src/ephemera/experiment.py"
 # The unchanged copy's time limit, and the least limit of a faulted copy,
 # in seconds.
 BASE_LIMIT = 1800
@@ -143,15 +146,19 @@ FAULTS = (
           "kinds = [record.kind for record in self.events[mark:]]",
           "kinds = [record.kind for record in self.events[mark:]] if len(delivered) > 1 else []",
           "a step that answers one query does not count its delivery or rejection"),
+    Fault("tokenizer-skips-tabs", BT,
+          'if token != " ":',
+          'if token not in " \\t":',
+          "parse skips a tab between tokens, which the grammar does not allow"),
+    Fault("known-colors-without-shape-check", BT,
+          "if root != assemble_agent_tree(colors):",
+          "if False:",
+          "a tree that is not canonical passes as the tree of its skill subtrees"),
+    Fault("learning-enabled-read-as-int", EXPERIMENT,
+          '    "learning_enabled": _bool,\n',
+          "",
+          "a config file's learning_enabled=true or false is rejected as a bad value"),
 )
-
-
-def extract(into: Path) -> None:
-    """Write the tree of ``HEAD`` into the directory ``into``."""
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", "HEAD"], check=True,
-                             capture_output=True).stdout
-    into.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
 def apply(fault: Fault, root: Path) -> None:
@@ -173,34 +180,6 @@ def pytest_command() -> list[str]:
             "--ignore=tests/test_faults.py"]
 
 
-@contextlib.contextmanager
-def sigterm_exits():
-    """Within the block SIGTERM raises SystemExit, so the ``with`` blocks
-    and ``finally`` clauses it unwinds run; the previous handler is restored
-    after it."""
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-def run_child(args: list[str], timeout: float | None = None,
-              **popen) -> subprocess.CompletedProcess:
-    """``subprocess.run(args, capture_output=True, timeout=timeout)`` with
-    the child in a session of its own, whose whole process group (pytest's
-    pool workers and ``python -O`` subprocesses too) is killed on the way
-    out: on return, on a timeout, or on SystemExit from SIGTERM."""
-    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          start_new_session=True, **popen) as child:
-        try:
-            out, err = child.communicate(timeout=timeout)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(child.pid, signal.SIGKILL)
-    return subprocess.CompletedProcess(args, child.returncode, out, err)
-
-
 def failing_tests(root: Path, limit: float) -> list[str]:
     """The tests of the quick suite that fail or error in the copy ``root``,
     or the one line ``timed out after N s`` if the run takes more than
@@ -220,7 +199,7 @@ def failing_tests(root: Path, limit: float) -> list[str]:
 def main() -> int:
     with sigterm_exits(), tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp, "base")
-        extract(base)
+        extract("HEAD", base)
         start = time.monotonic()
         failed = failing_tests(base, BASE_LIMIT)
         if failed:
@@ -230,7 +209,7 @@ def main() -> int:
         missed = []
         for i, fault in enumerate(FAULTS):
             root = Path(tmp, str(i))
-            extract(root)
+            extract("HEAD", root)
             apply(fault, root)
             caught = failing_tests(root, limit)
             print(f"{fault.name} ({fault.path}): {fault.why}")

@@ -86,6 +86,11 @@ def test_parse_tolerates_interior_spaces():
         ("cond(Nope)", "unknown token", 5),
         ("act(Collect)", "expected ':' after Collect", 11),
         ("", "unknown token", 0),
+        # Only ASCII spaces are skipped, and only str.isalpha() letters make
+        # a word: a tab is a token, and ² and ½ end the word before them.
+        ("act(\tExplore)", "unknown token", 4),
+        ("act(Explore²)", "unbalanced parentheses", 11),
+        ("cond(SeeTarget:Red½)", "unbalanced parentheses", 18),
     ],
 )
 def test_parse_errors_carry_byte_offsets(text, reason, offset):

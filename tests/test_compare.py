@@ -1,19 +1,18 @@
 """``tools/compare.py``: its statistics and table on canned numbers, and
 its ``main`` with the trees and their runs stubbed; no benchmark run."""
 
-import importlib.util
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from test_faults import assert_sigterm_cleans_up
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare.py"
-_SPEC = importlib.util.spec_from_file_location("compare", _PATH)
-compare = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare)
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))
+import compare  # noqa: E402
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 RATE = {"name": "agent_steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
@@ -100,7 +99,7 @@ def _stub_main(monkeypatch, tmp_path, head_digest="d\n", correct=True, failed=0)
     prints the digest ``d``, HEAD ``head_digest``, and every bench round
     reads ``correct`` with ``failed`` failed trials. Returns the list of
     (tree, workload) of every bench round, in order."""
-    shutil.copy(_PATH.parent.parent / "BENCHMARK.json", tmp_path)
+    shutil.copy(TOOLS.parent / "BENCHMARK.json", tmp_path)
     metrics = [m["name"] for m in json.loads((tmp_path / "BENCHMARK.json").read_text())
                ["end_to_end"]]
     monkeypatch.setattr(compare, "REPO", tmp_path)
@@ -164,4 +163,4 @@ def test_sigterm_ends_the_runs_and_removes_the_trees(tmp_path):
             "    shutil.copy(sleeper, into / 'bench' / 'digest.py')\n"
             "compare.extract, compare.git = extract, lambda *args: 'rev'\n"
             "sys.exit(compare.main(['--base', 'B', '--seed', '1']))\n")
-    assert_sigterm_cleans_up(tmp_path, code, _PATH.parent)
+    assert_sigterm_cleans_up(tmp_path, code, TOOLS)

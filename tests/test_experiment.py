@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -71,6 +72,27 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.snapshot_interval == 100
     assert cfg.trials == 10
     assert cfg.base_seed == 42
+
+
+def test_a_file_that_sets_every_key_sets_every_field(tmp_path):
+    # Every field off its default and every int distinct, so a key read into
+    # the wrong field or with the wrong parser changes the config.
+    expected = ScenarioConfig(
+        name="every", grid=(30, 20), targets_per_color=7, robot_counts=(1, 2, 3, 4, 5, 6),
+        memory_duration=300, memory_size=2, capacity_policy=CapacityPolicy.EVICT_OLDEST,
+        learning_enabled=False, max_iterations=400, sense_radius=3, comm_radius=4,
+        query_cooldown=9, snapshot_interval=50, trials=2, base_seed=11,
+    )
+    default = ScenarioConfig(name="scenario")
+    assert all(getattr(expected, f.name) != getattr(default, f.name)
+               for f in fields(ScenarioConfig))
+    lines = ["name=every", "grid=30,20", "targets_per_color=7", "robots=1,2,3,4,5,6",
+             "memory_duration=300", "memory_size=2", "capacity_policy=evict_oldest",
+             "learning_enabled=false", "max_iterations=400", "sense_radius=3",
+             "comm_radius=4", "query_cooldown=9", "snapshot_interval=50", "trials=2",
+             "base_seed=11"]
+    assert len(lines) == len(fields(ScenarioConfig))
+    assert load_config(write(tmp_path, "\n".join(lines) + "\n")) == expected
 
 
 def test_name_defaults_to_file_stem(tmp_path):

@@ -43,7 +43,7 @@ def _stub(monkeypatch, base_times_out: bool) -> list:
             raise subprocess.TimeoutExpired(command, timeout)
         return subprocess.CompletedProcess(command, 0, stdout="", stderr="")
 
-    monkeypatch.setattr(faults, "extract", lambda into: into.mkdir())
+    monkeypatch.setattr(faults, "extract", lambda rev, into: into.mkdir())
     monkeypatch.setattr(faults, "apply", lambda fault, root: None)
     monkeypatch.setattr(faults, "run_child", run)
     return limits
@@ -126,7 +126,7 @@ def assert_sigterm_cleans_up(tmp_path, code: str, pythonpath: Path) -> None:
 
 def test_sigterm_ends_the_copies_runs_and_removes_the_copies(tmp_path):
     code = ("import sys, faults\n"
-            "faults.extract = lambda into: into.mkdir()\n"
+            "faults.extract = lambda rev, into: into.mkdir()\n"
             "faults.pytest_command = lambda: [sys.executable, sleeper]\n"
             "sys.exit(faults.main())\n")
     assert_sigterm_cleans_up(tmp_path, code, faults.REPO / "tests")

@@ -4,11 +4,11 @@ usage: python3 tools/compare.py --base REV --seed S [--label L] [--workloads W .
 
 Run from anywhere inside the repository; commit the change first, since
 HEAD is what is measured. The script extracts ``git archive`` copies of REV
-and of HEAD into a temporary directory, with no ``__pycache__`` and with
-``PYTHONDONTWRITEBYTECODE=1``, so each run compiles its sources afresh. It
-fails unless both copies print the same ``bench/digest.py --seed S`` lines.
-For each workload (by default every one in ``BENCHMARK.json``) it then runs
-10 pairs of each tree's own
+and of HEAD into a temporary directory (tracked files only, so no
+``__pycache__``) and runs them with ``PYTHONDONTWRITEBYTECODE=1``, so each
+run compiles its sources afresh. It fails unless both copies print the
+same ``bench/digest.py --seed S`` lines. For each workload (by default
+every one in ``BENCHMARK.json``) it then runs 10 pairs of each tree's own
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -32,18 +32,17 @@ worse than the base median by more than its ``bound``, and then exits 1.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
-import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from copies import extract, run_child, sigterm_exits
 
 REPO = Path(__file__).resolve().parent.parent
 PAIRS = 10
@@ -137,44 +136,15 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def extract(rev: str, into: Path) -> None:
-    """Write the tree of ``rev`` into ``into``, without ``__pycache__``."""
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True,
-                             capture_output=True).stdout
-    into.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    for cache in list(into.rglob("__pycache__")):
-        shutil.rmtree(cache)
-
-
-@contextlib.contextmanager
-def sigterm_exits():
-    """Within the block SIGTERM raises SystemExit, so the ``with`` blocks
-    and ``finally`` clauses it unwinds run; the previous handler is restored
-    after it."""
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
 def run(tree: Path, args: list[str]) -> str:
-    """The output of ``python3 ARGS`` run in ``tree``; exits unless it exits
-    0. The child runs in a session of its own, whose whole process group
-    (``ephemera run --jobs 2`` and its workers too) is killed on the way
-    out, also on SystemExit from SIGTERM."""
+    """The output of ``python3 ARGS`` run in ``tree``, in a session of its
+    own (:func:`copies.run_child`); exits unless it exits 0."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    with subprocess.Popen([sys.executable, *args], cwd=tree, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
-        try:
-            out, err = child.communicate()
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(child.pid, signal.SIGKILL)
+    child = run_child([sys.executable, *args], cwd=tree, env=env, text=True)
     if child.returncode:
-        sys.exit(f"{tree.name}: {' '.join(args)} exited {child.returncode}:\n{err[-2000:]}")
-    return out
+        sys.exit(f"{tree.name}: {' '.join(args)} exited {child.returncode}:\n"
+                 f"{child.stderr[-2000:]}")
+    return child.stdout
 
 
 def bench_round(tree: Path, workload: str, seed: int, seconds: float) -> dict:
