@@ -573,7 +573,8 @@ class Arena:
         ID: one from every agent in the Query intent (the mask ``querying``)
         whose cooldown has run out, which restarts it. The color follows
         :func:`protocol.query_colors`; a Query intent always sees a color
-        its agent does not know (``INTENT_TABLE``)."""
+        its agent does not know (``INTENT_TABLE``), so the rows are what
+        :func:`protocol.resolve_and_deliver` accepts."""
         now = self.t
         askers = (querying & (self._cooldown <= now)).nonzero()[0]
         if not askers.size:

@@ -36,6 +36,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+# Per ``plot --metric``: the aggregate column drawn, the title and the y label.
+_PLOTS = {
+    "knowledge": ("mean_knowledge", "Mean group knowledge over time", "knowledge (%)"),
+    "targets": ("mean_captured", "Mean targets captured over time", "targets captured"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ephemera",
@@ -57,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for trials (default 1; output is identical)")
 
     plot_p = sub.add_parser("plot", help="draw one polyline per aggregate CSV into an SVG")
-    plot_p.add_argument("--metric", choices=("knowledge", "targets"), default="knowledge")
+    plot_p.add_argument("--metric", choices=_PLOTS, default="knowledge")
     plot_p.add_argument("--out", metavar="FILE", required=True, help="output SVG path")
     plot_p.add_argument("csvs", nargs="+", metavar="CSV", help="aggregate CSV files")
     return parser
@@ -126,19 +133,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    column, title, y_label = _PLOTS[args.metric]
     series = []
     for csv_path in args.csvs:
         rows = metrics.read_aggregate_csv(csv_path)
-        xs = [row.t for row in rows]
-        if args.metric == "knowledge":
-            ys = [row.mean_knowledge for row in rows]
-        else:
-            ys = [row.mean_captured for row in rows]
-        series.append(PlotSeries(Path(csv_path).stem, xs, ys))
-    if args.metric == "knowledge":
-        title, y_label = "Mean group knowledge over time", "knowledge (%)"
-    else:
-        title, y_label = "Mean targets captured over time", "targets captured"
+        series.append(PlotSeries(Path(csv_path).stem, [row.t for row in rows],
+                                 [getattr(row, column) for row in rows]))
     render_plot(series, title, args.out, x_label="iteration", y_label=y_label)
     print(f"wrote {args.out}")
     return 0

@@ -71,8 +71,8 @@ def _validate(cfg: ScenarioConfig) -> None:
              "grid needs two positive dimensions", "grid")
     _require(cfg.targets_per_color >= 0, "targets_per_color must be >= 0", "targets_per_color")
     _require(len(cfg.robot_counts) == 6 and all(c >= 0 for c in cfg.robot_counts),
-             "robots needs six non-negative counts", "robots")
-    _require(sum(cfg.robot_counts) >= 1, "at least one robot is required", "robots")
+             "robots needs six non-negative counts", "robot_counts")
+    _require(sum(cfg.robot_counts) >= 1, "at least one robot is required", "robot_counts")
     _require(cfg.memory_duration >= 1, "memory_duration must be >= 1", "memory_duration")
     _require(cfg.memory_size is None or 1 <= cfg.memory_size <= 4,
              "memory_size must be unlimited or 1..4", "memory_size")

@@ -1,11 +1,12 @@
 """Group-knowledge percentage, per-interval snapshots, CSV emission, and
 cross-trial aggregation.
 
-Per-trial CSV schema (LF line endings, knowledge at 4 decimal places)::
+Both CSVs have LF line endings and one row's fields per line, in
+declaration order, the float ones at 4 decimal places. Per-trial schema::
 
     trial,t,knowledge_pct,cap_total,cap_r,cap_g,cap_y,cap_b,queries,deliveries,forgets,rejects
 
-Aggregate CSV schema::
+Aggregate schema::
 
     t,mean_knowledge_pct,min,max,mean_cap_total,min,max
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -39,14 +40,6 @@ class MetricsSnapshot:
     deliveries: int
     forgets: int  # expiry sweeps plus capacity evictions
     rejects_full: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.trial},{self.t},{self.knowledge_percent:.4f},"
-            f"{self.captured_total},{self.captured_red},{self.captured_green},"
-            f"{self.captured_yellow},{self.captured_blue},"
-            f"{self.queries_sent},{self.deliveries},{self.forgets},{self.rejects_full}"
-        )
 
 
 def snapshot(arena, trial: int, t: int) -> MetricsSnapshot:
@@ -89,8 +82,15 @@ def _write_lines(path, lines: Sequence[str], encoding: str = "ascii") -> None:
         raise
 
 
+def _csv_line(row) -> str:
+    """The CSV line of a snapshot or an aggregate row: its fields in
+    declaration order, the float ones at 4 decimal places."""
+    return ",".join(format(getattr(row, f.name), ".4f" if f.type == "float" else "")
+                    for f in fields(row))
+
+
 def write_csv(snapshots: Sequence[MetricsSnapshot], path) -> None:
-    _write_lines(path, [CSV_HEADER, *(s.csv_row() for s in snapshots)])
+    _write_lines(path, [CSV_HEADER, *map(_csv_line, snapshots)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +102,6 @@ class AggregateRow:
     mean_captured: float
     min_captured: int
     max_captured: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.t},{self.mean_knowledge:.4f},{self.min_knowledge:.4f},"
-            f"{self.max_knowledge:.4f},{self.mean_captured:.4f},"
-            f"{self.min_captured},{self.max_captured}"
-        )
 
 
 def aggregate_trials(per_trial: Sequence[Sequence[MetricsSnapshot]]) -> list[AggregateRow]:
@@ -145,7 +138,7 @@ def aggregate_trials(per_trial: Sequence[Sequence[MetricsSnapshot]]) -> list[Agg
 
 
 def write_aggregate_csv(rows: Sequence[AggregateRow], path) -> None:
-    _write_lines(path, [AGGREGATE_HEADER, *(r.csv_row() for r in rows)])
+    _write_lines(path, [AGGREGATE_HEADER, *map(_csv_line, rows)])
 
 
 def read_aggregate_csv(path) -> list[AggregateRow]:

@@ -14,10 +14,10 @@ querier ID order. Each query takes its answer when the pass reaches it, from
 the positions of t+1 and the knowledge holding at that point of the pass: a
 skill learned earlier in the pass can answer, and one evicted earlier cannot.
 Answering never mutates the responder.
-A step's queries travel as one array of (querier, color) rows, in ascending
-querier ID, from emission to :func:`resolve_and_deliver`; :func:`query_colors`
-is the rule for the color a querier asks about, for a batch of agents and
-for :func:`emit_query`'s one. A query is a ``(querier, color)`` pair and an
+A step's queries travel as one array of (querier, color) rows from emission
+to :func:`resolve_and_deliver`, which states what the rows must hold;
+:func:`query_colors` is the rule for the color a querier asks about, for a
+batch of agents and for :func:`emit_query`'s one. A query is a ``(querier, color)`` pair and an
 answered one a ``(querier, responder)`` pair. Resolve works on the
 population's knowledge arrays (:class:`Knowledge`), which also hold the
 learn rule's capacity, policy and duration, with no per-agent object: what
@@ -129,17 +129,17 @@ def _log_learn(event_log: list[ev.EventRecord], now: int, querier: int, color: C
 
 
 def _nearest_knowers(xs, ys, known, queriers, colors, lapse):
-    """(distances, IDs) of the nearest agent other than each querier that
-    knows its color, ties to the lowest ID. A distance is at least ``lapse``
-    when no knower is in reach, as a knower beyond reach may return its own
+    """(distances, IDs) of the nearest agent that knows each querier's
+    color, ties to the lowest ID; a querier does not know its own color, so
+    it is never its own knower. A distance is at least ``lapse`` when no
+    knower is in reach, as a knower beyond reach may return its own
     distance; the ID then means nothing."""
     knowers = known.nonzero()[0]
     if not knowers.size:  # every query lapses
         return np.full(len(queriers), lapse), queriers
     dist = np.maximum(np.abs(xs[knowers] - xs[queriers][:, None]),
                       np.abs(ys[knowers] - ys[queriers][:, None]))
-    can_answer = MASK_BITS[known[knowers]].T[colors] & (knowers != queriers[:, None])
-    reach = np.where(can_answer, dist, np.int64(lapse))
+    reach = np.where(MASK_BITS[known[knowers]].T[colors], dist, np.int64(lapse))
     return reach.min(axis=1), knowers[reach.argmin(axis=1)]  # first minimum = lowest ID
 
 
@@ -154,15 +154,16 @@ def resolve_and_deliver(
 ) -> list[tuple[int, int]]:
     """Resolve last iteration's queries in ascending querier ID.
 
-    ``pending`` is an m x 2 integer array of (querier, color) rows, one per
-    query, in ascending querier ID, as :meth:`Arena.step` emits them; rows
-    out of that order raise ValueError. ``knowledge`` holds the skills of
-    the agents, by ID. For each query the nearest agent within
+    ``pending`` is an m x 2 integer array of (querier, color) rows, as
+    :meth:`Arena.step` emits them: one query per querier, in strictly
+    ascending querier ID, each for a color its querier does not know. Any
+    other rows raise ValueError before anything changes. ``knowledge`` holds
+    the skills of the agents, by ID. For each query the nearest agent within
     ``comm_radius`` (Chebyshev) that knows the color when the pass reaches
     the query answers (ties to the lowest ID); the querier learns the color
-    at once, under the table's settings (:meth:`Knowledge.learn`), so a skill learned here can answer a
-    later query in the same pass, and a skill evicted here no longer
-    answers. Queries with no responder lapse. Each outcome is logged as
+    at once, under the table's settings (:meth:`Knowledge.learn`), so a
+    skill learned here can answer a later query in the same pass, and a
+    skill evicted here no longer answers. Queries with no responder lapse. Each outcome is logged as
     :func:`merge_payload` logs it: Forget of an evicted color and Delivery,
     or Reject. Returns one ``(querier, responder)`` pair per answered query,
     in ascending querier ID, whether the querier kept the skill or rejected
@@ -175,30 +176,30 @@ def resolve_and_deliver(
     if not len(pending):
         return deliveries
     queriers, colors = pending.T
-    qs = queriers.tolist()
-    if qs != sorted(qs):
-        raise ValueError("resolve_and_deliver() needs the queries in ascending querier ID")
     known = knowledge.known
+    if (np.diff(queriers) <= 0).any() or (known[queriers] >> colors & 1).any():
+        raise ValueError("resolve_and_deliver() needs one query per querier, in ascending "
+                         "querier ID, each for a color its querier does not know")
     # Distances from `lapse` up are out of reach.
     lapse = min(comm_radius, _MAX_REACH) + 1
     # Each query pulls its answer when the pass reaches it: the one from the
     # start of the pass, searched again if that responder has forgotten the
     # color since, against the agents that learned the color earlier in the
-    # pass and still know it.
+    # pass. A learner queries once per pass, so it keeps the color it learned.
     dists, ids = _nearest_knowers(xs, ys, known, queriers, colors, lapse)
     if dists.min() >= lapse:  # no query is answered, so no one learns
         return deliveries
     qx, qy = xs[queriers].tolist(), ys[queriers].tolist()
     learners = ([], [], [], [])  # (ID, x, y) of the agents that learned each color
     learn = knowledge.learn
-    for q, c, x, y, d, r in zip(qs, colors.tolist(), qx, qy, dists.tolist(), ids.tolist()):
+    for q, c, x, y, d, r in zip(queriers.tolist(), colors.tolist(), qx, qy, dists.tolist(),
+                                ids.tolist()):
         if d < lapse and not known.item(r) >> c & 1:  # the responder forgot the color
             ds, rs = _nearest_knowers(xs, ys, known, np.array([q]), np.array([c]), lapse)
             d, r = int(ds[0]), int(rs[0])
         for p, px, py in learners[c]:
             e = max(abs(px - x), abs(py - y))
-            # Nearer, or as near with a lower ID.
-            if (e < d or e == d and p < r) and p != q and known.item(p) >> c & 1:
+            if e < d or e == d and p < r:  # nearer, or as near with a lower ID
                 d, r = e, p
         if d >= lapse:
             continue
@@ -206,6 +207,6 @@ def resolve_and_deliver(
         outcome, victim = learn(q, color, now)
         _log_learn(event_log, now, q, color, r, outcome, victim)
         deliveries.append((q, r))
-        if outcome is LearnOutcome.MERGED or outcome is LearnOutcome.EVICTED:
+        if outcome is not LearnOutcome.REJECTED_FULL:
             learners[c].append((q, x, y))
     return deliveries

@@ -66,10 +66,14 @@ FAULTS = (
           "if d < lapse and not known.item(r) >> c & 1:",
           "if d < lapse and False:",
           "a responder that forgot the color earlier in the pass still answers"),
-    Fault("learner-forgot-still-answers", PROTOCOL,
-          " and p != q and known.item(p) >> c & 1:",
-          " and p != q:",
-          "an agent that learned the color and then evicted it still answers"),
+    Fault("repeated-querier-accepted", PROTOCOL,
+          "if (np.diff(queriers) <= 0).any()",
+          "if (np.diff(queriers) < 0).any()",
+          "a querier that asks twice is resolved twice, though it learns once per pass"),
+    Fault("known-color-accepted", PROTOCOL,
+          " or (known[queriers] >> colors & 1).any():",
+          ":",
+          "a query for a color its querier knows is resolved"),
     Fault("learner-ties-to-higher-id", PROTOCOL,
           "e == d and p < r",
           "e == d and p > r",

@@ -958,6 +958,11 @@ def test_step_invariants_on_random_configs(config, seed):
         arena.step()
         assert arena.capture_total + arena.alive_count == arena.initial_total
         assert_knowledge_arrays_coherent(arena)
+        # The queries resolve_and_deliver accepts: one per querier, in
+        # ascending ID, each for a color the querier does not know.
+        queriers, colors = arena.pending.T
+        assert ((np.diff(queriers) > 0).all()
+                and not (arena.knowledge.known[queriers] >> colors & 1).any())
         for agent, (px, py) in zip(arena.agents, before):
             assert known_colors(agent.tree) == agent.store.known_colors()
             assert 0 <= agent.x < arena.width and 0 <= agent.y < arena.height

@@ -181,6 +181,22 @@ def test_iteration_sums_must_stay_below_never(tmp_path, make_config, key):
     assert info.value.field == key
 
 
+@pytest.mark.parametrize("counts, message", [
+    pytest.param((-1, 5, 0, 0, 0, 0), "robots needs six non-negative counts", id="negative"),
+    pytest.param((0, 0, 0, 0, 0, 0), "at least one robot is required", id="none"),
+])
+def test_robot_count_errors_name_the_field_and_the_line(tmp_path, counts, message):
+    # The field is robot_counts, as ScenarioConfig calls it; the config file
+    # calls it robots, and the error points at that line.
+    with pytest.raises(ConfigError, match=message) as info:
+        ScenarioConfig(name="bad", robot_counts=counts)
+    assert info.value.field == "robot_counts"
+    path = write(tmp_path, f"name=bad\nrobots={','.join(map(str, counts))}\n")
+    with pytest.raises(ConfigError, match=rf"scenario\.cfg:2: {message}") as info:
+        load_config(path)
+    assert info.value.field == "robot_counts"
+
+
 @pytest.mark.parametrize("name", ["../x", "a/b", "/tmp/x", "..", "a\\b"])
 def test_name_must_be_plain_file_stem(tmp_path, name):
     with pytest.raises(ConfigError) as info:

@@ -407,16 +407,24 @@ def test_evicted_responder_no_longer_answers():
     assert deliveries == [(1, 0), (2, 0)]
 
 
-def test_learner_that_evicted_the_color_no_longer_answers():
-    # Agent 1 learns Red, then evicts it for Green; agent 2 is nearer to
-    # agent 1 than to the master, but its Red query must go to the master.
-    knowledge = Knowledge([0b1111, 0, 0], 1, EVICT, 10)
-    deliveries = resolve_and_deliver(
-        queries((1, Color.RED), (1, Color.GREEN), (2, Color.RED)), knowledge, now=2,
-        comm_radius=10, event_log=[],
-        xs=np.array([8, 1, 2]), ys=np.zeros(3, np.int64),
-    )
-    assert deliveries == [(1, 0), (1, 0), (2, 0)]
+@pytest.mark.parametrize("rows", [
+    pytest.param([(1, Color.RED), (1, Color.GREEN), (2, Color.RED)], id="repeated-querier"),
+    pytest.param([(1, Color.RED), (2, Color.BLUE)], id="known-color"),
+])
+def test_queries_off_the_contract_are_refused(rows):
+    # Resolve takes one query per querier, each for a color its querier
+    # does not know (see also the out-of-order test above); other rows
+    # change nothing, although each holds queries that could be answered.
+    knowledge = Knowledge([0b1111, 0, 0b1000], 1, EVICT, 10)
+    knowledge.learn(1, Color.YELLOW, 0)
+    before = knowledge.known.tolist(), knowledge.learned_at.tolist(), knowledge.next_expiry
+    log = []
+    with pytest.raises(ValueError):
+        resolve_and_deliver(queries(*rows), knowledge, now=2, comm_radius=10, event_log=log,
+                            xs=np.array([8, 1, 2]), ys=np.zeros(3, np.int64))
+    assert log == []
+    assert (knowledge.known.tolist(), knowledge.learned_at.tolist(),
+            knowledge.next_expiry) == before
 
 
 def test_learner_as_near_as_the_responder_wins_only_with_a_lower_id():
@@ -480,7 +488,7 @@ agent_specs = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(
     specs=agent_specs,
-    asks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3)), max_size=12),
+    asks=st.dictionaries(st.integers(0, 11), st.integers(0, 3), max_size=12),
     comm_radius=st.integers(0, 8),
     capacity=st.sampled_from([None, 1, 2]),
     policy=st.sampled_from([REJECT, EVICT]),
@@ -496,10 +504,15 @@ def test_resolve_matches_reference_scan(specs, asks, comm_radius, capacity, poli
                 agent.store.learn(color, 0)
         return agents
 
-    # Queriers in ascending ID, which the arena emits once each and resolve
-    # also accepts repeated; colors may be known.
-    pending = queries(*sorted(((q, c) for q, c in asks if q < len(specs)), key=lambda a: a[0]))
     expected_agents, agents = build(), build()
+    # One query per querier, in ascending ID, each for a color the querier
+    # does not know (one of them, by the drawn index), as the arena emits.
+    rows = []
+    for q, pick in sorted(asks.items()):
+        unknown = [c for c in COLORS if q < len(specs) and not agents[q].store.knows(c)]
+        if unknown:
+            rows.append((q, unknown[pick % len(unknown)]))
+    pending = queries(*rows)
     expected_log, log = [], []
     expected = reference_resolve(pending, expected_agents, 4, comm_radius, expected_log)
     got = resolve(pending, agents, dtype, now=4, comm_radius=comm_radius, event_log=log)
