@@ -17,12 +17,13 @@ Answering never mutates the responder.
 A step's queries travel as one array of (querier, color) rows from emission
 to :func:`resolve_and_deliver`, which states what the rows must hold;
 :func:`query_colors` is the rule for the color a querier asks about, for a
-batch of agents and for :func:`emit_query`'s one. A query is a ``(querier, color)`` pair and an
-answered one a ``(querier, responder)`` pair. Resolve works on the
-population's knowledge arrays (:class:`Knowledge`), which also hold the
-learn rule's capacity, policy and duration, with no per-agent object: what
-a delivery taught is in the querier's row and in the event log, which
-resolve and :func:`merge_payload` write with one helper.
+batch of agents and for :func:`emit_query`'s one. A query is a
+``(querier, color)`` pair and an answered one a ``(querier, responder)``
+pair. Resolve works on the population's knowledge arrays
+(:class:`Knowledge`), which also hold the learn rule's capacity, policy and
+duration, with no per-agent object: what a delivery taught is in the
+querier's row and in the event log, which resolve and :func:`merge_payload`
+write with one helper.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ def resolve_and_deliver(
     the query answers (ties to the lowest ID); the querier learns the color
     at once, under the table's settings (:meth:`Knowledge.learn`), so a
     skill learned here can answer a later query in the same pass, and a
-    skill evicted here no longer answers. Queries with no responder lapse. Each outcome is logged as
-    :func:`merge_payload` logs it: Forget of an evicted color and Delivery,
-    or Reject. Returns one ``(querier, responder)`` pair per answered query,
-    in ascending querier ID, whether the querier kept the skill or rejected
-    it.
+    skill evicted here no longer answers. Queries with no responder lapse.
+    Each outcome is logged as :func:`merge_payload` logs it: Forget of an
+    evicted color and Delivery, or Reject. Returns one ``(querier,
+    responder)`` pair per answered query, in ascending querier ID, whether
+    the querier kept the skill or rejected it.
 
     ``xs`` and ``ys`` are the agents' positions as numpy arrays indexed by
     ID, in an integer dtype that holds the difference of any two of them.
