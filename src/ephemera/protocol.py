@@ -177,10 +177,11 @@ def resolve_and_deliver(
     if not len(pending):
         return deliveries
     queriers, colors = pending.T
+    qs = queriers.tolist()
+    if qs != sorted(set(qs)):
+        raise ValueError("resolve_and_deliver() needs one query per querier, "
+                         "in ascending querier ID")
     known = knowledge.known
-    if (np.diff(queriers) <= 0).any() or (known[queriers] >> colors & 1).any():
-        raise ValueError("resolve_and_deliver() needs one query per querier, in ascending "
-                         "querier ID, each for a color its querier does not know")
     # Distances from `lapse` up are out of reach.
     lapse = min(comm_radius, _MAX_REACH) + 1
     # Each query pulls its answer when the pass reaches it: the one from the
@@ -190,11 +191,16 @@ def resolve_and_deliver(
     dists, ids = _nearest_knowers(xs, ys, known, queriers, colors, lapse)
     if dists.min() >= lapse:  # no query is answered, so no one learns
         return deliveries
+    # Checked here, where it costs only the passes that answer: a querier
+    # that knows its color is its own knower at distance 0, so its pass
+    # never returns above.
+    if MASK_BITS[known[queriers], colors].any():
+        raise ValueError("resolve_and_deliver() needs each query for a color "
+                         "its querier does not know")
     qx, qy = xs[queriers].tolist(), ys[queriers].tolist()
     learners = ([], [], [], [])  # (ID, x, y) of the agents that learned each color
     learn = knowledge.learn
-    for q, c, x, y, d, r in zip(queriers.tolist(), colors.tolist(), qx, qy, dists.tolist(),
-                                ids.tolist()):
+    for q, c, x, y, d, r in zip(qs, colors.tolist(), qx, qy, dists.tolist(), ids.tolist()):
         if d < lapse and not known.item(r) >> c & 1:  # the responder forgot the color
             ds, rs = _nearest_knowers(xs, ys, known, np.array([q]), np.array([c]), lapse)
             d, r = int(ds[0]), int(rs[0])

@@ -67,12 +67,12 @@ FAULTS = (
           "if d < lapse and False:",
           "a responder that forgot the color earlier in the pass still answers"),
     Fault("repeated-querier-accepted", PROTOCOL,
-          "if (np.diff(queriers) <= 0).any()",
-          "if (np.diff(queriers) < 0).any()",
+          "if qs != sorted(set(qs)):",
+          "if qs != sorted(qs):",
           "a querier that asks twice is resolved twice, though it learns once per pass"),
     Fault("known-color-accepted", PROTOCOL,
-          " or (known[queriers] >> colors & 1).any():",
-          ":",
+          "if MASK_BITS[known[queriers], colors].any():",
+          "if False:",
           "a query for a color its querier knows is resolved"),
     Fault("learner-ties-to-higher-id", PROTOCOL,
           "e == d and p < r",

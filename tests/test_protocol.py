@@ -407,21 +407,23 @@ def test_evicted_responder_no_longer_answers():
     assert deliveries == [(1, 0), (2, 0)]
 
 
-@pytest.mark.parametrize("rows", [
-    pytest.param([(1, Color.RED), (1, Color.GREEN), (2, Color.RED)], id="repeated-querier"),
-    pytest.param([(1, Color.RED), (2, Color.BLUE)], id="known-color"),
+@pytest.mark.parametrize("rows, comm_radius", [
+    pytest.param([(1, Color.RED), (1, Color.GREEN), (2, Color.RED)], 10, id="repeated-querier"),
+    pytest.param([(1, Color.RED), (2, Color.BLUE)], 10, id="known-color"),
+    # No other agent is in reach: the querier is its own knower.
+    pytest.param([(1, Color.RED), (2, Color.BLUE)], 0, id="known-color-alone-in-reach"),
 ])
-def test_queries_off_the_contract_are_refused(rows):
+def test_queries_off_the_contract_are_refused(rows, comm_radius):
     # Resolve takes one query per querier, each for a color its querier
     # does not know (see also the out-of-order test above); other rows
-    # change nothing, although each holds queries that could be answered.
+    # change nothing, although a resolve that took them would write.
     knowledge = Knowledge([0b1111, 0, 0b1000], 1, EVICT, 10)
     knowledge.learn(1, Color.YELLOW, 0)
     before = knowledge.known.tolist(), knowledge.learned_at.tolist(), knowledge.next_expiry
     log = []
     with pytest.raises(ValueError):
-        resolve_and_deliver(queries(*rows), knowledge, now=2, comm_radius=10, event_log=log,
-                            xs=np.array([8, 1, 2]), ys=np.zeros(3, np.int64))
+        resolve_and_deliver(queries(*rows), knowledge, now=2, comm_radius=comm_radius,
+                            event_log=log, xs=np.array([8, 1, 2]), ys=np.zeros(3, np.int64))
     assert log == []
     assert (knowledge.known.tolist(), knowledge.learned_at.tolist(),
             knowledge.next_expiry) == before
