@@ -1,12 +1,11 @@
 """Group-knowledge percentage, per-interval snapshots, CSV emission, and
 cross-trial aggregation.
 
-Both CSVs have LF line endings and one row's fields per line, in
-declaration order, the float ones at 4 decimal places. Per-trial schema::
+Per-trial CSV schema (LF line endings, floats at 4 decimal places)::
 
     trial,t,knowledge_pct,cap_total,cap_r,cap_g,cap_y,cap_b,queries,deliveries,forgets,rejects
 
-Aggregate schema::
+Aggregate CSV schema (the same format)::
 
     t,mean_knowledge_pct,min,max,mean_cap_total,min,max
 """

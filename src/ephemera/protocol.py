@@ -179,8 +179,7 @@ def resolve_and_deliver(
     queriers, colors = pending.T
     qs = queriers.tolist()
     if qs != sorted(set(qs)):
-        raise ValueError("resolve_and_deliver() needs one query per querier, "
-                         "in ascending querier ID")
+        raise ValueError("resolve_and_deliver() needs one query per querier, in ascending ID")
     known = knowledge.known
     # Distances from `lapse` up are out of reach.
     lapse = min(comm_radius, _MAX_REACH) + 1
@@ -191,12 +190,10 @@ def resolve_and_deliver(
     dists, ids = _nearest_knowers(xs, ys, known, queriers, colors, lapse)
     if dists.min() >= lapse:  # no query is answered, so no one learns
         return deliveries
-    # Checked here, where it costs only the passes that answer: a querier
-    # that knows its color is its own knower at distance 0, so its pass
-    # never returns above.
+    # A querier that knows its color is its own knower at distance 0 < lapse,
+    # so its pass never returns above: checked here, only answering passes pay.
     if MASK_BITS[known[queriers], colors].any():
-        raise ValueError("resolve_and_deliver() needs each query for a color "
-                         "its querier does not know")
+        raise ValueError("resolve_and_deliver() needs each query for a color its querier lacks")
     qx, qy = xs[queriers].tolist(), ys[queriers].tolist()
     learners = ([], [], [], [])  # (ID, x, y) of the agents that learned each color
     learn = knowledge.learn
